@@ -34,6 +34,7 @@ def emit_series(result: ScenarioResult, path: Path) -> None:
 
 
 def emit_verdict(result: ScenarioResult, path: Path) -> None:
+    """Write the check records, plus the runner's diagnostics under `notes`."""
     doc = {
         "scenario": result.scenario,
         "all_pass": result.all_pass,
@@ -48,8 +49,9 @@ def emit_verdict(result: ScenarioResult, path: Path) -> None:
             }
             for c in result.checks
         ],
+        "notes": result.notes,
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(args) -> int:

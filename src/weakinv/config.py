@@ -11,6 +11,7 @@ its own exit code, distinct from runtime numerical failures.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,10 +40,12 @@ _SCENARIO_COMMON: dict[str, dict[str, float]] = {
 }
 
 # Per-scenario parameter schema: name -> (default, kind).
-# kind: "float", "pos_float", "pos_int", "choice:..." with options after the colon.
+# kind: "float", "pos_float", "int_min:N", "nonzero_vec3" (a
+# field B0 exp(8ct) with a zero component has no finite spin rates), and
+# "choice:..." with options after the colon. Every float must be finite.
 _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
     "spin": {
-        "b0": ((1.0, 2.0, 3.0), "vec3"),
+        "b0": ((1.0, 2.0, 3.0), "nonzero_vec3"),
         "rate_c": (0.1, "pos_float"),
         "initial_state": ("gibbs", "choice:gibbs,up"),
         "t_init": (1.0, "pos_float"),
@@ -54,24 +57,26 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
         # stiffness schedule at run time, which is a numerical-domain error,
         # not a schema error.
         "decay": (0.5, "float"),
-        "n_fock": (60, "pos_int"),
+        "n_fock": (60, "int_min:4"),
         "initial_state": ("ground", "choice:ground,gibbs"),
         "t_init": (1.0, "pos_float"),
     },
     "channel_fuzz": {
-        "n_channels": (200, "pos_int"),
-        "max_dim": (6, "pos_int"),
-        "max_kraus": (4, "pos_int"),
+        "n_channels": (200, "int_min:1"),
+        "max_dim": (6, "int_min:2"),
+        "max_kraus": (4, "int_min:1"),
     },
     # The canonical-family identity is checked by central differences, so
     # the path must sit in the smooth (slow) regime: at t_init = 1 the
     # two-level start is nearly frozen (field over temperature ~ 3.7) and
     # T(t) has a stiff initial transient no practical grid resolves.
+    # n_times >= 3: the state is integrated over n_times - 1 whole steps,
+    # and the integrator needs at least two.
     "thermo_spin": {
-        "b0": ((1.0, 2.0, 3.0), "vec3"),
+        "b0": ((1.0, 2.0, 3.0), "nonzero_vec3"),
         "rate_c": (0.1, "pos_float"),
         "t_init": (4.0, "pos_float"),
-        "n_times": (2049, "pos_int"),
+        "n_times": (2049, "int_min:3"),
     },
     "fp_ou": {
         "gamma": (1.0, "pos_float"),
@@ -104,22 +109,32 @@ def _check_number(name: str, value, kind: str):
     if kind == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            v = float(value)
+        except OverflowError:
+            v = math.inf
+        if not math.isfinite(v):
+            raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        return v
     if kind == "pos_float":
         v = _check_number(name, value, "float")
         if v <= 0.0:
             raise ConfigError(f"{name}: must be positive, got {v}")
         return v
-    if kind == "pos_int":
+    if kind.startswith("int_min:"):
+        low = int(kind.split(":", 1)[1])
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        if value <= 0:
-            raise ConfigError(f"{name}: must be positive, got {value}")
+        if value < low:
+            raise ConfigError(f"{name}: must be at least {low}, got {value}")
         return value
-    if kind == "vec3":
+    if kind == "nonzero_vec3":
         if (not isinstance(value, (list, tuple))) or len(value) != 3:
             raise ConfigError(f"{name}: expected a 3-vector, got {value!r}")
-        return tuple(_check_number(f"{name}[{i}]", v, "float") for i, v in enumerate(value))
+        vec = tuple(_check_number(f"{name}[{i}]", v, "float") for i, v in enumerate(value))
+        if 0.0 in vec:
+            raise ConfigError(f"{name}: every component must be nonzero, got {list(vec)}")
+        return vec
     if kind.startswith("choice:"):
         options = kind.split(":", 1)[1].split(",")
         if value not in options:

@@ -31,13 +31,19 @@ unbounded operators the amplification is catastrophic; callers in that
 regime must supply the invariant in closed form via `invariant_path`
 (see the oscillator model, whose invariant stays inside a closed operator
 algebra with exact coefficient dynamics).
+
+Both equations are evaluated in effective-Hamiltonian form: with
+H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n,
+each right-hand side is two products with H_eff plus one stacked jump
+sandwich, and one such kernel per distinct time serves every stage of
+both Runge-Kutta steps.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,35 +67,36 @@ POSITIVITY_FLOOR = -1e-8
 class LindbladGenerator:
     """Time-dependent generator data: H(t), jump operators L_n(t), rates c_n(t).
 
-    All three are callables of time so that model builders can hand over
-    closed-form schedules; constant pieces are just constant callables.
-    Every evaluation certifies H Hermitian, shapes consistent, and rates
-    nonnegative within C_TOL (tiny negative roundoff is clamped to 0).
+    H and each L_n are callables of time; `rates` is one callable that
+    returns every c_n at once, so models whose rates share a formula
+    compute it once per time. Constant pieces are just constant callables.
+    Every evaluation certifies H Hermitian, shapes consistent, one rate
+    per jump operator, and rates nonnegative within C_TOL (tiny negative
+    roundoff is clamped to 0).
     """
 
     dim: int
     hamiltonian: Callable[[float], np.ndarray]
     lindblads: tuple[Callable[[float], np.ndarray], ...]
-    rates: tuple[Callable[[float], float], ...]
-
-    def __post_init__(self):
-        if len(self.lindblads) != len(self.rates):
-            raise ValidationError(
-                f"{len(self.lindblads)} jump operators but {len(self.rates)} rates"
-            )
+    rates: Callable[[float], Sequence[float]]
 
     def eval(self, t: float):
         h = require_hermitian(self.hamiltonian(t), name=f"H({t})")
         if h.shape != (self.dim, self.dim):
             raise ValidationError(f"H({t}) has shape {h.shape}, expected dim {self.dim}")
+        rates = np.asarray(self.rates(t), dtype=float)
+        if rates.shape != (len(self.lindblads),):
+            raise ValidationError(
+                f"{len(self.lindblads)} jump operators but rates({t}) has shape "
+                f"{rates.shape}"
+            )
         ls, cs = [], []
-        for k, (lf, cf) in enumerate(zip(self.lindblads, self.rates)):
+        for k, (lf, c) in enumerate(zip(self.lindblads, rates.tolist())):
             l_op = np.asarray(lf(t), dtype=complex)
             if l_op.shape != (self.dim, self.dim):
                 raise ValidationError(
                     f"L_{k}({t}) has shape {l_op.shape}, expected dim {self.dim}"
                 )
-            c = float(cf(t))
             if c < -C_TOL:
                 raise ValidationError(
                     f"rate c_{k}({t}) = {c:.6e} is negative beyond tolerance {C_TOL:.0e}"
@@ -99,30 +106,71 @@ class LindbladGenerator:
         return h, ls, cs
 
 
+class Kernel:
+    """The generator at one time in effective-Hamiltonian form.
+
+    H_eff = H - i sum_n c_n L_n^dag L_n and the stack of sqrt(c_n) L_n
+    (channels with c_n = 0 dropped) are all that both right-hand sides,
+    the growth rate and the entropy bound need, so one generator
+    evaluation per distinct time serves all of them.
+    """
+
+    __slots__ = ("h_eff", "h_eff_dag", "jumps", "jumps_dag")
+
+    def __init__(self, gen: LindbladGenerator, t: float):
+        h, ls, cs = gen.eval(t)
+        jumps = np.array([np.sqrt(c) * l_op for l_op, c in zip(ls, cs) if c > 0.0],
+                         dtype=complex).reshape(-1, gen.dim, gen.dim)
+        self.jumps = jumps
+        self.jumps_dag = jumps.conj().transpose(0, 2, 1)
+        self.h_eff = h - 1j * (self.jumps_dag @ jumps).sum(axis=0)
+        self.h_eff_dag = self.h_eff.conj().T
+
+    def state_rhs(self, m: np.ndarray) -> np.ndarray:
+        """-i (H_eff rho - rho H_eff^dag) + 2 sum_n L~_n rho L~_n^dag."""
+        return (-1j * (self.h_eff @ m - m @ self.h_eff_dag)
+                + 2.0 * (self.jumps @ m @ self.jumps_dag).sum(axis=0))
+
+    def invariant_rhs(self, m: np.ndarray) -> np.ndarray:
+        """-i (H_eff^dag I - I H_eff) - 2 sum_n L~_n^dag I L~_n."""
+        return (-1j * (self.h_eff_dag @ m - m @ self.h_eff)
+                - 2.0 * (self.jumps_dag @ m @ self.jumps).sum(axis=0))
+
+    def growth_rate(self, i_mat: np.ndarray, m: np.ndarray) -> float:
+        """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho)."""
+        comm = self.jumps @ i_mat - i_mat @ self.jumps
+        return 2.0 * float(np.vdot(comm, comm @ m).real)
+
+    def bound_terms(self, weight: np.ndarray) -> complex:
+        """2 tr(sum_n [L~_n^dag, L~_n] weight); exactly 0 when every jump is normal."""
+        comm = (self.jumps_dag @ self.jumps - self.jumps @ self.jumps_dag).sum(axis=0)
+        if not comm.any():
+            return 0j
+        return 2.0 * complex(np.sum(comm * weight.T))
+
+
+def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
+    """One classic RK4 step of dm/dt = rhs(kernel, m).
+
+    `kernels` holds the generator at the step's start, midpoint and end;
+    the midpoint kernel serves both middle stages.
+    """
+    k_start, k_mid, k_end = kernels
+    k1 = rhs(k_start, m)
+    k2 = rhs(k_mid, m + 0.5 * dt * k1)
+    k3 = rhs(k_mid, m + 0.5 * dt * k2)
+    k4 = rhs(k_end, m + dt * k3)
+    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def lindblad_rhs(gen: LindbladGenerator, rho, t: float) -> np.ndarray:
     """Right-hand side of the master equation at time t."""
-    h, ls, cs = gen.eval(t)
-    m = _as_matrix(rho)
-    out = -1j * (h @ m - m @ h)
-    for l_op, c in zip(ls, cs):
-        if c == 0.0:
-            continue
-        ll = l_op.conj().T @ l_op
-        out -= c * (ll @ m + m @ ll - 2.0 * l_op @ m @ l_op.conj().T)
-    return out
+    return Kernel(gen, t).state_rhs(_as_matrix(rho))
 
 
 def weak_invariant_rhs(gen: LindbladGenerator, i_op, t: float) -> np.ndarray:
     """Right-hand side of the invariant equation (note the adjoint jump term)."""
-    h, ls, cs = gen.eval(t)
-    m = _as_matrix(i_op)
-    out = -1j * (h @ m - m @ h)
-    for l_op, c in zip(ls, cs):
-        if c == 0.0:
-            continue
-        ll = l_op.conj().T @ l_op
-        out += c * (ll @ m + m @ ll - 2.0 * l_op.conj().T @ m @ l_op)
-    return out
+    return Kernel(gen, t).invariant_rhs(_as_matrix(i_op))
 
 
 def fluctuation_growth_rate(gen: LindbladGenerator, i_op, rho, t: float) -> float:
@@ -131,15 +179,7 @@ def fluctuation_growth_rate(gen: LindbladGenerator, i_op, rho, t: float) -> floa
     Each term is the second moment of a commutator, hence nonnegative up
     to roundoff; a value below -1e-12 means the inputs were inconsistent.
     """
-    _, ls, cs = gen.eval(t)
-    mi = _as_matrix(i_op)
-    mr = _as_matrix(rho)
-    rate = 0.0
-    for l_op, c in zip(ls, cs):
-        if c == 0.0:
-            continue
-        comm = l_op @ mi - mi @ l_op
-        rate += 2.0 * c * float(np.trace(comm.conj().T @ comm @ mr).real)
+    rate = Kernel(gen, t).growth_rate(_as_matrix(i_op), _as_matrix(rho))
     if rate < -1e-12:
         raise NumericalError(f"growth rate {rate:.3e} is negative; inputs inconsistent")
     return rate
@@ -215,20 +255,10 @@ def escort_density(rho, alpha: float) -> DensityMatrix:
 
 def _bound_terms(gen: LindbladGenerator, weight, t: float) -> float:
     """2 sum_n c_n tr([L_n^dag, L_n] weight) for a given averaging state."""
-    _, ls, cs = gen.eval(t)
-    m = _as_matrix(weight)
-    total = 0.0
-    for l_op, c in zip(ls, cs):
-        if c == 0.0:
-            continue
-        comm = l_op.conj().T @ l_op - l_op @ l_op.conj().T
-        if np.abs(comm).max(initial=0.0) == 0.0:
-            continue
-        val = complex(np.trace(comm @ m))
-        if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-            raise NumericalError(f"entropy bound has imaginary residue {val.imag:.3e}")
-        total += 2.0 * c * val.real
-    return total
+    val = Kernel(gen, t).bound_terms(_as_matrix(weight))
+    if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
+        raise NumericalError(f"entropy bound has imaginary residue {val.imag:.3e}")
+    return val.real
 
 
 def entropy_rate_bound(gen: LindbladGenerator, rho, t: float) -> float:
@@ -278,25 +308,6 @@ def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
-def _prods(ls, cs):
-    return [(l_op, l_op.conj().T, l_op.conj().T @ l_op, c)
-            for l_op, c in zip(ls, cs) if c > 0.0]
-
-
-def _rho_rhs(h, prods, m):
-    out = -1j * (h @ m - m @ h)
-    for l_op, ldag, ll, c in prods:
-        out -= c * (ll @ m + m @ ll - 2.0 * l_op @ m @ ldag)
-    return out
-
-
-def _inv_rhs(h, prods, m):
-    out = -1j * (h @ m - m @ h)
-    for l_op, ldag, ll, c in prods:
-        out += c * (ll @ m + m @ ll - 2.0 * ldag @ m @ l_op)
-    return out
-
-
 def integrate(
     gen: LindbladGenerator,
     rho0,
@@ -314,9 +325,11 @@ def integrate(
 
     Classic fourth-order Runge-Kutta advances rho and (when `i0` is
     given) the invariant matrix through shared stages, so both see the
-    generator at identical times. Alternatively `invariant_path` supplies
-    I(t) in closed form and only rho is stepped; exactly one of the two
-    must be provided.
+    generator at identical times. The generator is evaluated once per
+    distinct time: at each node (reused as the previous step's final
+    stage) and at each midpoint, 2N + 1 evaluations for N steps.
+    Alternatively `invariant_path` supplies I(t) in closed form and only
+    rho is stepped; exactly one of the two must be provided.
 
     The state is re-Hermitized once per step ((rho + rho^dag)/2, the
     applied correction is tracked in notes); trace and positivity are
@@ -345,10 +358,8 @@ def integrate(
     max_herm_fix = 0.0
     exp0 = None
 
+    kern = Kernel(gen, times[0])
     for idx, t in enumerate(times):
-        h, ls, cs = gen.eval(t)
-        prods = _prods(ls, cs)
-
         # node diagnostics
         sym = 0.5 * (m + m.conj().T)
         w, v = np.linalg.eigh(sym)
@@ -392,30 +403,17 @@ def integrate(
                 "solves the two evolution equations consistently"
             )
 
-        rate = 0.0
-        for l_op, _, _, c in prods:
-            comm = l_op @ i_mat - i_mat @ l_op
-            rate += 2.0 * c * float(np.trace(comm.conj().T @ comm @ m).real)
-
         escort_w = np.clip(w, 0.0, None) ** alpha
         escort_w /= escort_w.sum()
         escort = v @ (escort_w[:, None] * v.conj().T) if alpha != 1.0 else sym
-        bound_vn = 0.0
-        bound_renyi = 0.0
-        for l_op, ldag, ll, c in prods:
-            comm = ll - l_op @ ldag
-            if np.abs(comm).max(initial=0.0) == 0.0:
-                continue
-            bound_vn += 2.0 * c * float(np.trace(comm @ sym).real)
-            bound_renyi += 2.0 * c * float(np.trace(comm @ escort).real)
 
         cols["exp_I"][idx] = exp_i
         cols["var_I"][idx] = var_i
-        cols["growth_formula"][idx] = rate
+        cols["growth_formula"][idx] = kern.growth_rate(i_mat, m)
         cols["S_vn"][idx] = _vn_from_evals(w)
         cols["S_renyi"][idx] = _renyi_from_evals(w, alpha)
-        cols["bound_vn"][idx] = bound_vn
-        cols["bound_renyi"][idx] = bound_renyi
+        cols["bound_vn"][idx] = kern.bound_terms(sym).real
+        cols["bound_renyi"][idx] = kern.bound_terms(escort).real
         cols["trace_err"][idx] = trace_err
         cols["min_eig"][idx] = min_eig
         states.append(node_state)
@@ -424,32 +422,20 @@ def integrate(
         if idx == n_nodes - 1:
             break
 
-        # RK4 step with shared generator evaluations
-        h2, ls2, cs2 = gen.eval(t + 0.5 * dt)
-        prods2 = _prods(ls2, cs2)
-        h3, ls3, cs3 = gen.eval(t + dt)
-        prods3 = _prods(ls3, cs3)
-
-        k1 = _rho_rhs(h, prods, m)
-        k2 = _rho_rhs(h2, prods2, m + 0.5 * dt * k1)
-        k3 = _rho_rhs(h2, prods2, m + 0.5 * dt * k2)
-        k4 = _rho_rhs(h3, prods3, m + dt * k3)
-        m = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        kernels = (kern, Kernel(gen, t + 0.5 * dt), Kernel(gen, times[idx + 1]))
+        m = rk4_step(Kernel.state_rhs, kernels, m, dt)
         fix = float(np.abs(m - m.conj().T).max())
         max_herm_fix = max(max_herm_fix, fix)
         m = 0.5 * (m + m.conj().T)
 
         if i0 is not None:
-            j1 = _inv_rhs(h, prods, i_mat)
-            j2 = _inv_rhs(h2, prods2, i_mat + 0.5 * dt * j1)
-            j3 = _inv_rhs(h2, prods2, i_mat + 0.5 * dt * j2)
-            j4 = _inv_rhs(h3, prods3, i_mat + dt * j3)
-            i_mat = i_mat + (dt / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+            i_mat = rk4_step(Kernel.invariant_rhs, kernels, i_mat, dt)
             i_mat = 0.5 * (i_mat + i_mat.conj().T)
         else:
             i_mat = require_hermitian(
                 invariant_path(times[idx + 1]), name="invariant_path"
             )
+        kern = kernels[2]
 
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return Trajectory(

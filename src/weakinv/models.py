@@ -152,14 +152,14 @@ def oscillator_generator(model: OscillatorModel) -> LindbladGenerator:
     def hamiltonian(t: float) -> np.ndarray:
         return k1 + float(model.k(t)) * k2
 
-    def rate(t: float) -> float:
-        return -0.5 * float(model.kdot(t))
+    def rates(t: float) -> tuple[float]:
+        return (-0.5 * float(model.kdot(t)),)
 
     return LindbladGenerator(
         dim=model.n_fock,
         hamiltonian=hamiltonian,
         lindblads=(lambda t: k2,),
-        rates=(rate,),
+        rates=rates,
     )
 
 
@@ -321,7 +321,7 @@ def spin_generator(model: SpinModel) -> LindbladGenerator:
         dim=2,
         hamiltonian=ham,
         lindblads=tuple((lambda t, n=n: PAULIS[n]) for n in range(3)),
-        rates=tuple((lambda t, n=n: float(spin_coefficients(model, t)[n])) for n in range(3)),
+        rates=lambda t: spin_coefficients(model, t),
     )
 
 

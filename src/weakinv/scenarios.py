@@ -42,10 +42,11 @@ from .fokker_planck import (
 )
 from .lindblad import (
     SERIES_KEYS,
+    Kernel,
     Trajectory,
     integrate,
-    lindblad_rhs,
     renyi_entropy,
+    rk4_step,
     vn_entropy,
 )
 from .models import (
@@ -163,21 +164,14 @@ def _trajectory_columns(traj: Trajectory) -> dict[str, np.ndarray]:
 
 # -- spin scenario -----------------------------------------------------------
 
-def _rk4_state_step(gen, m, t, dt):
-    k1 = lindblad_rhs(gen, m, t)
-    k2 = lindblad_rhs(gen, m + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = lindblad_rhs(gen, m + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = lindblad_rhs(gen, m + dt * k3, t + dt)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def channel_step_defect(gen, rho_mat, t: float, dt: float, n_micro: int = 8) -> float:
     """Distance between one accurate ODE step and n_micro Kraus steps.
 
     The factored step has an O(tau^2) local defect, so the composed error
     scales as dt^2 / n_micro: halving dt must shrink this by about 4.
     """
-    ref = _rk4_state_step(gen, rho_mat, t, dt)
+    kernels = tuple(Kernel(gen, s) for s in (t, t + 0.5 * dt, t + dt))
+    ref = rk4_step(Kernel.state_rhs, kernels, rho_mat, dt)
     tau = dt / n_micro
     m = rho_mat
     for j in range(n_micro):
@@ -425,8 +419,7 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
         "trace_err": tp,
         "min_eig": out_min,
     }
-    return ScenarioResult(scenario="channel_fuzz", columns=columns,
-                          checks=checks, notes={"workers": _fuzz_worker_count()})
+    return ScenarioResult(scenario="channel_fuzz", columns=columns, checks=checks)
 
 
 # -- isoenergetic thermo path ------------------------------------------------
@@ -445,9 +438,11 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
     # The canonical family is a local-equilibrium description, not the actual
     # dissipative state. Report how far apart they drift; no threshold is
-    # imposed, the number is a slowness diagnostic.
+    # imposed, the number is a slowness diagnostic. H(t) is this model's
+    # exact weak invariant, so the state is stepped against it in closed form.
     gen = spin_generator(model)
-    actual = integrate(gen, canonical_state(h0, p["t_init"]), i0=h0,
+    actual = integrate(gen, canonical_state(h0, p["t_init"]),
+                       invariant_path=lambda t: spin_hamiltonian(model, t),
                        t0=cfg.t0, t1=cfg.t1, dt=step, alpha=cfg.alpha)
     gap = np.array([trace_distance(a, b)
                     for a, b in zip(actual.states, path.states)])

@@ -7,10 +7,12 @@ goes through the same public entry points the CLI uses.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from weakinv.cli import emit_verdict
 from weakinv.config import default_config
 from weakinv.scenarios import run_scenario
 
@@ -160,6 +162,17 @@ def test_all_default_scenarios_fully_pass(spin, oscillator, fuzz, thermo, fp):
     for r in (spin, oscillator, fuzz, thermo, fp):
         bad = [c.name for c in r.checks if not c.passed]
         assert not bad, f"{r.scenario}: failing checks {bad}"
+
+
+def test_verdict_carries_every_scenarios_notes(tmp_path, spin, oscillator,
+                                               fuzz, thermo, fp):
+    for r in (spin, oscillator, fuzz, thermo, fp):
+        path = tmp_path / f"{r.scenario}.json"
+        emit_verdict(r, path)
+        assert json.loads(path.read_text())["notes"] == json.loads(json.dumps(r.notes))
+    # the fuzz worker count depends on the machine, not on the config
+    assert "workers" not in fuzz.notes
+    assert "canonical_gap_max" in thermo.notes
 
 
 def test_total_budget(spin, oscillator, fuzz, thermo, fp):

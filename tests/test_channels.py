@@ -135,7 +135,7 @@ def _static_spin_generator(c):
         dim=2,
         hamiltonian=lambda t: h,
         lindblads=(lambda t: SIGMA_X.astype(complex),),
-        rates=(lambda t: c,),
+        rates=lambda t: (c,),
     )
 
 

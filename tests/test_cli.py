@@ -56,6 +56,9 @@ def test_runs_are_byte_identical(tmp_path):
     assert main(["run", "--config", cfg, "--output-dir", str(out_b)]) == 0
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
     assert (out_a / "verdict.json").read_bytes() == (out_b / "verdict.json").read_bytes()
+    notes = json.loads((out_a / "verdict.json").read_text())["notes"]
+    assert set(notes) == {"step_defects", "conservation"}
+    assert notes["conservation"]["max_herm_correction"] >= 0.0
 
 
 def test_fuzz_runs_are_byte_identical(tmp_path, monkeypatch):
@@ -84,6 +87,27 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, doc", [
+    ("nan_dt", '{"scenario": "spin", "dt": NaN}'),
+    ("inf_t1", '{"scenario": "spin", "t1": Infinity}'),
+    ("two_times", '{"scenario": "thermo_spin", "params": {"n_times": 2}}'),
+    ("zero_field", '{"scenario": "spin", "params": {"b0": [1.0, 0.0, 3.0]}}'),
+    ("zero_field_thermo",
+     '{"scenario": "thermo_spin", "params": {"b0": [0, 2.0, 3.0]}}'),
+    ("one_level_fuzz", '{"scenario": "channel_fuzz", "params": {"max_dim": 1}}'),
+    ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
+])
+def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(doc)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not (out / "verdict.json").exists()
+
+
 def test_numerical_abort_exits_3(tmp_path, capsys):
     # decay < 0 makes the spring constant grow, which the schedule refuses
     cfg = _write(tmp_path, "osc.json", {
@@ -102,6 +126,8 @@ def test_failed_check_exits_1(tmp_path):
         "scenario": "thermo_spin", "params": {"n_times": 65}})
     code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")])
     assert code == 1
+    notes = json.loads((tmp_path / "o" / "verdict.json").read_text())["notes"]
+    assert 0.0 <= notes["canonical_gap_max"] < 1e-6
 
 
 def test_bad_thread_cap_exits_2(tmp_path, monkeypatch):

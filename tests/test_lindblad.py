@@ -36,7 +36,7 @@ def dephasing_generator(c=1.0):
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
         lindblads=(lambda t: SIGMA_Z.astype(complex),),
-        rates=(lambda t: c,),
+        rates=lambda t: (c,),
     )
 
 
@@ -46,7 +46,7 @@ def damping_generator(c=0.5):
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
         lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
-        rates=(lambda t: c,),
+        rates=lambda t: (c,),
     )
 
 
@@ -194,7 +194,7 @@ def test_growth_rate_never_negative(seed):
         dim=3,
         hamiltonian=lambda t: np.zeros((3, 3), dtype=complex),
         lindblads=(lambda t: l_op,),
-        rates=(lambda t: 0.3,),
+        rates=lambda t: (0.3,),
     )
     assert fluctuation_growth_rate(gen, i_op, rho, 0.0) >= -1e-12
 
@@ -204,7 +204,7 @@ def test_negative_rate_rejected():
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
         lindblads=(lambda t: SIGMA_X.astype(complex),),
-        rates=(lambda t: -0.5,),
+        rates=lambda t: (-0.5,),
     )
     with pytest.raises(ValidationError):
         gen.eval(0.0)
@@ -215,3 +215,74 @@ def test_variance_shift_exact_identity():
     base = variance(SIGMA_X, rho)
     shifted = variance(SIGMA_X + 2.5 * np.eye(2), rho)
     assert shifted == pytest.approx(base, rel=1e-12)
+
+
+def test_integrate_evaluates_generator_once_per_distinct_time():
+    n_steps = 20
+    rate_times = []
+    eval_times = []
+
+    def rates(t):
+        rate_times.append(t)
+        return (0.4,)
+
+    class CountingGenerator(LindbladGenerator):
+        def eval(self, t):
+            eval_times.append(t)
+            return super().eval(t)
+
+    gen = CountingGenerator(
+        dim=2,
+        hamiltonian=lambda t: (1.0 + t) * SIGMA_Z.astype(complex),
+        lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
+        rates=rates,
+    )
+    rho0 = canonical_state(SIGMA_X.astype(complex), 1.0)
+    traj = integrate(gen, rho0, i0=np.eye(2, dtype=complex) + SIGMA_Z,
+                     t0=0.0, t1=n_steps * 1e-2, dt=1e-2)
+    assert len(eval_times) == 2 * n_steps + 1
+    assert rate_times == eval_times
+    # every node plus every midpoint, each exactly once
+    mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+    expected = np.sort(np.concatenate([traj.times, mids]))
+    assert np.allclose(np.sort(eval_times), expected, rtol=0.0, atol=1e-15)
+    assert len(set(eval_times)) == len(eval_times)
+
+
+def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
+    # amplitude damping: [L^dag, L] != 0, so the bound columns are nonzero
+    gen = LindbladGenerator(
+        dim=2,
+        hamiltonian=lambda t: 0.7 * SIGMA_X.astype(complex),
+        lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
+        rates=lambda t: (0.5,),
+    )
+    rho0 = DensityMatrix.from_matrix(
+        np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]], dtype=complex))
+    i0 = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]], dtype=complex)
+    alpha = 2.0
+    traj = integrate(gen, rho0, i0=i0, t0=0.0, t1=0.3, dt=1e-3, alpha=alpha)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    for idx in (0, 1, 97, 150, 299, 300):
+        t = float(traj.times[idx])
+        rho, i_op = traj.states[idx], traj.invariants[idx]
+        s = traj.series
+        bound = entropy_rate_bound(gen, rho, t)
+        assert abs(bound) > 1e-3
+        assert close(s["growth_formula"][idx], fluctuation_growth_rate(gen, i_op, rho, t))
+        assert close(s["bound_vn"][idx], bound)
+        assert close(s["bound_renyi"][idx], renyi_rate_bound(gen, rho, t, alpha))
+
+
+def test_rates_callable_must_match_jump_count():
+    gen = LindbladGenerator(
+        dim=2,
+        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
+        lindblads=(lambda t: SIGMA_X.astype(complex),),
+        rates=lambda t: (0.1, 0.2),
+    )
+    with pytest.raises(ValidationError):
+        gen.eval(0.0)
