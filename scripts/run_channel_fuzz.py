@@ -1,5 +1,5 @@
 """Random-channel property sweep: operator Jensen floor, duality,
-paired second-moment growth. WEAKINV_THREADS caps the worker pool."""
+paired second-moment growth. Each row depends only on its case index."""
 
 import argparse
 import sys

@@ -17,6 +17,12 @@ first-order step channels can be honest about their O(dt^2) defect.
 Kraus lists are never pruned on composition; at the dimensions this
 package targets the growth is acceptable and pruning would silently
 change the map.
+
+The Kraus operators of a channel are one array (n_kraus, dim, dim). A
+stack of channels sharing dim and n_kraus is the same object with
+leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`,
+`kadison_gap` and `compose` broadcast over those axes, so many small
+channels cost one numpy call each instead of one per channel.
 """
 
 from __future__ import annotations
@@ -26,7 +32,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .operators import DensityMatrix, Tolerances, DEFAULT_TOL, _as_matrix, require_hermitian
+from .operators import (
+    DEFAULT_TOL,
+    DensityMatrix,
+    Tolerances,
+    _as_matrix,
+    _breach,
+    _member,
+    dagger,
+    require_hermitian,
+)
 
 CPTP_TOL = 1e-9
 TIME_MATCH_TOL = 1e-12
@@ -34,13 +49,15 @@ TIME_MATCH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Kraus representation of a CPTP map with a completeness certificate.
+    """Kraus representation of a CPTP map, or of a stack of them, with a
+    completeness certificate.
 
-    tp_defect is the measured max-abs residual of sum V^dag V - 1;
-    tp_tol is the bound it was certified against at construction.
+    kraus has shape (..., n_kraus, dim, dim). tp_defect is the measured
+    max-abs residual of sum V^dag V - 1, one per stack member; tp_tol is
+    the bound every member was certified against at construction.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
     t_from: float
     t_to: float
     tp_defect: float
@@ -54,29 +71,35 @@ class QuantumChannel:
         t_to: float = 0.0,
         tp_tol: float = CPTP_TOL,
     ) -> "QuantumChannel":
-        mats = tuple(np.asarray(v, dtype=complex) for v in ops)
-        if not mats:
+        try:
+            mats = np.asarray(ops, dtype=complex)
+        except ValueError:
+            raise ValidationError("Kraus operators must all share one square shape") from None
+        if mats.size == 0:
             raise ValidationError("a channel needs at least one Kraus operator")
-        dim = mats[0].shape[0]
-        for v in mats:
-            if v.ndim != 2 or v.shape != (dim, dim):
-                raise ValidationError(
-                    f"Kraus operators must all be {dim}x{dim}, got shape {v.shape}"
-                )
-        acc = np.zeros((dim, dim), dtype=complex)
-        for v in mats:
-            acc += v.conj().T @ v
-        defect = float(np.abs(acc - np.eye(dim)).max())
-        if defect > tp_tol:
+        if mats.ndim < 3 or mats.shape[-1] != mats.shape[-2]:
             raise ValidationError(
-                f"Kraus completeness residual {defect:.3e} exceeds tol {tp_tol:.1e}"
+                f"Kraus operators must be square matrices, got shape {mats.shape}"
+            )
+        acc = (dagger(mats) @ mats).sum(axis=-3)
+        defect = np.abs(acc - np.eye(mats.shape[-1])).max(axis=(-2, -1))
+        at = _breach(defect > tp_tol)
+        if at is not None:
+            raise ValidationError(
+                f"{_member(at)}Kraus completeness residual {defect[at]:.3e} "
+                f"exceeds tol {tp_tol:.1e}"
             )
         return cls(kraus=mats, t_from=float(t_from), t_to=float(t_to),
                    tp_defect=defect, tp_tol=float(tp_tol))
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
+
+
+def sandwich(left, m, right) -> np.ndarray:
+    """sum_k left_k m right_k over the Kraus axis -3, broadcast over stacks."""
+    return (left @ m[..., None, :, :] @ right).sum(axis=-3)
 
 
 def apply(ch: QuantumChannel, rho, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
@@ -87,11 +110,9 @@ def apply(ch: QuantumChannel, rho, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
     is allowed to propagate.
     """
     m = _as_matrix(rho)
-    if m.shape != (ch.dim, ch.dim):
+    if m.shape[-2:] != (ch.dim, ch.dim):
         raise ValidationError(f"state shape {m.shape} does not match channel dim {ch.dim}")
-    out = np.zeros_like(m)
-    for v in ch.kraus:
-        out += v @ m @ v.conj().T
+    out = sandwich(ch.kraus, m, dagger(ch.kraus))
     # Loosen the trace check by the channel's own certified defect.
     eff = Tolerances(herm=tol.herm, psd=tol.psd,
                      trace=max(tol.trace, 2.0 * ch.tp_tol), imag=tol.imag)
@@ -100,13 +121,10 @@ def apply(ch: QuantumChannel, rho, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
 
 def adjoint_apply(ch: QuantumChannel, x) -> np.ndarray:
     """Heisenberg-picture action X -> sum V^dag X V (unital for CPTP)."""
-    m = np.asarray(_as_matrix(x), dtype=complex)
-    if m.shape != (ch.dim, ch.dim):
+    m = _as_matrix(x)
+    if m.shape[-2:] != (ch.dim, ch.dim):
         raise ValidationError(f"operator shape {m.shape} does not match channel dim {ch.dim}")
-    out = np.zeros_like(m)
-    for v in ch.kraus:
-        out += v.conj().T @ m @ v
-    return out
+    return sandwich(dagger(ch.kraus), m, ch.kraus)
 
 
 def kadison_gap(ch: QuantumChannel, i_op) -> np.ndarray:
@@ -133,7 +151,9 @@ def compose(later: QuantumChannel, earlier: QuantumChannel) -> QuantumChannel:
             f"time mismatch in composition: earlier ends at {earlier.t_to!r}, "
             f"later starts at {later.t_from!r}"
         )
-    prods = tuple(w @ v for w in later.kraus for v in earlier.kraus)
+    # every pair (W_i, V_j), i major, broadcast over stacks
+    prods = later.kraus[..., :, None, :, :] @ earlier.kraus[..., None, :, :, :]
+    prods = prods.reshape(prods.shape[:-4] + (-1,) + prods.shape[-2:])
     tol = earlier.tp_tol + later.tp_tol + earlier.tp_tol * later.tp_tol + 1e-12
     return QuantumChannel.from_kraus(
         prods, t_from=earlier.t_from, t_to=later.t_to, tp_tol=tol
@@ -173,20 +193,28 @@ def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
     )
 
 
-def random_channel(dim: int, n_kraus: int, seed: int) -> QuantumChannel:
-    """Seeded Haar-style random CPTP map.
+def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:
+    """Seeded Haar-style random CPTP map, or a stack of them.
 
-    A complex Gaussian (n_kraus*dim, dim) matrix is QR-orthonormalised
-    into an isometry; its dim x dim row blocks are the Kraus operators,
-    so completeness holds to machine precision by construction. The R
-    phases are fixed to make the draw unambiguous for a given seed.
+    For each seed a complex Gaussian (n_kraus*dim, dim) matrix is drawn
+    from its own default_rng(seed) and QR-orthonormalised into an
+    isometry; its dim x dim row blocks are the Kraus operators, so
+    completeness holds to machine precision by construction. The R
+    phases are fixed to make the draw unambiguous for a given seed. A
+    1-d array of seeds gives a stack whose member j equals the channel
+    drawn for seed[j] alone.
     """
     if dim < 1 or n_kraus < 1:
         raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(n_kraus * dim, dim)) + 1j * rng.normal(size=(n_kraus * dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d.conj() / np.abs(d))[None, :]
-    ops = [q[k * dim:(k + 1) * dim, :] for k in range(n_kraus)]
-    return QuantumChannel.from_kraus(ops, tp_tol=1e-12)
+    seeds = np.asarray(seed)
+    if seeds.ndim > 1:
+        raise ValidationError(f"seed must be an integer or a 1-d array, got shape {seeds.shape}")
+    shape = (n_kraus * dim, dim)
+    rngs = [np.random.default_rng(int(s)) for s in seeds.reshape(-1)]
+    g = np.stack([r.normal(size=shape) + 1j * r.normal(size=shape) for r in rngs])
+    q, r = np.linalg.qr(g.reshape(seeds.shape + shape))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (d.conj() / np.abs(d))[..., None, :]
+    return QuantumChannel.from_kraus(
+        q.reshape(seeds.shape + (n_kraus, dim, dim)), tp_tol=1e-12
+    )

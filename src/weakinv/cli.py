@@ -3,7 +3,8 @@
 `weakinv run --config file.json [--output-dir dir]` executes one scenario
 and writes series.csv plus verdict.json into the output directory. Exit
 codes: 0 all checks passed, 1 at least one check failed, 2 configuration
-error, 3 numerical abort inside the engine.
+error, 3 numerical abort inside the engine, 4 internal error (any other
+exception, reported as one line; no verdict.json is written).
 
 `weakinv scenarios` lists the built-in scenarios.
 """
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
 from .config import SCENARIOS, ConfigError, load_config
 from .errors import WeakInvError
 from .scenarios import CSV_HEADER, SCENARIO_SUMMARIES, ScenarioResult, run_scenario
+
+log = logging.getLogger(__name__)
 
 
 def format_series(columns: dict) -> str:
@@ -57,11 +61,6 @@ def emit_verdict(result: ScenarioResult, path: Path) -> None:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -69,6 +68,10 @@ def _cmd_run(args) -> int:
     except WeakInvError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     out_dir = Path(args.output_dir if args.output_dir else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

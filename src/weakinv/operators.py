@@ -48,31 +48,54 @@ def _as_matrix(a) -> np.ndarray:
 
 
 def _require_square(a: np.ndarray, name: str) -> np.ndarray:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """a itself, after checking it is a square matrix or a stack (..., d, d) of them."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"{name} must be a square matrix, got shape {a.shape}")
     return a
 
 
-def hermiticity_defect(a) -> float:
-    """Max-abs deviation of a from its conjugate transpose."""
-    m = _as_matrix(a)
-    _require_square(m, "operator")
-    return float(np.abs(m - m.conj().T).max(initial=0.0))
+def _breach(bad) -> tuple | None:
+    """Index of the first member where a guard mask holds, or None.
+
+    The index is () for a single matrix, whose mask is a scalar; that
+    mask is tested directly, which keeps the 2-D path as cheap per call
+    as a plain comparison.
+    """
+    if bad.ndim == 0:
+        return () if bad else None
+    if not bad.any():
+        return None
+    return tuple(np.argwhere(bad)[0].tolist())
+
+
+def _member(at: tuple) -> str:
+    """Message prefix naming a breaching stack member; empty for a single matrix."""
+    if not at:
+        return ""
+    return f"stack member {at[0] if len(at) == 1 else at}: "
+
+
+def hermiticity_defect(a):
+    """Max-abs deviation of a from its conjugate transpose, per matrix of a stack."""
+    m = _require_square(_as_matrix(a), "operator")
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
 def require_hermitian(a, tol: float = DEFAULT_TOL.herm, name: str = "operator") -> np.ndarray:
-    """Return a as an ndarray after certifying Hermiticity within tol."""
+    """Return a as an ndarray after certifying every matrix Hermitian within tol."""
     m = _as_matrix(a)
     defect = hermiticity_defect(m)
-    if defect > tol:
+    at = _breach(defect > tol)
+    if at is not None:
         raise ValidationError(
-            f"{name} is not Hermitian: defect {defect:.3e} exceeds tol {tol:.1e}"
+            f"{_member(at)}{name} is not Hermitian: defect {defect[at]:.3e} exceeds tol {tol:.1e}"
         )
     return m
 
 
 def dagger(a) -> np.ndarray:
-    return _as_matrix(a).conj().T
+    """Conjugate transpose of the last two axes, so stacks are daggered member-wise."""
+    return _as_matrix(a).conj().swapaxes(-1, -2)
 
 
 def commutator(a, b) -> np.ndarray:
@@ -114,7 +137,9 @@ class DensityMatrix:
 
     Validation clips nothing: the stored matrix is exactly what was passed
     in, and the residual fields record by how much it misses the ideal
-    (Hermitian, unit trace, positive) properties.
+    (Hermitian, unit trace, positive) properties. A stack (..., d, d) of
+    states is certified member by member; the residual fields then carry
+    the stack's leading shape.
     """
 
     mat: np.ndarray
@@ -124,30 +149,34 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, mat, tol: Tolerances = DEFAULT_TOL) -> "DensityMatrix":
-        m = _as_matrix(mat)
-        _require_square(m, "state")
+        m = _require_square(_as_matrix(mat), "state")
         herm = hermiticity_defect(m)
-        if herm > tol.herm:
+        at = _breach(herm > tol.herm)
+        if at is not None:
             raise ValidationError(
-                f"state is not Hermitian: defect {herm:.3e} exceeds tol {tol.herm:.1e}"
+                f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
+                f"exceeds tol {tol.herm:.1e}"
             )
-        tr = np.trace(m)
-        trace_defect = float(abs(tr - 1.0))
-        if trace_defect > tol.trace:
+        tr = np.trace(m, axis1=-2, axis2=-1)
+        trace_defect = abs(tr - 1.0)
+        at = _breach(trace_defect > tol.trace)
+        if at is not None:
             raise ValidationError(
-                f"state trace {tr:.12g} misses 1 by {trace_defect:.3e} (tol {tol.trace:.1e})"
+                f"{_member(at)}state trace {tr[at]:.12g} misses 1 by "
+                f"{trace_defect[at]:.3e} (tol {tol.trace:.1e})"
             )
-        evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        min_eig = float(evals[0])
-        if min_eig < -tol.psd:
+        min_eig = np.linalg.eigvalsh(0.5 * (m + dagger(m)))[..., 0]
+        at = _breach(min_eig < -tol.psd)
+        if at is not None:
             raise ValidationError(
-                f"state has negative eigenvalue {min_eig:.3e} below -{tol.psd:.1e}"
+                f"{_member(at)}state has negative eigenvalue {min_eig[at]:.3e} "
+                f"below -{tol.psd:.1e}"
             )
         return cls(mat=m, herm_defect=herm, trace_defect=trace_defect, min_eig=min_eig)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -189,29 +218,33 @@ def expm_herm(a, s: float = 1.0) -> np.ndarray:
     return v @ (np.exp(s * w)[:, None] * v.conj().T)
 
 
-def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag) -> float:
+def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag):
     """tr(A rho) for Hermitian A, returned as a real number.
 
-    The imaginary residue of the trace is a cheap witness for a
-    non-Hermitian operator or a corrupted state, so it is checked.
+    Operator and state may be stacks (..., d, d) that broadcast against
+    each other; the result then holds one value per member. The imaginary
+    residue of the trace is a cheap witness for a non-Hermitian operator
+    or a corrupted state, so it is checked for every member.
     """
     ma = _as_matrix(a)
     mr = _as_matrix(rho)
     _require_square(ma, "operator")
-    if ma.shape != mr.shape:
+    if ma.shape[-2:] != mr.shape[-2:]:
         raise ValidationError(f"dimension mismatch: operator {ma.shape}, state {mr.shape}")
-    val = complex(np.trace(ma @ mr))
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > imag_tol * scale:
+    val = np.trace(ma @ mr, axis1=-2, axis2=-1)
+    residue = abs(val.imag)
+    # residue > imag_tol * max(|val|, 1), without a ufunc call per scalar
+    at = _breach((residue > imag_tol) & (residue > imag_tol * abs(val)))
+    if at is not None:
         raise ValidationError(
-            f"expectation has imaginary residue {val.imag:.3e} (tol {imag_tol:.1e}); "
-            "operator or state is not Hermitian enough"
+            f"{_member(at)}expectation has imaginary residue {val[at].imag:.3e} "
+            f"(tol {imag_tol:.1e}); operator or state is not Hermitian enough"
         )
     return val.real
 
 
-def variance(a, rho, clip: float = 1e-10) -> float:
-    """<A^2> - <A>^2 in the given state.
+def variance(a, rho, clip: float = 1e-10):
+    """<A^2> - <A>^2 in the given state, per member for stacks.
 
     Roundoff can push a mathematically zero variance slightly negative;
     values in [-clip, 0) are clipped to 0 and logged. Anything more
@@ -221,14 +254,18 @@ def variance(a, rho, clip: float = 1e-10) -> float:
     mean = expectation(ma, rho)
     second = expectation(ma @ ma, rho)
     var = second - mean * mean
-    if var < 0.0:
-        if var >= -clip:
-            log.debug("clipped tiny negative variance %.3e to 0", var)
-            return 0.0
-        raise NumericalError(
-            f"variance {var:.3e} is negative beyond the clip threshold {clip:.1e}"
-        )
-    return float(var)
+    neg = var < 0.0
+    if _breach(neg) is not None:
+        at = _breach(var < -clip)
+        if at is not None:
+            raise NumericalError(
+                f"{_member(at)}variance {var[at]:.3e} is negative beyond the clip "
+                f"threshold {clip:.1e}"
+            )
+        log.debug("clipped %d tiny negative variance(s), down to %.3e, to 0",
+                  np.count_nonzero(neg), var.min())
+        var = np.where(neg, 0.0, var)[()]
+    return var
 
 
 def geq_margin(a, b) -> float:

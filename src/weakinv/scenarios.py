@@ -16,8 +16,6 @@ analogue hold 0.0.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,8 +26,9 @@ from .channels import (
     kadison_gap,
     lindblad_step_channel,
     random_channel,
+    sandwich,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import ValidationError
 from .fokker_planck import (
     ClassicalTrajectory,
@@ -61,7 +60,7 @@ from .models import (
     spin_hamiltonian,
     spin_predicted_growth,
 )
-from .operators import DensityMatrix, variance
+from .operators import DensityMatrix, dagger, expectation, variance
 from .thermo import (
     build_isoenergetic_path,
     canonical_state,
@@ -176,10 +175,7 @@ def channel_step_defect(gen, rho_mat, t: float, dt: float, n_micro: int = 8) -> 
     m = rho_mat
     for j in range(n_micro):
         ch = lindblad_step_channel(gen, t + j * tau, tau)
-        acc = np.zeros_like(m)
-        for v in ch.kraus:
-            acc += v @ m @ v.conj().T
-        m = acc
+        m = sandwich(ch.kraus, m, dagger(ch.kraus))
     return float(np.linalg.norm(m - ref, ord=2))
 
 
@@ -337,59 +333,57 @@ def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
 
 # -- channel fuzz ------------------------------------------------------------
 
-def _fuzz_worker_count() -> int:
-    cpu = os.cpu_count() or 1
-    cap = os.environ.get("WEAKINV_THREADS")
-    if cap is not None:
-        try:
-            cpu = min(cpu, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError(f"WEAKINV_THREADS must be an integer, got {cap!r}")
-    return min(cpu, 8)
+def _fuzz_shape(rng, max_dim: int, max_kraus: int) -> tuple[int, int]:
+    """(dim, n_kraus) of one case: the first two draws of its observable rng."""
+    return int(rng.integers(2, max_dim + 1)), int(rng.integers(1, max_kraus + 1))
 
 
-def _fuzz_case(case_seed, obs_seed, max_dim: int, max_kraus: int):
-    rng = np.random.default_rng(obs_seed)
-    dim = int(rng.integers(2, max_dim + 1))
-    n_kraus = int(rng.integers(1, max_kraus + 1))
-    ch = random_channel(dim, n_kraus, int(case_seed))
+def _fuzz_group(dim: int, n_kraus: int, seeds: np.ndarray,
+                max_dim: int, max_kraus: int) -> np.ndarray:
+    """Rows for the cases sharing (dim, n_kraus), one helper call per stack.
 
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    i_op = 0.5 * (g + g.conj().T)
-    i_op /= max(float(np.abs(np.linalg.eigvalsh(i_op)).max()), 1e-12)
+    seeds holds each case's (channel seed, observable seed). A row is the
+    duality defect, the paired moment growth, the Kadison gap's smallest
+    eigenvalue, the completeness defect and the output state's smallest
+    eigenvalue, each computed from that case's own draws.
+    """
+    ch = random_channel(dim, n_kraus, seeds[:, 0])
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    r = np.empty_like(g)
+    for j, obs_seed in enumerate(seeds[:, 1]):
+        rng = np.random.default_rng(obs_seed)
+        _fuzz_shape(rng, max_dim, max_kraus)      # replay the draws that chose the group
+        g[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        r[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
-    r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho_m = r @ r.conj().T
-    rho_m /= np.trace(rho_m).real
+    i_op = 0.5 * (g + dagger(g))
+    i_op /= np.maximum(np.abs(np.linalg.eigvalsh(i_op)).max(axis=-1), 1e-12)[:, None, None]
+    rho_m = r @ dagger(r)
+    rho_m /= np.trace(rho_m, axis1=-2, axis2=-1).real[:, None, None]
 
-    gap_min = float(np.linalg.eigvalsh(kadison_gap(ch, i_op)).min())
+    gap_min = np.linalg.eigvalsh(kadison_gap(ch, i_op)).min(axis=-1)
     rho_out = apply(ch, rho_m)
     pulled = adjoint_apply(ch, i_op)
-    cons = abs(float(np.trace(pulled @ rho_m).real)
-               - float(np.trace(i_op @ rho_out.mat).real))
+    cons = np.abs(expectation(pulled, rho_m) - expectation(i_op, rho_out))
     pair_growth = variance(i_op, rho_out) - variance(pulled, rho_m)
-    return (cons, pair_growth, gap_min, ch.tp_defect, rho_out.min_eig)
+    return np.column_stack([cons, pair_growth, gap_min, ch.tp_defect, rho_out.min_eig])
 
 
 def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     n = p["n_channels"]
     master = np.random.default_rng(cfg.seed)
-    # Per-case seeds are drawn up front so results depend only on the index,
-    # never on worker scheduling.
+    # Per-case seeds are drawn up front and a row depends only on its own
+    # pair, so grouping cases by (dim, n_kraus) cannot change any result.
     seeds = master.integers(0, 2**63 - 1, size=(n, 2))
-
-    def case(i: int):
-        return _fuzz_case(seeds[i, 0], seeds[i, 1], p["max_dim"], p["max_kraus"])
-
-    with ThreadPoolExecutor(max_workers=_fuzz_worker_count()) as pool:
-        rows = list(pool.map(case, range(n)))
-
-    cons = np.array([r[0] for r in rows])
-    pair = np.array([r[1] for r in rows])
-    gaps = np.array([r[2] for r in rows])
-    tp = np.array([r[3] for r in rows])
-    out_min = np.array([r[4] for r in rows])
+    shapes = np.array([_fuzz_shape(np.random.default_rng(s), p["max_dim"], p["max_kraus"])
+                       for s in seeds[:, 1]])
+    rows = np.empty((n, 5))
+    for dim, n_kraus in np.unique(shapes, axis=0):
+        members = np.flatnonzero((shapes == (dim, n_kraus)).all(axis=1))
+        rows[members] = _fuzz_group(int(dim), int(n_kraus), seeds[members],
+                                    p["max_dim"], p["max_kraus"])
+    cons, pair, gaps, tp, out_min = rows.T
 
     checks = [
         _rec("operator_jensen_floor",

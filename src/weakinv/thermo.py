@@ -191,6 +191,6 @@ def trace_distance(rho_a, rho_b) -> float:
     """(1/2) tr |a - b| for Hermitian matrices."""
     ma = require_hermitian(rho_a, name="a")
     mb = require_hermitian(rho_b, name="b")
-    if ma.shape != mb.shape:
-        raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
+    if ma.shape != mb.shape or ma.ndim != 2:
+        raise ValidationError(f"need two matrices of one shape, got {ma.shape} vs {mb.shape}")
     return float(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum())

@@ -170,7 +170,7 @@ def test_verdict_carries_every_scenarios_notes(tmp_path, spin, oscillator,
         path = tmp_path / f"{r.scenario}.json"
         emit_verdict(r, path)
         assert json.loads(path.read_text())["notes"] == json.loads(json.dumps(r.notes))
-    # the fuzz worker count depends on the machine, not on the config
+    # notes carry nothing machine-dependent, such as a worker count
     assert "workers" not in fuzz.notes
     assert "canonical_gap_max" in thermo.notes
 

@@ -77,6 +77,16 @@ def test_compose_two_half_flips():
     assert np.abs(out.mat - expected).max() < 1e-12
 
 
+def test_compose_broadcasts_over_stacks():
+    seeds = np.array([3, 4, 5])
+    later, earlier = random_channel(3, 2, seeds), random_channel(3, 3, seeds + 10)
+    both = compose(later, earlier)
+    assert both.kraus.shape == (3, 6, 3, 3)
+    for j, s in enumerate(seeds):
+        one = compose(random_channel(3, 2, s), random_channel(3, 3, s + 10))
+        assert np.abs(both.kraus[j] - one.kraus).max() < 1e-14
+
+
 def test_compose_rejects_time_gap():
     a = bit_flip(0.1)                      # [0, 1]
     b = bit_flip(0.1)                      # also [0, 1], cannot follow a
@@ -103,30 +113,51 @@ def test_adjoint_is_unital_for_random_channels():
         assert np.abs(pulled - np.eye(5)).max() < 1e-12
 
 
-@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
-def test_random_channel_kadison_psd(dim, n_kraus, seed):
-    ch = random_channel(dim, n_kraus, seed)
-    rng = np.random.default_rng(seed + 13)
+def _hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    i_op = 0.5 * (g + g.conj().T)
-    gap = kadison_gap(ch, i_op)
-    assert np.linalg.eigvalsh(gap).min() >= -1e-9 * max(1.0, np.abs(i_op).max() ** 2)
+    return 0.5 * (g + g.conj().T)
 
 
-@given(st.integers(2, 6), st.integers(1, 5), st.integers(0, 10**6))
-@settings(max_examples=50, deadline=None)
-def test_duality_of_expectations(dim, n_kraus, seed):
-    ch = random_channel(dim, n_kraus, seed)
-    rng = np.random.default_rng(seed + 29)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    i_op = 0.5 * (g + g.conj().T)
+def _density(rng, dim):
     r = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = r @ r.conj().T
-    rho /= np.trace(rho).real
-    lhs = expectation(adjoint_apply(ch, i_op), rho)
-    rhs = expectation(i_op, apply(ch, rho))
-    assert lhs == pytest.approx(rhs, abs=1e-10)
+    return rho / np.trace(rho).real
+
+
+SEED_STACKS = st.lists(st.integers(0, 10**6), min_size=1, max_size=4)
+
+
+@given(st.integers(2, 6), st.integers(1, 5), SEED_STACKS)
+@settings(max_examples=50, deadline=None)
+def test_random_channel_kadison_psd(dim, n_kraus, seeds):
+    stack = random_channel(dim, n_kraus, np.array(seeds))
+    i_ops = np.stack([_hermitian(np.random.default_rng(s + 13), dim) for s in seeds])
+    gaps = kadison_gap(stack, i_ops)
+    assert stack.kraus.shape == (len(seeds), n_kraus, dim, dim)
+    for j, seed in enumerate(seeds):
+        ch = random_channel(dim, n_kraus, seed)
+        gap = kadison_gap(ch, i_ops[j])
+        assert np.linalg.eigvalsh(gap).min() >= -1e-9 * max(1.0, np.abs(i_ops[j]).max() ** 2)
+        assert np.array_equal(stack.kraus[j], ch.kraus)
+        assert np.abs(gaps[j] - gap).max() <= 1e-13 * max(1.0, np.abs(gap).max())
+
+
+@given(st.integers(2, 6), st.integers(1, 5), SEED_STACKS)
+@settings(max_examples=50, deadline=None)
+def test_duality_of_expectations(dim, n_kraus, seeds):
+    stack = random_channel(dim, n_kraus, np.array(seeds))
+    rngs = [np.random.default_rng(s + 29) for s in seeds]
+    i_ops = np.stack([_hermitian(rng, dim) for rng in rngs])
+    rhos = np.stack([_density(rng, dim) for rng in rngs])
+    lhs_stack = expectation(adjoint_apply(stack, i_ops), rhos)
+    rhs_stack = expectation(i_ops, apply(stack, rhos))
+    for j, seed in enumerate(seeds):
+        ch = random_channel(dim, n_kraus, seed)
+        lhs = expectation(adjoint_apply(ch, i_ops[j]), rhos[j])
+        rhs = expectation(i_ops[j], apply(ch, rhos[j]))
+        assert lhs == pytest.approx(rhs, abs=1e-10)
+        assert lhs_stack[j] == pytest.approx(lhs, abs=1e-13)
+        assert rhs_stack[j] == pytest.approx(rhs, abs=1e-13)
 
 
 def _static_spin_generator(c):

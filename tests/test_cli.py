@@ -61,17 +61,31 @@ def test_runs_are_byte_identical(tmp_path):
     assert notes["conservation"]["max_herm_correction"] >= 0.0
 
 
-def test_fuzz_runs_are_byte_identical(tmp_path, monkeypatch):
+def test_fuzz_runs_are_byte_identical(tmp_path):
     cfg = _write(tmp_path, "fuzz.json", {
         "scenario": "channel_fuzz",
         "params": {"n_channels": 16, "max_dim": 4, "max_kraus": 3},
     })
-    monkeypatch.setenv("WEAKINV_THREADS", "4")
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", cfg, "--output-dir", str(out_a)]) == 0
-    monkeypatch.setenv("WEAKINV_THREADS", "1")   # parallelism must not leak in
     assert main(["run", "--config", cfg, "--output-dir", str(out_b)]) == 0
     assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
+
+
+def test_fuzz_rows_do_not_depend_on_grouping(tmp_path):
+    # Cases are stacked by (dim, n_kraus). With 64 cases every group holds
+    # members beyond the first k, so the stacks differ from those of a
+    # k-case run; row i must still depend only on case i.
+    def rows(n):
+        cfg = _write(tmp_path, f"fuzz{n}.json", {
+            "scenario": "channel_fuzz", "params": {"n_channels": n}})
+        out = tmp_path / f"o{n}"
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        return (out / "series.csv").read_text().splitlines()
+
+    full = rows(64)
+    for k in (1, 5, 19):
+        assert rows(k) == full[:k + 1]
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -130,14 +144,16 @@ def test_failed_check_exits_1(tmp_path):
     assert 0.0 <= notes["canonical_gap_max"] < 1e-6
 
 
-def test_bad_thread_cap_exits_2(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, "fuzz.json", {
-        "scenario": "channel_fuzz",
-        "params": {"n_channels": 4, "max_dim": 3, "max_kraus": 2},
-    })
-    monkeypatch.setenv("WEAKINV_THREADS", "many")
-    assert main(["run", "--config", cfg, "--output-dir",
-                 str(tmp_path / "o")]) == 2
+def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("weakinv.cli.run_scenario", broken)
+    out = tmp_path / "o"
+    code = main(["run", "--config", _spin_cfg(tmp_path), "--output-dir", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    assert not (out / "verdict.json").exists()
 
 
 def test_scenarios_listing(capsys):

@@ -63,6 +63,33 @@ def test_density_matrix_validation():
         DensityMatrix.from_matrix(np.diag([1.5, -0.5]))  # negative weight
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex), "not Hermitian"),
+    (np.diag([0.5, 0.6]).astype(complex), "misses 1"),
+    (np.diag([1.5, -0.5]).astype(complex), "negative eigenvalue"),
+])
+def test_density_matrix_stack_names_breaching_member(bad, message):
+    stack = np.stack([random_density(2, s) for s in range(4)])
+    ok = DensityMatrix.from_matrix(stack)
+    assert ok.min_eig.shape == ok.trace_defect.shape == (4,)
+    stack[2] = bad
+    with pytest.raises(ValidationError, match=f"stack member 2: .*{message}"):
+        DensityMatrix.from_matrix(stack)
+
+
+def test_variance_clips_or_raises_per_member():
+    # sigma_z in diag(p, 1 - p) has variance 4 p (1 - p): slightly negative
+    # just above p = 1, where roundoff-sized breaches are clipped
+    def states(*ps):
+        return np.stack([np.diag([p, 1.0 - p]).astype(complex) for p in ps])
+
+    var = variance(SIGMA_Z, states(0.25, 1.0 + 1e-12, 0.5))
+    assert var[1] == 0.0
+    assert var[0] == pytest.approx(0.75) and var[2] == pytest.approx(1.0)
+    with pytest.raises(NumericalError, match="stack member 1: variance"):
+        variance(SIGMA_Z, states(0.25, 1.0 + 1e-6, 1.0 + 1e-12))
+
+
 def test_eigh_reconstruction_certified():
     h = random_hermitian(7, 11)
     spec = eigh(h)

@@ -121,3 +121,6 @@ def test_trace_distance_basics():
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     mixed = np.eye(2, dtype=complex) / 2.0
     assert trace_distance(a, mixed) == pytest.approx(0.5)
+    # a stack passes the Hermiticity check member-wise but has no single distance
+    with pytest.raises(ValidationError):
+        trace_distance(np.stack([a, mixed]), np.stack([b, mixed]))
