@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .lindblad import rk4_step, time_grid
 
 BOUNDARY_DECAY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
@@ -176,7 +177,6 @@ def classical_growth_rate(
 class ClassicalTrajectory:
     times: np.ndarray
     series: dict[str, np.ndarray]
-    final: GridDistribution
     notes: dict[str, float] = field(default_factory=dict)
 
 
@@ -192,23 +192,16 @@ def evolve(
     t0: float,
     t1: float,
     dt: float,
-    stepper: str = "rk4",
 ) -> ClassicalTrajectory:
-    """Fixed-step explicit integration with per-step safety monitors.
+    """Fixed-step RK4 integration with per-step safety monitors.
 
+    The window is tiled by `lindblad.time_grid` and each step is
+    `lindblad.rk4_step`, so both integrators share one grid rule and one
+    stepper; RK4's accuracy keeps the conserved <J> flat to rounding.
     The explicit-step CFL budget dt <= h^2 / (2 max D) is enforced every
-    step (diffusion may depend on time). `stepper` is "rk4" (default;
-    its extra accuracy keeps the conserved <J> flat to rounding) or
-    "euler" for the plain first-order step.
+    step (diffusion may depend on time).
     """
-    if stepper not in ("rk4", "euler"):
-        raise ValidationError(f"unknown stepper {stepper!r}")
-    if dt <= 0.0 or t1 <= t0:
-        raise ValidationError(f"need dt > 0 and t1 > t0, got dt={dt}, [{t0}, {t1}]")
-    n = int(round((t1 - t0) / dt))
-    if n < 2 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValidationError(f"dt {dt} does not tile [{t0}, {t1}] into whole steps")
-    times = t0 + dt * np.arange(n + 1)
+    times = time_grid(t0, t1, dt)
 
     h = dist.h
     x = dist.x
@@ -216,7 +209,9 @@ def evolve(
     mass0 = float(np.trapezoid(p, x))
     cols = {k: np.empty(times.size) for k in CLASSICAL_SERIES_KEYS}
 
-    cur = dist
+    def rhs(t: float, values: np.ndarray) -> np.ndarray:
+        return fp_rhs(GridDistribution(x=x, values=values, h=h), drift, diffusion, t)
+
     for idx, t in enumerate(times):
         peak = float(p.max())
         bmax = float(np.abs(np.concatenate((p[:2], p[-2:]))).max())
@@ -229,13 +224,13 @@ def evolve(
             raise NumericalError(
                 f"density went negative at t = {t:.6g}: min {p.min():.3e}"
             )
-        cur = GridDistribution(x=x, values=p.copy(), h=h)
         j = inv.values(x, t)
         mean = float(np.trapezoid(j * p, x))
         second = float(np.trapezoid(j * j * p, x))
         cols["bar_J"][idx] = mean
         cols["var_J"][idx] = second - mean * mean
-        cols["growth_formula"][idx] = classical_growth_rate(inv, cur, diffusion, t)
+        cols["growth_formula"][idx] = classical_growth_rate(
+            inv, GridDistribution(x=x, values=p, h=h), diffusion, t)
         cols["mass_err"][idx] = float(np.trapezoid(p, x)) - mass0
         cols["boundary_max"][idx] = bmax
         cols["min_P"][idx] = float(p.min())
@@ -248,21 +243,7 @@ def evolve(
                 f"explicit-step budget violated at t = {t:.6g}: "
                 f"dt = {dt:.3e} exceeds h^2/(2 max D) = {h * h / (2.0 * dmax):.3e}"
             )
-
-        if stepper == "euler":
-            p = p + dt * fp_rhs(cur, drift, diffusion, t)
-        else:
-            k1 = fp_rhs(cur, drift, diffusion, t)
-            k2 = fp_rhs(GridDistribution(x=x, values=p + 0.5 * dt * k1, h=h),
-                        drift, diffusion, t + 0.5 * dt)
-            k3 = fp_rhs(GridDistribution(x=x, values=p + 0.5 * dt * k2, h=h),
-                        drift, diffusion, t + 0.5 * dt)
-            k4 = fp_rhs(GridDistribution(x=x, values=p + dt * k3, h=h),
-                        drift, diffusion, t + dt)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = rk4_step(rhs, (t, t + 0.5 * dt, t + dt), p, dt)
 
     cols["growth_fd"] = np.gradient(cols["var_J"], dt, edge_order=2)
-    return ClassicalTrajectory(
-        times=times, series=cols, final=cur,
-        notes={"mass_initial": mass0},
-    )
+    return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .operators import (
-    DEFAULT_TOL,
     DensityMatrix,
     _as_matrix,
     require_hermitian,
@@ -152,8 +151,10 @@ class Kernel:
 def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step of dm/dt = rhs(kernel, m).
 
-    `kernels` holds the generator at the step's start, midpoint and end;
-    the midpoint kernel serves both middle stages.
+    `kernels` holds whatever `rhs` needs to know of the step's start,
+    midpoint and end: a `Kernel` each for the Lindblad equations, the
+    three times themselves for the classical grid. The midpoint entry
+    serves both middle stages.
     """
     k_start, k_mid, k_end = kernels
     k1 = rhs(k_start, m)
@@ -225,6 +226,16 @@ def renyi_entropy(rho, alpha: float) -> float:
     return _renyi_from_evals(_clipped_evals(rho), alpha)
 
 
+def _escort(w: np.ndarray, v: np.ndarray, alpha: float):
+    """Escort weights p = w_+^alpha / sum(w_+^alpha) and V diag(p) V^dag."""
+    p = np.clip(w, 0.0, None) ** alpha
+    z = float(np.sum(p))
+    if z <= 0.0:
+        raise NumericalError("escort normalisation vanished; state is numerically zero")
+    p /= z
+    return p, v @ (p[:, None] * v.conj().T)
+
+
 def escort_density(rho, alpha: float) -> DensityMatrix:
     """rho^alpha / tr(rho^alpha), the escort state for alpha-averages."""
     if alpha <= 0.0:
@@ -239,12 +250,7 @@ def escort_density(rho, alpha: float) -> DensityMatrix:
     w, v = np.linalg.eigh(sym)
     if w[0] < -1e-8:
         raise ValidationError(f"escort of a non-positive state (min eigenvalue {w[0]:.3e})")
-    p = np.clip(w, 0.0, None) ** alpha
-    z = float(np.sum(p))
-    if z <= 0.0:
-        raise NumericalError("escort normalisation vanished; state is numerically zero")
-    p /= z
-    out = v @ (p[:, None] * v.conj().T)
+    p, out = _escort(w, v, alpha)
     return DensityMatrix(
         mat=out,
         herm_defect=float(np.abs(out - out.conj().T).max()),
@@ -295,7 +301,8 @@ class Trajectory:
     notes: dict[str, float] = field(default_factory=dict)
 
 
-def _grid(t0: float, t1: float, dt: float) -> np.ndarray:
+def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole steps."""
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t1 <= t0:
@@ -342,7 +349,7 @@ def integrate(
     if (i0 is None) == (invariant_path is None):
         raise ValidationError("provide exactly one of i0 or invariant_path")
 
-    times = _grid(t0, t1, dt)
+    times = time_grid(t0, t1, dt)
     n_nodes = times.size
 
     state = DensityMatrix.from_matrix(rho0)
@@ -403,9 +410,7 @@ def integrate(
                 "solves the two evolution equations consistently"
             )
 
-        escort_w = np.clip(w, 0.0, None) ** alpha
-        escort_w /= escort_w.sum()
-        escort = v @ (escort_w[:, None] * v.conj().T) if alpha != 1.0 else sym
+        escort = _escort(w, v, alpha)[1] if alpha != 1.0 else sym
 
         cols["exp_I"][idx] = exp_i
         cols["var_I"][idx] = var_i

@@ -209,24 +209,6 @@ def su11_invariant_coefficients(
     return coeffs
 
 
-def su11_invariant_path(
-    model: OscillatorModel,
-    kappa_init,
-    t0: float,
-    t1: float,
-) -> Callable[[float], np.ndarray]:
-    """Matrix-valued invariant path for general algebra coefficients."""
-    k1, k2, k3 = model.ops()
-    eye = np.eye(model.n_fock, dtype=complex)
-    coeffs = su11_invariant_coefficients(model, kappa_init, t0, t1)
-
-    def path(t: float) -> np.ndarray:
-        c = coeffs(t)
-        return c[0] * k1 + c[1] * k2 + c[2] * k3 + c[3] * eye
-
-    return path
-
-
 def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
     """-kdot(t) <K3^2>, the model's closed-form variance growth rate.
 

@@ -54,6 +54,14 @@ def _require_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
+def _require_matrix(a, name: str) -> np.ndarray:
+    """a as one square complex matrix; stacks are rejected, for the 2-D-only helpers."""
+    m = _as_matrix(a)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
+    return m
+
+
 def _breach(bad) -> tuple | None:
     """Index of the first member where a guard mask holds, or None.
 
@@ -117,8 +125,7 @@ class HermitianOperator:
 
     @classmethod
     def from_matrix(cls, mat, tol: Tolerances = DEFAULT_TOL) -> "HermitianOperator":
-        m = _as_matrix(mat)
-        _require_square(m, "operator")
+        m = _require_matrix(mat, "operator")
         defect = hermiticity_defect(m)
         if defect > tol.herm:
             raise ValidationError(
@@ -199,7 +206,7 @@ def eigh(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     1e-9 * max|A|; a breach is reported as a solver failure rather than
     silently returned.
     """
-    m = require_hermitian(a, tol.herm)
+    m = require_hermitian(_require_matrix(a, "operator"), tol.herm)
     w, v = np.linalg.eigh(m)
     recon = v @ (w[:, None] * v.conj().T)
     scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
@@ -209,13 +216,6 @@ def eigh(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
             f"eigh reconstruction error {err:.3e} exceeds 1e-9 * scale ({scale:.3e})"
         )
     return Spectrum(eigenvalues=w, eigenvectors=v, recon_error=err)
-
-
-def expm_herm(a, s: float = 1.0) -> np.ndarray:
-    """exp(s * A) for Hermitian A, via the eigendecomposition."""
-    spec = eigh(a)
-    w, v = spec.eigenvalues, spec.eigenvectors
-    return v @ (np.exp(s * w)[:, None] * v.conj().T)
 
 
 def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag):
@@ -266,17 +266,3 @@ def variance(a, rho, clip: float = 1e-10):
                   np.count_nonzero(neg), var.min())
         var = np.where(neg, 0.0, var)[()]
     return var
-
-
-def geq_margin(a, b) -> float:
-    """Smallest eigenvalue of a - b; >= 0 means a >= b in operator order."""
-    ma = require_hermitian(a, name="a")
-    mb = require_hermitian(b, name="b")
-    if ma.shape != mb.shape:
-        raise ValidationError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return float(np.linalg.eigvalsh(ma - mb)[0])
-
-
-def operator_geq(a, b, tol: float = DEFAULT_TOL.psd) -> bool:
-    """Whether a - b is positive semidefinite up to -tol."""
-    return geq_margin(a, b) >= -tol

@@ -106,10 +106,6 @@ def _rec(name, law, measured, bound, tol, passed) -> CheckRecord:
                        passed=bool(passed))
 
 
-def _zeros_like(n: int) -> np.ndarray:
-    return np.zeros(n)
-
-
 # -- shared trajectory checks ------------------------------------------------
 
 def _mean_conservation_check(traj: Trajectory, tol_rel: float) -> CheckRecord:
@@ -405,11 +401,11 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
         "exp_I": cons,
         "var_I": pair,
         "growth_formula": gaps,
-        "growth_fd": _zeros_like(n),
-        "S_vn": _zeros_like(n),
-        "S_renyi": _zeros_like(n),
-        "bound_vn": _zeros_like(n),
-        "bound_renyi": _zeros_like(n),
+        "growth_fd": np.zeros(n),
+        "S_vn": np.zeros(n),
+        "S_renyi": np.zeros(n),
+        "bound_vn": np.zeros(n),
+        "bound_renyi": np.zeros(n),
         "trace_err": tp,
         "min_eig": out_min,
     }
@@ -483,8 +479,8 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
         "growth_fd": var_rate,
         "S_vn": np.array([vn_entropy(s) for s in path.states]),
         "S_renyi": np.array([renyi_entropy(s, cfg.alpha) for s in path.states]),
-        "bound_vn": _zeros_like(times.size),
-        "bound_renyi": _zeros_like(times.size),
+        "bound_vn": np.zeros(times.size),
+        "bound_renyi": np.zeros(times.size),
         "trace_err": resid,
         "min_eig": np.array([s.min_eig for s in path.states]),
     }
@@ -506,10 +502,10 @@ def _classical_columns(traj: ClassicalTrajectory) -> dict[str, np.ndarray]:
         "var_I": s["var_J"],
         "growth_formula": s["growth_formula"],
         "growth_fd": s["growth_fd"],
-        "S_vn": _zeros_like(n),
-        "S_renyi": _zeros_like(n),
-        "bound_vn": _zeros_like(n),
-        "bound_renyi": _zeros_like(n),
+        "S_vn": np.zeros(n),
+        "S_renyi": np.zeros(n),
+        "bound_vn": np.zeros(n),
+        "bound_renyi": np.zeros(n),
         "trace_err": s["mass_err"],
         "min_eig": s["min_P"],
     }

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import DensityMatrix, require_hermitian, variance
+from .operators import DensityMatrix, _require_matrix, require_hermitian, variance
 
 ROOT_TOL_REL = 1e-10
 T_BRACKET = (1e-6, 1e6)   # relative to the spectral scale of H
 
 
 def _spectrum(h) -> np.ndarray:
-    m = require_hermitian(h, name="Hamiltonian")
+    m = require_hermitian(_require_matrix(h, "Hamiltonian"), name="Hamiltonian")
     return np.linalg.eigvalsh(m)
 
 
@@ -44,7 +44,7 @@ def canonical_state(h, temperature: float) -> DensityMatrix:
     """exp(-H/T)/Z as a certified density matrix."""
     if temperature <= 0.0:
         raise ValidationError(f"temperature must be positive, got {temperature}")
-    m = require_hermitian(h, name="Hamiltonian")
+    m = require_hermitian(_require_matrix(h, "Hamiltonian"), name="Hamiltonian")
     w, v = np.linalg.eigh(m)
     p = _gibbs_weights(w, temperature)
     out = v @ (p[:, None] * v.conj().T)

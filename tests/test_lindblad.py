@@ -18,6 +18,13 @@ from weakinv.lindblad import (
     vn_entropy,
     weak_invariant_rhs,
 )
+from weakinv.fokker_planck import (
+    constant_diffusion,
+    evolve,
+    gaussian_profile,
+    ou_drift,
+    ou_invariant_coeffs,
+)
 from weakinv.models import exponential_field, spin_generator, spin_hamiltonian
 from weakinv.operators import (
     DensityMatrix,
@@ -138,11 +145,30 @@ def test_integrate_requires_exactly_one_invariant_source():
                   t0=0.0, t1=0.1, dt=1e-2)
 
 
-def test_integrate_grid_must_tile():
-    gen = dephasing_generator(0.2)
-    rho = np.eye(2, dtype=complex) / 2.0
+def _lindblad_window(t0, t1, dt):
+    integrate(dephasing_generator(0.2), np.eye(2, dtype=complex) / 2.0, i0=SIGMA_X,
+              t0=t0, t1=t1, dt=dt)
+
+
+def _fokker_planck_window(t0, t1, dt):
+    p0 = gaussian_profile(np.linspace(-4.0, 4.0, 161), mean=0.0, var=0.5)
+    inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
+    evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv, t0=t0, t1=t1, dt=dt)
+
+
+@pytest.mark.parametrize("run", [_lindblad_window, _fokker_planck_window],
+                         ids=["integrate", "evolve"])
+@pytest.mark.parametrize("t0, t1, dt", [
+    (0.0, 0.1, 0.0),
+    (0.0, 0.1, -1e-3),
+    (0.1, 0.1, 1e-3),
+    (0.1, 0.0, 1e-3),
+    (0.0, 0.1, 0.1),
+    (0.0, 0.1, 0.03),
+], ids=["dt_zero", "dt_negative", "empty", "reversed", "single_step", "no_tiling"])
+def test_both_integrators_reject_the_same_windows(run, t0, t1, dt):
     with pytest.raises(ValidationError):
-        integrate(gen, rho, i0=SIGMA_X, t0=0.0, t1=0.1, dt=3e-2)
+        run(t0, t1, dt)
 
 
 def test_spin_trajectory_conserves_invariant_mean():
