@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
+from .fokker_planck import space_grid
+from .lindblad import time_grid
 
 
 class ConfigError(ValidationError):
@@ -38,6 +40,10 @@ _COMMON_DEFAULTS = {
 _SCENARIO_COMMON: dict[str, dict[str, float]] = {
     "fp_ou": {"t1": 1.0, "dt": 1e-4},
 }
+
+# Scenarios whose integrator steps on the common dt; the others take
+# their time grid from their own params and ignore dt.
+_STEPS_ON_DT = ("spin", "oscillator", "fp_ou")
 
 # Per-scenario parameter schema: name -> (default, kind).
 # kind: "float", "pos_float", "int_min:N", "nonzero_vec3" (a
@@ -186,6 +192,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     params = {}
     for name, (default, kind) in schema.items():
         params[name] = _check_number(f"params.{name}", raw_params.get(name, default), kind)
+
+    # Grids the config alone makes unrunnable, by the engine's own rules.
+    try:
+        if scenario in _STEPS_ON_DT:
+            time_grid(common["t0"], common["t1"], common["dt"])
+        if scenario == "fp_ou":
+            space_grid(params["x_min"], params["x_max"], params["h"])
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
     return ExperimentConfig(scenario=scenario, output_dir=output_dir,
                             params=params, **common)

@@ -37,6 +37,9 @@ from .lindblad import rk4_step, time_grid
 
 BOUNDARY_DECAY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
+# Node states held at once for the block diagnostics (64 x 801 floats,
+# about 0.4 MB, on the default grid).
+_BLOCK_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -67,6 +70,17 @@ class GridDistribution:
     @property
     def mass(self) -> float:
         return float(np.trapezoid(self.values, self.x))
+
+
+def space_grid(x_min: float, x_max: float, h: float) -> np.ndarray:
+    """Nodes x_min, x_min + h, ..., x_max; h must tile the domain in at least 8 cells."""
+    width = x_max - x_min
+    if width <= 0.0:
+        raise ValidationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
+    n_cells = int(round(width / h))
+    if n_cells < 8 or abs(x_min + n_cells * h - x_max) > 1e-9 * width:
+        raise ValidationError(f"h {h} does not tile [{x_min}, {x_max}]")
+    return x_min + h * np.arange(n_cells + 1)
 
 
 def gaussian_profile(x, mean: float, var: float) -> GridDistribution:
@@ -140,12 +154,18 @@ def constant_diffusion(d_const: float) -> Callable:
     return lambda x, t: np.full_like(np.asarray(x, dtype=float), d_const)
 
 
-def fp_rhs(dist: GridDistribution, drift, diffusion, t: float) -> np.ndarray:
-    """Semi-discrete right-hand side, centered differences, fixed edge nodes."""
-    x, p, h = dist.x, dist.values, dist.h
-    kp = drift(x, t) * p
-    dp = diffusion(x, t) * p
-    out = np.zeros_like(p)
+def fp_rhs(
+    dist: GridDistribution, drift_values: np.ndarray, diffusion_values: np.ndarray
+) -> np.ndarray:
+    """Semi-discrete right-hand side, centered differences, fixed edge nodes.
+
+    `drift_values` and `diffusion_values` are K and D sampled on the
+    grid at the stage time.
+    """
+    p, h = dist.values, dist.h
+    kp = drift_values * p
+    dp = diffusion_values * p
+    out = np.zeros(p.shape)
     out[1:-1] = (
         -(kp[2:] - kp[:-2]) / (2.0 * h)
         + (dp[2:] - 2.0 * dp[1:-1] + dp[:-2]) / (h * h)
@@ -153,24 +173,46 @@ def fp_rhs(dist: GridDistribution, drift, diffusion, t: float) -> np.ndarray:
     return out
 
 
-def invariant_average(inv: PolyInvariant, dist: GridDistribution, t: float) -> float:
-    """<J> over the density (trapezoid rule)."""
-    return float(np.trapezoid(inv.values(dist.x, t) * dist.values, dist.x))
+def _row_times(dist: GridDistribution, t):
+    """`t` shaped to broadcast against the grid: one time per row of a stack."""
+    tv = np.asarray(t, dtype=float)
+    if tv.shape != dist.values.shape[:-1]:
+        raise ValidationError(
+            f"need one time per density row: {tv.shape} vs {dist.values.shape[:-1]}")
+    return tv[..., None] if tv.ndim else t
 
 
-def invariant_variance(inv: PolyInvariant, dist: GridDistribution, t: float) -> float:
-    j = inv.values(dist.x, t)
-    mean = float(np.trapezoid(j * dist.values, dist.x))
-    second = float(np.trapezoid(j * j * dist.values, dist.x))
-    return second - mean * mean
+def _scalar_or_rows(value, t):
+    return float(value) if np.ndim(t) == 0 else value
+
+
+def invariant_moments(inv: PolyInvariant, dist: GridDistribution, t):
+    """<J> and <(J - <J>)^2> over the density (trapezoid rule).
+
+    `dist.values` may be a stack (m, n) of densities with `t` holding one
+    time per row; both results are then arrays of length m, each entry
+    equal to the single-density call on that row. The coefficient
+    callables of `inv` must broadcast over a column of times.
+    """
+    j = inv.values(dist.x, _row_times(dist, t))
+    mean = np.trapezoid(j * dist.values, dist.x)
+    second = np.trapezoid(j * j * dist.values, dist.x)
+    return _scalar_or_rows(mean, t), _scalar_or_rows(second - mean * mean, t)
 
 
 def classical_growth_rate(
-    inv: PolyInvariant, dist: GridDistribution, diffusion, t: float
-) -> float:
-    """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent)."""
-    s = inv.slope(dist.x, t)
-    return float(2.0 * np.trapezoid(diffusion(dist.x, t) * s * s * dist.values, dist.x))
+    inv: PolyInvariant, dist: GridDistribution, diffusion, t
+) -> float | np.ndarray:
+    """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent).
+
+    Takes a stack of densities with one time per row as
+    `invariant_moments` does; `diffusion` is then called with that
+    column of times.
+    """
+    tc = _row_times(dist, t)
+    s = inv.slope(dist.x, tc)
+    rate = 2.0 * np.trapezoid(diffusion(dist.x, tc) * s * s * dist.values, dist.x)
+    return _scalar_or_rows(rate, t)
 
 
 @dataclass
@@ -198,8 +240,16 @@ def evolve(
     The window is tiled by `lindblad.time_grid` and each step is
     `lindblad.rk4_step`, so both integrators share one grid rule and one
     stepper; RK4's accuracy keeps the conserved <J> flat to rounding.
-    The explicit-step CFL budget dt <= h^2 / (2 max D) is enforced every
-    step (diffusion may depend on time).
+    Drift and diffusion are sampled once per distinct time, at each node
+    (reused as the previous step's final stage) and at each midpoint;
+    those samples are the three "kernels" of a step. The explicit-step
+    CFL budget dt <= h^2 / (2 max D) is enforced every step from the
+    node's sample (diffusion may depend on time).
+
+    The boundary and negativity guards run at every node before its
+    step. The node states are copied into a block buffer and the
+    diagnostics (<J>, its variance, the growth formula, the mass drift)
+    are computed once per block of `_BLOCK_NODES` rows.
     """
     times = time_grid(t0, t1, dt)
 
@@ -208,10 +258,22 @@ def evolve(
     p = dist.values.copy()
     mass0 = float(np.trapezoid(p, x))
     cols = {k: np.empty(times.size) for k in CLASSICAL_SERIES_KEYS}
+    block = np.empty((min(_BLOCK_NODES, times.size), x.size))
 
-    def rhs(t: float, values: np.ndarray) -> np.ndarray:
-        return fp_rhs(GridDistribution(x=x, values=values, h=h), drift, diffusion, t)
+    def sample(t: float) -> tuple[np.ndarray, np.ndarray]:
+        return drift(x, t), diffusion(x, t)
 
+    def rhs(coeffs: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+        return fp_rhs(GridDistribution(x=x, values=values, h=h), *coeffs)
+
+    def flush(stop: int, rows: int) -> None:
+        span = slice(stop - rows, stop)
+        blk = GridDistribution(x=x, values=block[:rows], h=h)
+        cols["bar_J"][span], cols["var_J"][span] = invariant_moments(inv, blk, times[span])
+        cols["growth_formula"][span] = classical_growth_rate(inv, blk, diffusion, times[span])
+        cols["mass_err"][span] = np.trapezoid(blk.values, x) - mass0
+
+    start = sample(times[0])
     for idx, t in enumerate(times):
         peak = float(p.max())
         bmax = float(np.abs(np.concatenate((p[:2], p[-2:]))).max())
@@ -220,30 +282,30 @@ def evolve(
                 f"density reached the boundary at t = {t:.6g} "
                 f"(edge value {bmax:.3e} vs peak {peak:.3e}); enlarge the domain"
             )
-        if float(p.min()) < -NEGATIVITY_TOL * peak:
+        pmin = float(p.min())
+        if pmin < -NEGATIVITY_TOL * peak:
             raise NumericalError(
-                f"density went negative at t = {t:.6g}: min {p.min():.3e}"
+                f"density went negative at t = {t:.6g}: min {pmin:.3e}"
             )
-        j = inv.values(x, t)
-        mean = float(np.trapezoid(j * p, x))
-        second = float(np.trapezoid(j * j * p, x))
-        cols["bar_J"][idx] = mean
-        cols["var_J"][idx] = second - mean * mean
-        cols["growth_formula"][idx] = classical_growth_rate(
-            inv, GridDistribution(x=x, values=p, h=h), diffusion, t)
-        cols["mass_err"][idx] = float(np.trapezoid(p, x)) - mass0
         cols["boundary_max"][idx] = bmax
-        cols["min_P"][idx] = float(p.min())
-        if idx == times.size - 1:
+        cols["min_P"][idx] = pmin
+        row = idx % len(block)
+        block[row] = p
+        last = idx == times.size - 1
+        if last or row == len(block) - 1:
+            flush(idx + 1, row + 1)
+        if last:
             break
 
-        dmax = float(np.max(diffusion(x, t)))
+        dmax = float(np.max(start[1]))
         if dmax > 0.0 and dt > h * h / (2.0 * dmax):
             raise NumericalError(
                 f"explicit-step budget violated at t = {t:.6g}: "
                 f"dt = {dt:.3e} exceeds h^2/(2 max D) = {h * h / (2.0 * dmax):.3e}"
             )
-        p = rk4_step(rhs, (t, t + 0.5 * dt, t + dt), p, dt)
+        end = sample(times[idx + 1])
+        p = rk4_step(rhs, (start, sample(t + 0.5 * dt), end), p, dt)
+        start = end
 
     cols["growth_fd"] = np.gradient(cols["var_J"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ValidationError
 from .lindblad import LindbladGenerator
@@ -183,8 +182,11 @@ def su11_invariant_coefficients(
 
     kappa_init = (kappa1, kappa2, kappa3, kappa0) at t0; returns a dense
     interpolant t -> kappa(t). The constant part kappa0 never moves
-    (shift symmetry).
+    (shift symmetry). scipy is imported here, by its only user, so that
+    importing the package loads numpy and the standard library only.
     """
+    from scipy.integrate import solve_ivp
+
     kap = np.asarray(kappa_init, dtype=float)
     if kap.shape != (4,):
         raise ValidationError(f"kappa_init must have 4 entries, got shape {kap.shape}")

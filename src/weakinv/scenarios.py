@@ -29,7 +29,6 @@ from .channels import (
     sandwich,
 )
 from .config import ExperimentConfig
-from .errors import ValidationError
 from .fokker_planck import (
     ClassicalTrajectory,
     classical_growth_rate,
@@ -38,6 +37,7 @@ from .fokker_planck import (
     gaussian_profile,
     ou_drift,
     ou_invariant_coeffs,
+    space_grid,
 )
 from .lindblad import (
     SERIES_KEYS,
@@ -513,15 +513,7 @@ def _classical_columns(traj: ClassicalTrajectory) -> dict[str, np.ndarray]:
 
 def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
-    width = p["x_max"] - p["x_min"]
-    if width <= 0.0:
-        raise ValidationError(f"need x_max > x_min, got [{p['x_min']}, {p['x_max']}]")
-    n_cells = int(round(width / p["h"]))
-    if n_cells < 8 or abs(p["x_min"] + n_cells * p["h"] - p["x_max"]) > 1e-9 * width:
-        raise ValidationError(
-            f"h {p['h']} does not tile [{p['x_min']}, {p['x_max']}]"
-        )
-    x = p["x_min"] + p["h"] * np.arange(n_cells + 1)
+    x = space_grid(p["x_min"], p["x_max"], p["h"])
     dist = gaussian_profile(x, p["init_mean"], p["init_var"])
 
     inv = ou_invariant_coeffs(p["gamma"], p["diffusion"], p["a0"], p["b0"], p["e0"])

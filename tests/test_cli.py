@@ -1,9 +1,14 @@
 """End-to-end CLI behaviour: exit codes, output files, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weakinv
 from weakinv.cli import main
 from weakinv.scenarios import CSV_HEADER
 
@@ -110,6 +115,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
      '{"scenario": "thermo_spin", "params": {"b0": [0, 2.0, 3.0]}}'),
     ("one_level_fuzz", '{"scenario": "channel_fuzz", "params": {"max_dim": 1}}'),
     ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
+    ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
+    ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
 ])
 def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
     cfg = tmp_path / f"{name}.json"
@@ -173,3 +180,15 @@ def test_seventeen_digit_floats(tmp_path):
     # values round-trip: parse and re-render with the same format
     for cell in row:
         assert f"{float(cell):.17g}" == cell
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is imported only inside models.su11_invariant_coefficients
+    src = str(Path(weakinv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, weakinv.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

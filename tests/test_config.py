@@ -47,6 +47,21 @@ def test_window_and_step_validation():
         validate_config({"scenario": "spin", "seed": True})
 
 
+def test_grids_that_do_not_tile_are_config_errors():
+    # the engine's own grid rules, applied only where the grid is used
+    for scenario in ("spin", "oscillator", "fp_ou"):
+        with pytest.raises(ConfigError, match="does not tile"):
+            validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3})
+    with pytest.raises(ConfigError, match="h 0.03 does not tile"):
+        validate_config({"scenario": "fp_ou", "params": {"h": 0.03}})
+    with pytest.raises(ConfigError, match="need x_max > x_min"):
+        validate_config({"scenario": "fp_ou", "params": {"x_max": -9.0}})
+    # channel_fuzz and thermo_spin never step on dt
+    for scenario in ("channel_fuzz", "thermo_spin"):
+        cfg = validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3})
+        assert cfg.t1 == 0.0105
+
+
 def test_param_kind_enforcement():
     with pytest.raises(ConfigError):
         validate_config({"scenario": "spin", "params": {"b0": [1.0, 2.0]}})

@@ -15,8 +15,7 @@ from weakinv.fokker_planck import (
     evolve,
     fp_rhs,
     gaussian_profile,
-    invariant_average,
-    invariant_variance,
+    invariant_moments,
     ou_drift,
     ou_invariant_coeffs,
 )
@@ -46,12 +45,38 @@ def test_ou_coefficients_solve_the_adjoint_equation():
 
 
 def test_invariant_average_on_gaussian():
-    # E[a x^2 + b x + e] = a (var + mean^2) + b mean + e
+    # E[a x^2 + b x + e] = a (var + mean^2) + b mean + e, and for J = x^2
+    # Var[x^2] = 2 var^2 + 4 mean^2 var
     x = _grid()
     p = gaussian_profile(x, mean=0.5, var=0.5)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
-    bar = invariant_average(inv, p, 0.0)
+    bar, var = invariant_moments(inv, p, 0.0)
+    assert isinstance(bar, float) and isinstance(var, float)
     assert bar == pytest.approx(0.75, rel=1e-8)
+    assert var == pytest.approx(1.0, rel=1e-8)
+
+
+def test_stacked_diagnostics_equal_per_row_calls():
+    x = _grid(-6.0, 6.0, 0.05)
+    rows = [gaussian_profile(x, mean=m, var=v).values
+            for m, v in ((0.0, 0.5), (0.7, 0.3), (-1.1, 0.9), (0.2, 0.05))]
+    times = np.array([0.0, 0.013, 0.4, 1.7])
+    stack = GridDistribution(x=x, values=np.array(rows), h=0.05)
+    inv = ou_invariant_coeffs(1.3, 0.7, a0=0.9, b0=0.4, e0=-0.2)
+    diff = constant_diffusion(0.7)
+
+    bar, var = invariant_moments(inv, stack, times)
+    rate = classical_growth_rate(inv, stack, diff, times)
+    assert bar.shape == var.shape == rate.shape == (4,)
+    for i, (row, t) in enumerate(zip(rows, times)):
+        one = GridDistribution(x=x, values=row, h=0.05)
+        assert (bar[i], var[i]) == invariant_moments(inv, one, t)
+        assert rate[i] == classical_growth_rate(inv, one, diff, t)
+
+    with pytest.raises(ValidationError, match="one time per density row"):
+        invariant_moments(inv, stack, times[:3])
+    with pytest.raises(ValidationError, match="one time per density row"):
+        classical_growth_rate(inv, stack, diff, 0.0)
 
 
 def test_linear_invariant_growth_is_state_independent():
@@ -78,7 +103,7 @@ def test_rhs_annihilates_stationary_profile():
     # OU stationary density exp(-gamma x^2 / (2D)) up to normalization.
     x = _grid(-8.0, 8.0, 0.02)
     p = gaussian_profile(x, mean=0.0, var=1.0)   # var = D/gamma = 1
-    rhs = fp_rhs(p, ou_drift(1.0), constant_diffusion(1.0), 0.0)
+    rhs = fp_rhs(p, ou_drift(1.0)(x, 0.0), constant_diffusion(1.0)(x, 0.0))
     # O(h^2) truncation floor; a transported profile gives |rhs| ~ 0.4
     assert np.abs(rhs).max() < 5e-4
 
@@ -108,9 +133,34 @@ def test_boundary_leak_aborts():
     x = _grid(-1.5, 1.5, 0.05)
     p0 = gaussian_profile(x, mean=0.0, var=0.03)
     inv = ou_invariant_coeffs(0.1, 1.0, a0=1.0, b0=0.0, e0=0.0)
-    with pytest.raises(NumericalError):
+    msg = ("density reached the boundary at t = 0.007 (edge value 2.622e-10 "
+           "vs peak 1.907e+00); enlarge the domain")
+    with pytest.raises(NumericalError) as info:
         evolve(p0, ou_drift(0.1), constant_diffusion(1.0), inv,
                t0=0.0, t1=2.0, dt=1e-3)
+    assert str(info.value) == msg
+
+
+def test_block_diagnostics_do_not_depend_on_the_window():
+    # Diagnostics are reduced in blocks of 64 nodes; windows ending just
+    # before, on and after a block edge must reproduce the first rows of
+    # a longer run bit for bit. growth_fd is a gradient over the whole
+    # series, so only its last row (a one-sided difference) may differ.
+    x = _grid(-6.0, 6.0, 0.1)
+    p0 = gaussian_profile(x, mean=0.4, var=0.3)
+    inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.3, e0=0.1)
+
+    def run(nodes):
+        return evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv,
+                      t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
+
+    full = run(131)
+    for nodes in (63, 64, 65):
+        part = run(nodes)
+        assert part.times.tobytes() == full.times[:nodes].tobytes()
+        for key, col in part.series.items():
+            upto = nodes - 1 if key == "growth_fd" else nodes
+            assert col[:upto].tobytes() == full.series[key][:upto].tobytes(), key
 
 
 def test_profile_validation():
