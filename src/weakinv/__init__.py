@@ -25,15 +25,9 @@ from .fokker_planck import (
 from .lindblad import (
     LindbladGenerator,
     Trajectory,
-    entropy_rate_bound,
-    escort_density,
-    fluctuation_growth_rate,
     integrate,
-    lindblad_rhs,
     renyi_entropy,
-    renyi_rate_bound,
     vn_entropy,
-    weak_invariant_rhs,
 )
 from .models import (
     OscillatorModel,
@@ -46,12 +40,8 @@ from .models import (
 )
 from .operators import (
     DensityMatrix,
-    HermitianOperator,
-    Spectrum,
     Tolerances,
-    commutator,
     dagger,
-    eigh,
     expectation,
     variance,
 )
@@ -63,7 +53,6 @@ from .thermo import (
     check_specific_heat_relation,
     internal_energy,
     solve_isoenergetic_temperature,
-    specific_heat,
     trace_distance,
 )
 

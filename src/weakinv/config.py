@@ -170,9 +170,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key, default in defaults.items():
         value = raw.get(key, default)
         if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"seed: expected an integer, got {value!r}")
-            common[key] = value
+            common[key] = _check_number(key, value, "int_min:0")
         else:
             common[key] = _check_number(key, value, "float")
     if common["t1"] <= common["t0"]:

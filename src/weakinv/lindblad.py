@@ -69,9 +69,9 @@ class LindbladGenerator:
     H and each L_n are callables of time; `rates` is one callable that
     returns every c_n at once, so models whose rates share a formula
     compute it once per time. Constant pieces are just constant callables.
-    Every evaluation certifies H Hermitian, shapes consistent, one rate
-    per jump operator, and rates nonnegative within C_TOL (tiny negative
-    roundoff is clamped to 0).
+    Every evaluation certifies H finite and Hermitian, shapes consistent,
+    one finite rate per jump operator, and rates nonnegative within C_TOL
+    (tiny negative roundoff is clamped to 0).
     """
 
     dim: int
@@ -83,12 +83,16 @@ class LindbladGenerator:
         h = require_hermitian(self.hamiltonian(t), name=f"H({t})")
         if h.shape != (self.dim, self.dim):
             raise ValidationError(f"H({t}) has shape {h.shape}, expected dim {self.dim}")
+        if not np.isfinite(h).all():
+            raise ValidationError(f"H({t}) has a non-finite entry")
         rates = np.asarray(self.rates(t), dtype=float)
         if rates.shape != (len(self.lindblads),):
             raise ValidationError(
                 f"{len(self.lindblads)} jump operators but rates({t}) has shape "
                 f"{rates.shape}"
             )
+        if not np.isfinite(rates).all():
+            raise ValidationError(f"rates({t}) = {rates.tolist()} are not all finite")
         ls, cs = [], []
         for k, (lf, c) in enumerate(zip(self.lindblads, rates.tolist())):
             l_op = np.asarray(lf(t), dtype=complex)
@@ -136,16 +140,31 @@ class Kernel:
                 - 2.0 * (self.jumps_dag @ m @ self.jumps).sum(axis=0))
 
     def growth_rate(self, i_mat: np.ndarray, m: np.ndarray) -> float:
-        """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho)."""
-        comm = self.jumps @ i_mat - i_mat @ self.jumps
-        return 2.0 * float(np.vdot(comm, comm @ m).real)
+        """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho), the variance growth rate.
 
-    def bound_terms(self, weight: np.ndarray) -> complex:
-        """2 tr(sum_n [L~_n^dag, L~_n] weight); exactly 0 when every jump is normal."""
+        Each term is the second moment of a commutator, hence nonnegative up
+        to roundoff; a value below -1e-12 means the inputs were inconsistent.
+        """
+        comm = self.jumps @ i_mat - i_mat @ self.jumps
+        rate = 2.0 * float(np.vdot(comm, comm @ m).real)
+        if rate < -1e-12:
+            raise NumericalError(f"growth rate {rate:.3e} is negative; inputs inconsistent")
+        return rate
+
+    def bound_terms(self, weight: np.ndarray) -> float:
+        """2 tr(sum_n [L~_n^dag, L~_n] weight), the entropy-rate lower bound
+        averaged in `weight` (the state, or its escort for the Renyi family).
+
+        Exactly 0 when every jump is normal (in particular Hermitian), the
+        self-adjoint-noise case.
+        """
         comm = (self.jumps_dag @ self.jumps - self.jumps @ self.jumps_dag).sum(axis=0)
         if not comm.any():
-            return 0j
-        return 2.0 * complex(np.sum(comm * weight.T))
+            return 0.0
+        val = 2.0 * complex(np.sum(comm * weight.T))
+        if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
+            raise NumericalError(f"entropy bound has imaginary residue {val.imag:.3e}")
+        return val.real
 
 
 def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
@@ -162,28 +181,6 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
     k3 = rhs(k_mid, m + 0.5 * dt * k2)
     k4 = rhs(k_end, m + dt * k3)
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def lindblad_rhs(gen: LindbladGenerator, rho, t: float) -> np.ndarray:
-    """Right-hand side of the master equation at time t."""
-    return Kernel(gen, t).state_rhs(_as_matrix(rho))
-
-
-def weak_invariant_rhs(gen: LindbladGenerator, i_op, t: float) -> np.ndarray:
-    """Right-hand side of the invariant equation (note the adjoint jump term)."""
-    return Kernel(gen, t).invariant_rhs(_as_matrix(i_op))
-
-
-def fluctuation_growth_rate(gen: LindbladGenerator, i_op, rho, t: float) -> float:
-    """2 sum_n c_n <[L_n, I]^dag [L_n, I]>, the variance growth rate.
-
-    Each term is the second moment of a commutator, hence nonnegative up
-    to roundoff; a value below -1e-12 means the inputs were inconsistent.
-    """
-    rate = Kernel(gen, t).growth_rate(_as_matrix(i_op), _as_matrix(rho))
-    if rate < -1e-12:
-        raise NumericalError(f"growth rate {rate:.3e} is negative; inputs inconsistent")
-    return rate
 
 
 # -- entropies ---------------------------------------------------------------
@@ -236,51 +233,6 @@ def _escort(w: np.ndarray, v: np.ndarray, alpha: float):
     return p, v @ (p[:, None] * v.conj().T)
 
 
-def escort_density(rho, alpha: float) -> DensityMatrix:
-    """rho^alpha / tr(rho^alpha), the escort state for alpha-averages."""
-    if alpha <= 0.0:
-        raise ValidationError(f"escort order must be positive, got {alpha}")
-    m = _as_matrix(rho)
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > 1e-8:
-        raise ValidationError(f"escort of a non-Hermitian state (defect {defect:.3e})")
-    if alpha == 1.0:
-        return DensityMatrix.from_matrix(m)
-    sym = 0.5 * (m + m.conj().T)
-    w, v = np.linalg.eigh(sym)
-    if w[0] < -1e-8:
-        raise ValidationError(f"escort of a non-positive state (min eigenvalue {w[0]:.3e})")
-    p, out = _escort(w, v, alpha)
-    return DensityMatrix(
-        mat=out,
-        herm_defect=float(np.abs(out - out.conj().T).max()),
-        trace_defect=float(abs(np.trace(out) - 1.0)),
-        min_eig=float(p.min()),
-    )
-
-
-def _bound_terms(gen: LindbladGenerator, weight, t: float) -> float:
-    """2 sum_n c_n tr([L_n^dag, L_n] weight) for a given averaging state."""
-    val = Kernel(gen, t).bound_terms(_as_matrix(weight))
-    if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-        raise NumericalError(f"entropy bound has imaginary residue {val.imag:.3e}")
-    return val.real
-
-
-def entropy_rate_bound(gen: LindbladGenerator, rho, t: float) -> float:
-    """Lower bound on dS/dt: 2 sum_n c_n <[L_n^dag, L_n]>.
-
-    Identically zero when every jump operator is normal (in particular
-    Hermitian), which is the self-adjoint-noise case.
-    """
-    return _bound_terms(gen, rho, t)
-
-
-def renyi_rate_bound(gen: LindbladGenerator, rho, t: float, alpha: float) -> float:
-    """Renyi-family version of the bound, averaged in the escort state."""
-    return _bound_terms(gen, escort_density(rho, alpha), t)
-
-
 # -- trajectory integration --------------------------------------------------
 
 SERIES_KEYS = (
@@ -297,7 +249,6 @@ class Trajectory:
     states: list[DensityMatrix]
     invariants: list[np.ndarray]
     series: dict[str, np.ndarray]
-    alpha: float
     notes: dict[str, float] = field(default_factory=dict)
 
 
@@ -325,8 +276,6 @@ def integrate(
     alpha: float = 2.0,
     *,
     invariant_path: Callable[[float], np.ndarray] | None = None,
-    conservation_tol: float = CONSERVATION_TOL,
-    positivity_floor: float = POSITIVITY_FLOOR,
 ) -> Trajectory:
     """Fixed-step joint integration of state and invariant.
 
@@ -341,8 +290,9 @@ def integrate(
     The state is re-Hermitized once per step ((rho + rho^dag)/2, the
     applied correction is tracked in notes); trace and positivity are
     monitored, never enforced. The run aborts with a NumericalError if
-    tr(I rho) drifts beyond conservation_tol (relative to its initial
-    size) or an eigenvalue of rho falls below positivity_floor.
+    the state stops being finite, tr(I rho) drifts beyond CONSERVATION_TOL
+    (relative to its initial size) or an eigenvalue of rho falls below
+    POSITIVITY_FLOOR.
     """
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
@@ -368,14 +318,16 @@ def integrate(
     kern = Kernel(gen, times[0])
     for idx, t in enumerate(times):
         # node diagnostics
+        if not np.isfinite(m).all():
+            raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
         sym = 0.5 * (m + m.conj().T)
         w, v = np.linalg.eigh(sym)
         min_eig = float(w[0])
         trace_err = float(abs(np.trace(m) - 1.0))
-        if min_eig < positivity_floor:
+        if min_eig < POSITIVITY_FLOOR:
             raise NumericalError(
                 f"state lost positivity at t = {t:.6g}: min eigenvalue {min_eig:.3e} "
-                f"below floor {positivity_floor:.1e}; reduce dt (positivity is "
+                f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is "
                 "monitored, not enforced)"
             )
         node_state = DensityMatrix(
@@ -403,10 +355,10 @@ def integrate(
             exp0 = exp_i
             cons_scale = abs(exp0) if abs(exp0) > 1e-12 else 1.0
         drift = abs(exp_i - exp0)
-        if drift > conservation_tol * cons_scale:
+        if drift > CONSERVATION_TOL * cons_scale:
             raise NumericalError(
                 f"conservation breach at t = {t:.6g}: <I> drifted by {drift:.3e} "
-                f"(allowed {conservation_tol * cons_scale:.3e}); the pair no longer "
+                f"(allowed {CONSERVATION_TOL * cons_scale:.3e}); the pair no longer "
                 "solves the two evolution equations consistently"
             )
 
@@ -417,8 +369,8 @@ def integrate(
         cols["growth_formula"][idx] = kern.growth_rate(i_mat, m)
         cols["S_vn"][idx] = _vn_from_evals(w)
         cols["S_renyi"][idx] = _renyi_from_evals(w, alpha)
-        cols["bound_vn"][idx] = kern.bound_terms(sym).real
-        cols["bound_renyi"][idx] = kern.bound_terms(escort).real
+        cols["bound_vn"][idx] = kern.bound_terms(sym)
+        cols["bound_renyi"][idx] = kern.bound_terms(escort)
         cols["trace_err"][idx] = trace_err
         cols["min_eig"][idx] = min_eig
         states.append(node_state)
@@ -448,6 +400,5 @@ def integrate(
         states=states,
         invariants=invariants,
         series=cols,
-        alpha=alpha,
         notes={"max_herm_correction": max_herm_fix},
     )

@@ -46,8 +46,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .lindblad import LindbladGenerator
-from .operators import DensityMatrix, PAULIS, _as_matrix, expectation
+from .lindblad import Kernel, LindbladGenerator
+from .operators import PAULIS, _as_matrix, expectation
 
 EDGE_OCCUPATION_TOL = 1e-8
 
@@ -83,13 +83,6 @@ def build_su11_ops(n_fock: int, omega_ref: float):
     k2 = x @ x / 2.0
     k3 = (p @ x + x @ p) / 2.0
     return k1, k2, k3
-
-
-def fock_ground(n_fock: int) -> DensityMatrix:
-    """Projector on the lowest Fock level."""
-    m = np.zeros((n_fock, n_fock), dtype=complex)
-    m[0, 0] = 1.0
-    return DensityMatrix.from_matrix(m)
 
 
 def edge_occupation(rho, levels: int = 2) -> float:
@@ -170,45 +163,6 @@ def oscillator_invariant_path(model: OscillatorModel) -> Callable[[float], np.nd
         return k1 + float(model.k(t)) * k2
 
     return path
-
-
-def su11_invariant_coefficients(
-    model: OscillatorModel,
-    kappa_init,
-    t0: float,
-    t1: float,
-) -> Callable[[float], np.ndarray]:
-    """Solve the exact coefficient dynamics for a general algebra invariant.
-
-    kappa_init = (kappa1, kappa2, kappa3, kappa0) at t0; returns a dense
-    interpolant t -> kappa(t). The constant part kappa0 never moves
-    (shift symmetry). scipy is imported here, by its only user, so that
-    importing the package loads numpy and the standard library only.
-    """
-    from scipy.integrate import solve_ivp
-
-    kap = np.asarray(kappa_init, dtype=float)
-    if kap.shape != (4,):
-        raise ValidationError(f"kappa_init must have 4 entries, got shape {kap.shape}")
-
-    def rhs(t, y):
-        k = float(model.k(t))
-        c = -0.5 * float(model.kdot(t))
-        k1c, k2c, k3c = y
-        return [-2.0 * k3c, 2.0 * k * k3c - 2.0 * c * k1c, k * k1c - k2c]
-
-    sol = solve_ivp(
-        rhs, (t0, t1), kap[:3], dense_output=True, rtol=1e-12, atol=1e-14,
-        max_step=(t1 - t0) / 16.0,
-    )
-    if not sol.success:
-        raise ValidationError(f"coefficient integration failed: {sol.message}")
-
-    def coeffs(t: float) -> np.ndarray:
-        c3 = sol.sol(t)
-        return np.array([c3[0], c3[1], c3[2], kap[3]])
-
-    return coeffs
 
 
 def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
@@ -325,10 +279,8 @@ def invariance_residual(gen: LindbladGenerator, h_dot, t: float, trim: int = 0) 
     edge levels from each side of the comparison, for truncated spaces
     where the residual is pure edge artefact.
     """
-    from .lindblad import weak_invariant_rhs
-
     h, _, _ = gen.eval(t)
-    res = np.asarray(h_dot, dtype=complex) - weak_invariant_rhs(gen, h, t)
+    res = np.asarray(h_dot, dtype=complex) - Kernel(gen, t).invariant_rhs(h)
     if trim > 0:
         res = res[:-trim, :-trim]
     return float(np.abs(res).max())

@@ -106,38 +106,6 @@ def dagger(a) -> np.ndarray:
     return _as_matrix(a).conj().swapaxes(-1, -2)
 
 
-def commutator(a, b) -> np.ndarray:
-    """[a, b] = ab - ba. Dimensions must agree."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    _require_square(ma, "a")
-    _require_square(mb, "b")
-    if ma.shape != mb.shape:
-        raise ValidationError(f"dimension mismatch in commutator: {ma.shape} vs {mb.shape}")
-    return ma @ mb - mb @ ma
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """A certified Hermitian matrix plus its measured defect."""
-
-    mat: np.ndarray
-    herm_defect: float
-
-    @classmethod
-    def from_matrix(cls, mat, tol: Tolerances = DEFAULT_TOL) -> "HermitianOperator":
-        m = _require_matrix(mat, "operator")
-        defect = hermiticity_defect(m)
-        if defect > tol.herm:
-            raise ValidationError(
-                f"operator is not Hermitian: defect {defect:.3e} exceeds tol {tol.herm:.1e}"
-            )
-        return cls(mat=m, herm_defect=defect)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """A certified density matrix with its measured residuals.
@@ -184,38 +152,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[-1]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """eigh output with a reconstruction certificate.
-
-    eigenvalues ascending; eigenvectors[:, k] belongs to eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    recon_error: float
-
-
-def eigh(a, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
-    """Certified Hermitian eigendecomposition.
-
-    The input must be Hermitian within tol.herm. The reconstruction
-    error max|V diag(w) V^dag - A| is measured and must stay below
-    1e-9 * max|A|; a breach is reported as a solver failure rather than
-    silently returned.
-    """
-    m = require_hermitian(_require_matrix(a, "operator"), tol.herm)
-    w, v = np.linalg.eigh(m)
-    recon = v @ (w[:, None] * v.conj().T)
-    scale = max(float(np.abs(m).max(initial=0.0)), 1.0)
-    err = float(np.abs(recon - m).max(initial=0.0))
-    if err > 1e-9 * scale:
-        raise NumericalError(
-            f"eigh reconstruction error {err:.3e} exceeds 1e-9 * scale ({scale:.3e})"
-        )
-    return Spectrum(eigenvalues=w, eigenvectors=v, recon_error=err)
 
 
 def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag):

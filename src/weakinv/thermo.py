@@ -64,13 +64,6 @@ def internal_energy(h, temperature: float) -> float:
     return float(np.dot(_gibbs_weights(w, temperature), w))
 
 
-def specific_heat(h, temperature: float) -> float:
-    """C(T) = (<H^2> - <H>^2)/T^2 in the canonical state, equal to dU/dT."""
-    if temperature <= 0.0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    return variance(h, canonical_state(h, temperature)) / temperature**2
-
-
 def solve_isoenergetic_temperature(h, u: float) -> float:
     """Temperature with canonical mean energy u.
 

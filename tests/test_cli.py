@@ -117,6 +117,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
+    ("negative_seed",
+     '{"scenario": "channel_fuzz", "seed": -1, "params": {"n_channels": 4}}'),
 ])
 def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
     cfg = tmp_path / f"{name}.json"
@@ -138,6 +140,25 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--output-dir",
                  str(tmp_path / "o")]) == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, doc, message", [
+    # the field overflows at the first midpoint
+    ("huge_rate", {"scenario": "spin", "t1": 0.01, "params": {"rate_c": 1e300}},
+     "H(0.0005) has a non-finite entry"),
+    # finite generator data whose first step overflows the state
+    ("huge_stiffness",
+     {"scenario": "oscillator", "t1": 0.01, "params": {"k0": 1e300, "n_fock": 8}},
+     "state is not finite at t = 0.001; reduce dt"),
+], ids=["huge_rate", "huge_stiffness"])
+def test_non_finite_runs_exit_3(tmp_path, capsys, name, doc, message):
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path, f"{name}.json", doc),
+                 "--output-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == f"numerical abort: {message}\n"
+    assert not (out / "verdict.json").exists()
 
 
 def test_failed_check_exits_1(tmp_path):
@@ -182,13 +203,63 @@ def test_seventeen_digit_floats(tmp_path):
         assert f"{float(cell):.17g}" == cell
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is imported only inside models.su11_invariant_coefficients
+def _src_env():
     src = str(Path(weakinv.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_cli_import_loads_no_scipy():
+    env = _src_env()
     code = ("import sys, weakinv.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SHORT_CONFIGS = {
+    "spin": {"t1": 0.05},
+    "oscillator": {"t1": 0.05, "params": {"n_fock": 24}},
+    "channel_fuzz": {"params": {"n_channels": 16}},
+    "thermo_spin": {"t1": 0.1, "params": {"n_times": 129}},
+    "fp_ou": {"t1": 0.05},
+}
+
+NO_SCIPY_RUNNER = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is blocked")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the scipy blocker did not take")
+
+from weakinv.cli import main
+
+codes = {}
+for name, cfg, out in json.loads(sys.argv[1]):
+    codes[name] = main(["run", "--config", cfg, "--output-dir", out])
+print(json.dumps(codes))
+"""
+
+
+def test_every_scenario_runs_without_scipy(tmp_path):
+    runs = [(name, _write(tmp_path, f"{name}.json", {"scenario": name, **doc}),
+             str(tmp_path / f"out_{name}"))
+            for name, doc in SHORT_CONFIGS.items()]
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUNNER, json.dumps(runs)],
+                          env=_src_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == {name: 0 for name in SHORT_CONFIGS}
+    for name, _, out in runs:
+        assert (Path(out) / "verdict.json").exists()

@@ -7,14 +7,13 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from weakinv.errors import ValidationError
-from weakinv.lindblad import integrate, weak_invariant_rhs
+from weakinv.lindblad import integrate, rk4_step, time_grid
 from weakinv.models import (
     OscillatorModel,
     SpinModel,
     build_su11_ops,
     edge_occupation,
     exponential_field,
-    fock_ground,
     invariance_residual,
     lowering,
     oscillator_generator,
@@ -25,15 +24,25 @@ from weakinv.models import (
     spin_generator,
     spin_hamiltonian,
     spin_predicted_growth,
-    su11_invariant_coefficients,
 )
-from weakinv.operators import PAULIS, commutator, expectation
+from weakinv.operators import PAULIS, DensityMatrix, expectation
 
 N = 40
 
 
 def interior(mat, levels=4):
     return mat[:-levels, :-levels]
+
+
+def commutator(a, b):
+    return a @ b - b @ a
+
+
+def fock_ground(n_fock):
+    """Projector on the lowest Fock level."""
+    m = np.zeros((n_fock, n_fock), dtype=complex)
+    m[0, 0] = 1.0
+    return DensityMatrix.from_matrix(m)
 
 
 def test_lowering_operator_matrix_elements():
@@ -101,15 +110,25 @@ def test_invariant_equation_residual_small_in_interior():
 
 
 def test_coefficient_ode_matches_closed_form_invariant():
-    # carrying I in the algebra: with kappa(0) = (1, k(0), 0, 0) the
-    # coefficients must reproduce (1, k(t), 0, 0)
+    # carrying I = kappa1 K1 + kappa2 K2 + kappa3 K3 in the algebra: with
+    # kappa(0) = (1, k(0), 0) the coefficient dynamics must reproduce
+    # (1, k(t), 0), the closed-form invariant H(t)
     model = replace(rational_decay(1.0, 0.5), n_fock=N)
-    coeffs = su11_invariant_coefficients(
-        model, np.array([1.0, model.k(0.0), 0.0, 0.0]), 0.0, 0.5)
-    for t in (0.0, 0.1, 0.3, 0.5):
-        got = coeffs(t)
-        want = np.array([1.0, model.k(t), 0.0, 0.0])
-        assert np.abs(got - want).max() < 1e-9
+
+    def rhs(t, kap):
+        k, c = model.k(t), -0.5 * model.kdot(t)
+        return np.array([-2.0 * kap[2], 2.0 * k * kap[2] - 2.0 * c * kap[0],
+                         k * kap[0] - kap[1]])
+
+    dt = 1e-3
+    times = time_grid(0.0, 0.5, dt)
+    kap = np.array([1.0, model.k(0.0), 0.0])
+    for idx, t in enumerate(times):
+        if idx % 100 == 0:
+            want = np.array([1.0, model.k(t), 0.0])
+            assert np.abs(kap - want).max() < 1e-9
+        if idx < times.size - 1:
+            kap = rk4_step(rhs, (t, t + 0.5 * dt, times[idx + 1]), kap, dt)
 
 
 def test_predicted_growth_on_ground_state():

@@ -5,18 +5,16 @@ from hypothesis import given, settings, strategies as st
 from weakinv.errors import NumericalError, ValidationError
 from weakinv.operators import (
     DensityMatrix,
-    HermitianOperator,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    commutator,
     dagger,
-    eigh,
     expectation,
     hermiticity_defect,
+    require_hermitian,
     variance,
 )
-from weakinv.thermo import canonical_state
+from weakinv.thermo import canonical_state, internal_energy
 
 
 def random_hermitian(dim, seed):
@@ -33,6 +31,9 @@ def random_density(dim, seed):
 
 
 def test_pauli_algebra():
+    def commutator(a, b):
+        return a @ b - b @ a
+
     assert np.allclose(SIGMA_X @ SIGMA_X, np.eye(2))
     assert np.allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z)
     assert np.allclose(commutator(SIGMA_Y, SIGMA_Z), 2j * SIGMA_X)
@@ -46,8 +47,8 @@ def test_hermiticity_defect_detects_asymmetry():
 
 
 def test_hermitian_operator_rejects_nonhermitian():
-    with pytest.raises(ValidationError):
-        HermitianOperator.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValidationError, match="operator is not Hermitian: defect 1.000e"):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_density_matrix_validation():
@@ -88,13 +89,6 @@ def test_variance_clips_or_raises_per_member():
         variance(SIGMA_Z, states(0.25, 1.0 + 1e-6, 1.0 + 1e-12))
 
 
-def test_eigh_reconstruction_certified():
-    h = random_hermitian(7, 11)
-    spec = eigh(h)
-    assert spec.recon_error <= 1e-9 * max(1.0, np.abs(h).max())
-    assert np.all(np.diff(spec.eigenvalues) >= 0.0)
-
-
 def test_expectation_and_variance_pure_state():
     # spin up along z: <sz> = 1, var = 0; <sx> = 0, var = 1
     rho = np.diag([1.0, 0.0]).astype(complex)
@@ -111,9 +105,9 @@ def test_expectation_rejects_large_imaginary_part():
         expectation(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), rho)
 
 
-@pytest.mark.parametrize("entry", [eigh, HermitianOperator.from_matrix,
-                                   lambda h: canonical_state(h, 1.0)],
-                         ids=["eigh", "HermitianOperator.from_matrix", "canonical_state"])
+@pytest.mark.parametrize("entry", [lambda h: canonical_state(h, 1.0),
+                                   lambda h: internal_energy(h, 1.0)],
+                         ids=["canonical_state", "internal_energy"])
 def test_two_d_entry_points_reject_stacks(entry):
     # a stack of Hermitian matrices passes the stack-aware checks, so the
     # 2-D-only helpers must refuse it as a config-level shape error
@@ -128,15 +122,6 @@ def test_variance_nonnegative(dim, seed):
     a = random_hermitian(dim, seed)
     rho = random_density(dim, seed + 1)
     assert variance(a, rho) >= 0.0
-
-
-@given(st.integers(2, 8), st.integers(0, 10**6))
-@settings(max_examples=40, deadline=None)
-def test_eigh_roundtrip_random(dim, seed):
-    h = random_hermitian(dim, seed)
-    spec = eigh(h)
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    assert np.abs(rebuilt - h).max() < 1e-10 * max(1.0, np.abs(h).max())
 
 
 def test_dagger_matches_conjugate_transpose():

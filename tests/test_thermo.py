@@ -14,7 +14,6 @@ from weakinv.thermo import (
     check_specific_heat_relation,
     internal_energy,
     solve_isoenergetic_temperature,
-    specific_heat,
     trace_distance,
 )
 
@@ -36,10 +35,18 @@ def test_canonical_state_commutes_with_hamiltonian():
     assert np.abs(comm).max() < 1e-12
 
 
+def _static_path_heat(h, temp):
+    """Heat capacity the path builder reports for a constant H held at energy U(temp)."""
+    path = build_isoenergetic_path(lambda t: h, np.linspace(0.0, 1.0, 3),
+                                   internal_energy(h, temp))
+    assert path.temperature == pytest.approx(temp, rel=1e-9)
+    return float(path.heat_capacity[1])
+
+
 def test_specific_heat_closed_form_at_unit_field():
     # C = (B/T)^2 sech^2(B/T) = 0.41997... at B = T = 1
     h = SIGMA_Z.astype(complex)
-    c = specific_heat(h, 1.0)
+    c = _static_path_heat(h, 1.0)
     assert c == pytest.approx(1.0 / np.cosh(1.0) ** 2, rel=1e-12)
     assert c == pytest.approx(0.419974, rel=1e-5)
 
@@ -48,15 +55,16 @@ def test_specific_heat_matches_energy_derivative():
     h = SIGMA_Z.astype(complex)
     t, dt = 1.0, 1e-4
     fd = (internal_energy(h, t + dt) - internal_energy(h, t - dt)) / (2 * dt)
-    assert specific_heat(h, t) == pytest.approx(fd, rel=1e-5)
+    assert _static_path_heat(h, t) == pytest.approx(fd, rel=1e-5)
 
 
 def test_variance_is_t_squared_c_by_construction():
+    # two levels at -1, +1: C = sech^2(1/T) / T^2, so var = sech^2(1/T)
     h = SIGMA_Z.astype(complex)
     for temp in (0.5, 1.0, 3.0):
         rho = canonical_state(h, temp)
-        assert variance(h, rho) == pytest.approx(
-            temp**2 * specific_heat(h, temp), rel=1e-12)
+        c_closed = 1.0 / (temp**2 * np.cosh(1.0 / temp) ** 2)
+        assert variance(h, rho) == pytest.approx(temp**2 * c_closed, rel=1e-12)
 
 
 def test_temperature_solve_roundtrip():
