@@ -6,7 +6,6 @@ from .channels import (
     QuantumChannel,
     adjoint_apply,
     apply,
-    compose,
     kadison_gap,
     lindblad_step_channel,
     random_channel,
@@ -34,7 +33,6 @@ from .models import (
     SpinModel,
     exponential_field,
     oscillator_generator,
-    oscillator_invariant_path,
     rational_decay,
     spin_generator,
 )

@@ -9,20 +9,15 @@ automatically unital, which is what makes the second-moment inequality
 
     adjoint(X^2) >= adjoint(X)^2        (Kadison)
 
-hold for every Hermitian X. Channels carry their construction interval
-(t_from, t_to) so that compositions can refuse to chain maps that do not
-meet in time, and a certified bound on the trace-preservation residual so
-first-order step channels can be honest about their O(dt^2) defect.
-
-Kraus lists are never pruned on composition; at the dimensions this
-package targets the growth is acceptable and pruning would silently
-change the map.
+hold for every Hermitian X. Channels carry a certified bound on the
+trace-preservation residual so first-order step channels can be honest
+about their O(dt^2) defect.
 
 The Kraus operators of a channel are one array (n_kraus, dim, dim). A
 stack of channels sharing dim and n_kraus is the same object with
-leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`,
-`kadison_gap` and `compose` broadcast over those axes, so many small
-channels cost one numpy call each instead of one per channel.
+leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`
+and `kadison_gap` broadcast over those axes, so many small channels
+cost one numpy call each instead of one per channel.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from .operators import (
 )
 
 CPTP_TOL = 1e-9
-TIME_MATCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -58,19 +52,11 @@ class QuantumChannel:
     """
 
     kraus: np.ndarray
-    t_from: float
-    t_to: float
     tp_defect: float
     tp_tol: float
 
     @classmethod
-    def from_kraus(
-        cls,
-        ops,
-        t_from: float = 0.0,
-        t_to: float = 0.0,
-        tp_tol: float = CPTP_TOL,
-    ) -> "QuantumChannel":
+    def from_kraus(cls, ops, tp_tol: float = CPTP_TOL) -> "QuantumChannel":
         try:
             mats = np.asarray(ops, dtype=complex)
         except ValueError:
@@ -89,8 +75,7 @@ class QuantumChannel:
                 f"{_member(at)}Kraus completeness residual {defect[at]:.3e} "
                 f"exceeds tol {tp_tol:.1e}"
             )
-        return cls(kraus=mats, t_from=float(t_from), t_to=float(t_to),
-                   tp_defect=defect, tp_tol=float(tp_tol))
+        return cls(kraus=mats, tp_defect=defect, tp_tol=float(tp_tol))
 
     @property
     def dim(self) -> int:
@@ -139,27 +124,6 @@ def kadison_gap(ch: QuantumChannel, i_op) -> np.ndarray:
     return adjoint_apply(ch, m @ m) - fwd @ fwd
 
 
-def compose(later: QuantumChannel, earlier: QuantumChannel) -> QuantumChannel:
-    """Channel for `earlier` followed by `later` (Kraus products W V).
-
-    The two maps must meet in time: later.t_from == earlier.t_to.
-    """
-    if later.dim != earlier.dim:
-        raise ValidationError(f"cannot compose dim {earlier.dim} into dim {later.dim}")
-    if abs(later.t_from - earlier.t_to) > TIME_MATCH_TOL:
-        raise ValidationError(
-            f"time mismatch in composition: earlier ends at {earlier.t_to!r}, "
-            f"later starts at {later.t_from!r}"
-        )
-    # every pair (W_i, V_j), i major, broadcast over stacks
-    prods = later.kraus[..., :, None, :, :] @ earlier.kraus[..., None, :, :, :]
-    prods = prods.reshape(prods.shape[:-4] + (-1,) + prods.shape[-2:])
-    tol = earlier.tp_tol + later.tp_tol + earlier.tp_tol * later.tp_tol + 1e-12
-    return QuantumChannel.from_kraus(
-        prods, t_from=earlier.t_from, t_to=later.t_to, tp_tol=tol
-    )
-
-
 def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
     """First-order Kraus factorisation of a short generator step.
 
@@ -176,21 +140,19 @@ def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
     """
     if dt <= 0.0:
         raise ValidationError(f"step needs dt > 0, got {dt}")
-    h, ls, cs = gen.eval(t)
+    h, cs = gen.eval(t)
     dim = h.shape[0]
     v0 = np.eye(dim, dtype=complex) - 1j * dt * h
     ops = []
     scale = float(np.abs(h).max(initial=0.0))
-    for l_op, c in zip(ls, cs):
+    for l_op, c in zip(gen.jumps, cs):
         ll = l_op.conj().T @ l_op
         v0 -= dt * c * ll
         scale = max(scale, float(c * np.abs(ll).max(initial=0.0)))
         if c > 0.0:
             ops.append(np.sqrt(2.0 * c * dt) * l_op)
     budget = 10.0 * dt * dt * max(1.0, scale) ** 2
-    return QuantumChannel.from_kraus(
-        [v0, *ops], t_from=t, t_to=t + dt, tp_tol=max(CPTP_TOL, budget)
-    )
+    return QuantumChannel.from_kraus([v0, *ops], tp_tol=max(CPTP_TOL, budget))
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:

@@ -17,6 +17,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import SCENARIOS, ConfigError, load_config
 from .errors import WeakInvError
 from .scenarios import CSV_HEADER, SCENARIO_SUMMARIES, ScenarioResult, run_scenario
@@ -61,7 +63,11 @@ def emit_verdict(result: ScenarioResult, path: Path) -> None:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
-        result = run_scenario(cfg)
+        # Overflow and invalid-value warnings would print source lines
+        # before the one-line abort; the engine's finiteness guards turn
+        # those cases into exit 3.
+        with np.errstate(all="ignore"):
+            result = run_scenario(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

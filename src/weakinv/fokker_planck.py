@@ -155,14 +155,13 @@ def constant_diffusion(d_const: float) -> Callable:
 
 
 def fp_rhs(
-    dist: GridDistribution, drift_values: np.ndarray, diffusion_values: np.ndarray
+    p: np.ndarray, h: float, drift_values: np.ndarray, diffusion_values: np.ndarray
 ) -> np.ndarray:
     """Semi-discrete right-hand side, centered differences, fixed edge nodes.
 
-    `drift_values` and `diffusion_values` are K and D sampled on the
-    grid at the stage time.
+    `p` is the density on a grid of spacing `h`; `drift_values` and
+    `diffusion_values` are K and D sampled on that grid at the stage time.
     """
-    p, h = dist.values, dist.h
     kp = drift_values * p
     dp = diffusion_values * p
     out = np.zeros(p.shape)
@@ -264,7 +263,7 @@ def evolve(
         return drift(x, t), diffusion(x, t)
 
     def rhs(coeffs: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
-        return fp_rhs(GridDistribution(x=x, values=values, h=h), *coeffs)
+        return fp_rhs(values, h, *coeffs)
 
     def flush(stop: int, rows: int) -> None:
         span = slice(stop - rows, stop)

@@ -27,21 +27,21 @@ of a contractive (unital, completely positive) flow, so components of I
 outside the physically resolved subspace are amplified at rates up to
 c_n * spread(spec(L_n))^2. For bounded generators (spin-sized L) this is
 harmless and the matrix equation is integrated directly. For truncated
-unbounded operators the amplification is catastrophic; callers in that
-regime must supply the invariant in closed form via `invariant_path`
-(see the oscillator model, whose invariant stays inside a closed operator
-algebra with exact coefficient dynamics).
+unbounded operators the amplification is catastrophic. Both models here
+choose their rates so that H(t) itself is the weak invariant, so without
+an initial invariant `integrate` takes I(t) = H(t) in closed form from the
+generator it already evaluates at every node.
 
-Both equations are evaluated in effective-Hamiltonian form: with
-H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n,
-each right-hand side is two products with H_eff plus one stacked jump
-sandwich, and one such kernel per distinct time serves every stage of
-both Runge-Kutta steps.
+The jump operators are one constant (n, dim, dim) stack; only H and the
+rates depend on time. Both equations are evaluated in effective-Hamiltonian
+form: with H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps
+sqrt(c_n) L_n, each right-hand side is two products with H_eff plus one
+stacked jump sandwich, and one such kernel per distinct time serves every
+stage of both Runge-Kutta steps.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,9 +54,7 @@ from .operators import (
     require_hermitian,
 )
 
-log = logging.getLogger(__name__)
-
-EVAL_FLOOR = 1e-15       # eigenvalues at or below this are treated as exact zeros in logs
+EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
 C_TOL = 1e-12            # how negative a rate may be before it is an input error
 CONSERVATION_TOL = 1e-7
 POSITIVITY_FLOOR = -1e-8
@@ -64,49 +62,53 @@ POSITIVITY_FLOOR = -1e-8
 
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Time-dependent generator data: H(t), jump operators L_n(t), rates c_n(t).
+    """Time-dependent generator data: H(t), constant jump operators L_n, rates c_n(t).
 
-    H and each L_n are callables of time; `rates` is one callable that
-    returns every c_n at once, so models whose rates share a formula
-    compute it once per time. Constant pieces are just constant callables.
-    Every evaluation certifies H finite and Hermitian, shapes consistent,
-    one finite rate per jump operator, and rates nonnegative within C_TOL
-    (tiny negative roundoff is clamped to 0).
+    `hamiltonian` is a callable of time, `jumps` one (n, dim, dim) stack
+    checked for shape and finiteness at construction, and `rates` one
+    callable that returns every c_n at once, so models whose rates share a
+    formula compute it once per time. Every evaluation certifies H finite
+    and Hermitian with the right shape, one finite rate per jump operator,
+    and rates nonnegative within C_TOL (tiny negative roundoff is clamped
+    to 0).
     """
 
     dim: int
     hamiltonian: Callable[[float], np.ndarray]
-    lindblads: tuple[Callable[[float], np.ndarray], ...]
+    jumps: np.ndarray
     rates: Callable[[float], Sequence[float]]
 
+    def __post_init__(self):
+        jumps = np.asarray(self.jumps, dtype=complex)
+        if jumps.ndim != 3 or jumps.shape[1:] != (self.dim, self.dim):
+            raise ValidationError(
+                f"jumps must be an (n, {self.dim}, {self.dim}) stack, got shape {jumps.shape}"
+            )
+        if not np.isfinite(jumps).all():
+            raise ValidationError("jump operators have a non-finite entry")
+        object.__setattr__(self, "jumps", jumps)
+
     def eval(self, t: float):
+        """(H(t), the rates c_n(t) as an array), both certified."""
         h = require_hermitian(self.hamiltonian(t), name=f"H({t})")
         if h.shape != (self.dim, self.dim):
             raise ValidationError(f"H({t}) has shape {h.shape}, expected dim {self.dim}")
         if not np.isfinite(h).all():
             raise ValidationError(f"H({t}) has a non-finite entry")
         rates = np.asarray(self.rates(t), dtype=float)
-        if rates.shape != (len(self.lindblads),):
+        if rates.shape != (len(self.jumps),):
             raise ValidationError(
-                f"{len(self.lindblads)} jump operators but rates({t}) has shape "
+                f"{len(self.jumps)} jump operators but rates({t}) has shape "
                 f"{rates.shape}"
             )
         if not np.isfinite(rates).all():
             raise ValidationError(f"rates({t}) = {rates.tolist()} are not all finite")
-        ls, cs = [], []
-        for k, (lf, c) in enumerate(zip(self.lindblads, rates.tolist())):
-            l_op = np.asarray(lf(t), dtype=complex)
-            if l_op.shape != (self.dim, self.dim):
-                raise ValidationError(
-                    f"L_{k}({t}) has shape {l_op.shape}, expected dim {self.dim}"
-                )
+        for k, c in enumerate(rates.tolist()):
             if c < -C_TOL:
                 raise ValidationError(
                     f"rate c_{k}({t}) = {c:.6e} is negative beyond tolerance {C_TOL:.0e}"
                 )
-            ls.append(l_op)
-            cs.append(max(c, 0.0))
-        return h, ls, cs
+        return h, np.maximum(rates, 0.0)
 
 
 class Kernel:
@@ -115,15 +117,17 @@ class Kernel:
     H_eff = H - i sum_n c_n L_n^dag L_n and the stack of sqrt(c_n) L_n
     (channels with c_n = 0 dropped) are all that both right-hand sides,
     the growth rate and the entropy bound need, so one generator
-    evaluation per distinct time serves all of them.
+    evaluation per distinct time serves all of them. H itself is kept as
+    `h`: it is the closed-form invariant when none is integrated.
     """
 
-    __slots__ = ("h_eff", "h_eff_dag", "jumps", "jumps_dag")
+    __slots__ = ("h", "h_eff", "h_eff_dag", "jumps", "jumps_dag")
 
     def __init__(self, gen: LindbladGenerator, t: float):
-        h, ls, cs = gen.eval(t)
-        jumps = np.array([np.sqrt(c) * l_op for l_op, c in zip(ls, cs) if c > 0.0],
-                         dtype=complex).reshape(-1, gen.dim, gen.dim)
+        h, cs = gen.eval(t)
+        on = cs > 0.0
+        jumps = np.sqrt(cs[on])[:, None, None] * gen.jumps[on]
+        self.h = h
         self.jumps = jumps
         self.jumps_dag = jumps.conj().transpose(0, 2, 1)
         self.h_eff = h - 1j * (self.jumps_dag @ jumps).sum(axis=0)
@@ -243,11 +247,15 @@ SERIES_KEYS = (
 
 @dataclass
 class Trajectory:
-    """Co-integrated (state, invariant) pair plus per-node diagnostics."""
+    """Co-integrated (state, invariant) pair plus per-node diagnostics.
+
+    `states` and `invariants` are (n_nodes, dim, dim) arrays, one matrix
+    per node of `times`.
+    """
 
     times: np.ndarray
-    states: list[DensityMatrix]
-    invariants: list[np.ndarray]
+    states: np.ndarray
+    invariants: np.ndarray
     series: dict[str, np.ndarray]
     notes: dict[str, float] = field(default_factory=dict)
 
@@ -274,8 +282,6 @@ def integrate(
     t1: float = 0.5,
     dt: float = 1e-3,
     alpha: float = 2.0,
-    *,
-    invariant_path: Callable[[float], np.ndarray] | None = None,
 ) -> Trajectory:
     """Fixed-step joint integration of state and invariant.
 
@@ -283,9 +289,10 @@ def integrate(
     given) the invariant matrix through shared stages, so both see the
     generator at identical times. The generator is evaluated once per
     distinct time: at each node (reused as the previous step's final
-    stage) and at each midpoint, 2N + 1 evaluations for N steps.
-    Alternatively `invariant_path` supplies I(t) in closed form and only
-    rho is stepped; exactly one of the two must be provided.
+    stage) and at each midpoint, 2N + 1 evaluations for N steps. Without
+    `i0` the invariant is H(t) itself, read in closed form from each
+    node's kernel, and only rho is stepped; the conservation guard then
+    checks that H(t) really is a weak invariant of `gen`.
 
     The state is re-Hermitized once per step ((rho + rho^dag)/2, the
     applied correction is tracked in notes); trace and positivity are
@@ -296,26 +303,20 @@ def integrate(
     """
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
-    if (i0 is None) == (invariant_path is None):
-        raise ValidationError("provide exactly one of i0 or invariant_path")
 
     times = time_grid(t0, t1, dt)
     n_nodes = times.size
 
-    state = DensityMatrix.from_matrix(rho0)
-    m = state.mat.copy()
-    if i0 is not None:
-        i_mat = require_hermitian(i0, name="I(t0)").copy()
-    else:
-        i_mat = require_hermitian(invariant_path(times[0]), name="invariant_path(t0)")
+    m = DensityMatrix.from_matrix(rho0).mat.copy()
+    kern = Kernel(gen, times[0])
+    i_mat = kern.h if i0 is None else require_hermitian(i0, name="I(t0)").copy()
 
-    states: list[DensityMatrix] = []
-    invariants: list[np.ndarray] = []
+    states = np.empty((n_nodes,) + m.shape, dtype=complex)
+    invariants = np.empty_like(states)
     cols = {k: np.empty(n_nodes) for k in SERIES_KEYS}
     max_herm_fix = 0.0
     exp0 = None
 
-    kern = Kernel(gen, times[0])
     for idx, t in enumerate(times):
         # node diagnostics
         if not np.isfinite(m).all():
@@ -330,12 +331,6 @@ def integrate(
                 f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is "
                 "monitored, not enforced)"
             )
-        node_state = DensityMatrix(
-            mat=m.copy(),
-            herm_defect=float(np.abs(m - m.conj().T).max()),
-            trace_defect=trace_err,
-            min_eig=min_eig,
-        )
 
         i2 = i_mat @ i_mat
         e_val = complex(np.trace(i_mat @ m))
@@ -373,8 +368,8 @@ def integrate(
         cols["bound_renyi"][idx] = kern.bound_terms(escort)
         cols["trace_err"][idx] = trace_err
         cols["min_eig"][idx] = min_eig
-        states.append(node_state)
-        invariants.append(i_mat.copy())
+        states[idx] = m
+        invariants[idx] = i_mat
 
         if idx == n_nodes - 1:
             break
@@ -385,14 +380,12 @@ def integrate(
         max_herm_fix = max(max_herm_fix, fix)
         m = 0.5 * (m + m.conj().T)
 
-        if i0 is not None:
+        kern = kernels[2]
+        if i0 is None:
+            i_mat = kern.h
+        else:
             i_mat = rk4_step(Kernel.invariant_rhs, kernels, i_mat, dt)
             i_mat = 0.5 * (i_mat + i_mat.conj().T)
-        else:
-            i_mat = require_hermitian(
-                invariant_path(times[idx + 1]), name="invariant_path"
-            )
-        kern = kernels[2]
 
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return Trajectory(

@@ -15,9 +15,10 @@ Oscillator with shrinking stiffness
     levels below EDGE_OCCUPATION_TOL. The invariant is NOT obtained by
     integrating its matrix equation forward (on the truncated space that
     equation amplifies off-algebra noise at rates ~ c * spread(K2)^2,
-    which overwhelms double precision within t ~ 0.1); instead it is
-    carried inside the algebra, I = kappa1 K1 + kappa2 K2 + kappa3 K3 +
-    kappa0, whose coefficient dynamics
+    which overwhelms double precision within t ~ 0.1); it is H(t) itself,
+    which `integrate` reads from the generator at every node. A general
+    weak invariant stays inside the algebra, I = kappa1 K1 + kappa2 K2 +
+    kappa3 K3 + kappa0, whose coefficient dynamics
 
         kappa1' = -2 kappa3
         kappa2' = 2 k kappa3 - 2 c kappa1
@@ -26,7 +27,7 @@ Oscillator with shrinking stiffness
     is exact, with (1, k(t), 0) recovering H(t) in closed form.
 
 Spin in a growing field
-    H(t) = B(t) . sigma with the three Pauli operators as jump operators.
+    H(t) = B(t) . sigma with the three Pauli operators as the jump stack.
     Requiring H to be a weak invariant fixes the rates to
 
         c_1 = (1/8) (-Bdot1/B1 + Bdot2/B2 + Bdot3/B3)   (and cyclic),
@@ -150,19 +151,9 @@ def oscillator_generator(model: OscillatorModel) -> LindbladGenerator:
     return LindbladGenerator(
         dim=model.n_fock,
         hamiltonian=hamiltonian,
-        lindblads=(lambda t: k2,),
+        jumps=k2[None],
         rates=rates,
     )
-
-
-def oscillator_invariant_path(model: OscillatorModel) -> Callable[[float], np.ndarray]:
-    """The closed-form weak invariant I(t) = H(t) = K1 + k(t) K2."""
-    k1, k2, _ = model.ops()
-
-    def path(t: float) -> np.ndarray:
-        return k1 + float(model.k(t)) * k2
-
-    return path
 
 
 def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
@@ -258,7 +249,7 @@ def spin_generator(model: SpinModel) -> LindbladGenerator:
     return LindbladGenerator(
         dim=2,
         hamiltonian=ham,
-        lindblads=tuple((lambda t, n=n: PAULIS[n]) for n in range(3)),
+        jumps=np.array(PAULIS),
         rates=lambda t: spin_coefficients(model, t),
     )
 
@@ -279,8 +270,8 @@ def invariance_residual(gen: LindbladGenerator, h_dot, t: float, trim: int = 0) 
     edge levels from each side of the comparison, for truncated spaces
     where the residual is pure edge artefact.
     """
-    h, _, _ = gen.eval(t)
-    res = np.asarray(h_dot, dtype=complex) - Kernel(gen, t).invariant_rhs(h)
+    kern = Kernel(gen, t)
+    res = np.asarray(h_dot, dtype=complex) - kern.invariant_rhs(kern.h)
     if trim > 0:
         res = res[:-trim, :-trim]
     return float(np.abs(res).max())

@@ -53,7 +53,6 @@ from .models import (
     exponential_field,
     invariance_residual,
     oscillator_generator,
-    oscillator_invariant_path,
     oscillator_predicted_growth,
     rational_decay,
     spin_generator,
@@ -162,7 +161,7 @@ def _trajectory_columns(traj: Trajectory) -> dict[str, np.ndarray]:
 def channel_step_defect(gen, rho_mat, t: float, dt: float, n_micro: int = 8) -> float:
     """Distance between one accurate ODE step and n_micro Kraus steps.
 
-    The factored step has an O(tau^2) local defect, so the composed error
+    The factored step has an O(tau^2) local defect, so the accumulated error
     scales as dt^2 / n_micro: halving dt must shrink this by about 4.
     """
     kernels = tuple(Kernel(gen, s) for s in (t, t + 0.5 * dt, t + dt))
@@ -283,8 +282,7 @@ def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
     else:
         rho0 = canonical_state(h0, p["t_init"])
 
-    traj = integrate(gen, rho0, invariant_path=oscillator_invariant_path(model),
-                     t0=cfg.t0, t1=cfg.t1, dt=cfg.dt, alpha=cfg.alpha)
+    traj = integrate(gen, rho0, t0=cfg.t0, t1=cfg.t1, dt=cfg.dt, alpha=cfg.alpha)
 
     checks = [
         _mean_conservation_check(traj, 1e-7),
@@ -430,9 +428,7 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     # dissipative state. Report how far apart they drift; no threshold is
     # imposed, the number is a slowness diagnostic. H(t) is this model's
     # exact weak invariant, so the state is stepped against it in closed form.
-    gen = spin_generator(model)
-    actual = integrate(gen, canonical_state(h0, p["t_init"]),
-                       invariant_path=lambda t: spin_hamiltonian(model, t),
+    actual = integrate(spin_generator(model), canonical_state(h0, p["t_init"]),
                        t0=cfg.t0, t1=cfg.t1, dt=step, alpha=cfg.alpha)
     gap = np.array([trace_distance(a, b)
                     for a, b in zip(actual.states, path.states)])

@@ -1,5 +1,5 @@
-"""Channel layer: CPTP validation, adjoints, composition, the operator
-Jensen inequality, and the short-step factorisation of the generator."""
+"""Channel layer: CPTP validation, adjoints, the operator Jensen
+inequality, and the short-step factorisation of the generator."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from weakinv.channels import (
     QuantumChannel,
     adjoint_apply,
     apply,
-    compose,
     kadison_gap,
     lindblad_step_channel,
     random_channel,
@@ -24,20 +23,17 @@ def depolarizing(p):
     kraus = [np.sqrt(1.0 - p) * np.eye(2, dtype=complex)]
     for sigma in (SIGMA_X, np.array([[0, -1j], [1j, 0]]), SIGMA_Z):
         kraus.append(s * sigma.astype(complex))
-    return QuantumChannel.from_kraus(kraus, t_from=0.0, t_to=1.0)
+    return QuantumChannel.from_kraus(kraus)
 
 
 def bit_flip(p):
     return QuantumChannel.from_kraus(
-        [np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * SIGMA_X],
-        t_from=0.0, t_to=1.0,
-    )
+        [np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * SIGMA_X])
 
 
 def test_kraus_completeness_enforced():
     with pytest.raises(ValidationError):
-        QuantumChannel.from_kraus([0.5 * np.eye(2, dtype=complex)],
-                                  t_from=0.0, t_to=1.0)
+        QuantumChannel.from_kraus([0.5 * np.eye(2, dtype=complex)])
 
 
 def test_depolarizing_adjoint_contracts_observables():
@@ -58,40 +54,6 @@ def test_bit_flip_adjoint():
     ch = bit_flip(0.2)
     pulled = adjoint_apply(ch, SIGMA_Z)
     assert np.abs(pulled - 0.6 * SIGMA_Z).max() < 1e-12
-
-
-def test_compose_two_half_flips():
-    # two p = 1/2 bit flips: rho -> rho/2 + X rho X / 2, and the time
-    # bookkeeping must chain.
-    a = QuantumChannel.from_kraus(
-        [np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * SIGMA_X],
-        t_from=0.0, t_to=1.0)
-    b = QuantumChannel.from_kraus(
-        [np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * SIGMA_X],
-        t_from=1.0, t_to=2.0)
-    both = compose(b, a)
-    assert both.t_from == 0.0 and both.t_to == 2.0
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    out = apply(both, rho)
-    expected = 0.5 * rho + 0.5 * SIGMA_X @ rho @ SIGMA_X
-    assert np.abs(out.mat - expected).max() < 1e-12
-
-
-def test_compose_broadcasts_over_stacks():
-    seeds = np.array([3, 4, 5])
-    later, earlier = random_channel(3, 2, seeds), random_channel(3, 3, seeds + 10)
-    both = compose(later, earlier)
-    assert both.kraus.shape == (3, 6, 3, 3)
-    for j, s in enumerate(seeds):
-        one = compose(random_channel(3, 2, s), random_channel(3, 3, s + 10))
-        assert np.abs(both.kraus[j] - one.kraus).max() < 1e-14
-
-
-def test_compose_rejects_time_gap():
-    a = bit_flip(0.1)                      # [0, 1]
-    b = bit_flip(0.1)                      # also [0, 1], cannot follow a
-    with pytest.raises(ValidationError):
-        compose(b, a)
 
 
 def test_apply_preserves_trace_and_positivity():
@@ -165,7 +127,7 @@ def _static_spin_generator(c):
     return LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: h,
-        lindblads=(lambda t: SIGMA_X.astype(complex),),
+        jumps=[SIGMA_X],
         rates=lambda t: (c,),
     )
 

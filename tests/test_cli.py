@@ -142,8 +142,7 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("name, doc, message", [
+NON_FINITE_RUNS = pytest.mark.parametrize("name, doc, message", [
     # the field overflows at the first midpoint
     ("huge_rate", {"scenario": "spin", "t1": 0.01, "params": {"rate_c": 1e300}},
      "H(0.0005) has a non-finite entry"),
@@ -152,12 +151,29 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
      {"scenario": "oscillator", "t1": 0.01, "params": {"k0": 1e300, "n_fock": 8}},
      "state is not finite at t = 0.001; reduce dt"),
 ], ids=["huge_rate", "huge_stiffness"])
+
+
+@NON_FINITE_RUNS
 def test_non_finite_runs_exit_3(tmp_path, capsys, name, doc, message):
     out = tmp_path / "o"
     code = main(["run", "--config", _write(tmp_path, f"{name}.json", doc),
                  "--output-dir", str(out)])
     assert code == 3
     assert capsys.readouterr().err == f"numerical abort: {message}\n"
+    assert not (out / "verdict.json").exists()
+
+
+@NON_FINITE_RUNS
+def test_non_finite_runs_print_no_numpy_warnings(tmp_path, name, doc, message):
+    # in a fresh interpreter no warning capture hides what reaches stderr
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakinv.cli", "run",
+         "--config", _write(tmp_path, f"{name}.json", doc), "--output-dir", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"numerical abort: {message}\n"
     assert not (out / "verdict.json").exists()
 
 

@@ -103,7 +103,7 @@ def test_rhs_annihilates_stationary_profile():
     # OU stationary density exp(-gamma x^2 / (2D)) up to normalization.
     x = _grid(-8.0, 8.0, 0.02)
     p = gaussian_profile(x, mean=0.0, var=1.0)   # var = D/gamma = 1
-    rhs = fp_rhs(p, ou_drift(1.0)(x, 0.0), constant_diffusion(1.0)(x, 0.0))
+    rhs = fp_rhs(p.values, p.h, ou_drift(1.0)(x, 0.0), constant_diffusion(1.0)(x, 0.0))
     # O(h^2) truncation floor; a transported profile gives |rhs| ~ 0.4
     assert np.abs(rhs).max() < 5e-4
 

@@ -38,7 +38,7 @@ def dephasing_generator(c=1.0):
     return LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        lindblads=(lambda t: SIGMA_Z.astype(complex),),
+        jumps=[SIGMA_Z],
         rates=lambda t: (c,),
     )
 
@@ -48,7 +48,7 @@ def damping_generator(c=0.5):
     return LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
+        jumps=[SIGMA_MINUS],
         rates=lambda t: (c,),
     )
 
@@ -137,16 +137,6 @@ def test_damping_entropy_bound_on_excited_state():
     assert rate0 > 1.0
 
 
-def test_integrate_requires_exactly_one_invariant_source():
-    gen = dephasing_generator(0.2)
-    rho = np.eye(2, dtype=complex) / 2.0
-    with pytest.raises(ValidationError):
-        integrate(gen, rho, t0=0.0, t1=0.1, dt=1e-2)
-    with pytest.raises(ValidationError):
-        integrate(gen, rho, i0=SIGMA_X, invariant_path=lambda t: SIGMA_X,
-                  t0=0.0, t1=0.1, dt=1e-2)
-
-
 def _lindblad_window(t0, t1, dt):
     integrate(dephasing_generator(0.2), np.eye(2, dtype=complex) / 2.0, i0=SIGMA_X,
               t0=t0, t1=t1, dt=dt)
@@ -186,13 +176,38 @@ def test_spin_trajectory_conserves_invariant_mean():
 
 
 def test_integrate_conservation_guard_trips():
-    # a wrong "invariant" cannot satisfy the conservation identity
+    # without i0 the invariant is H(t); sigma_x under sigma_z dephasing is
+    # not a weak invariant, so its mean decays and the guard must trip
+    gen = LindbladGenerator(
+        dim=2,
+        hamiltonian=lambda t: SIGMA_X,
+        jumps=[SIGMA_Z],
+        rates=lambda t: (0.5,),
+    )
+    rho0 = canonical_state(SIGMA_X, 1.0)
+    with pytest.raises(NumericalError, match="conservation breach at t = "):
+        integrate(gen, rho0, t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
+
+
+def test_closed_form_invariant_is_the_generator_hamiltonian():
     model = exponential_field(B0, 0.1)
     gen = spin_generator(model)
     rho0 = canonical_state(spin_hamiltonian(model, 0.0), 1.0)
-    with pytest.raises(NumericalError):
-        integrate(gen, rho0, invariant_path=lambda t: SIGMA_Z.astype(complex),
-                  t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
+    traj = integrate(gen, rho0, t0=0.0, t1=0.05, dt=1e-3, alpha=2.0)
+    assert traj.invariants.shape == traj.states.shape == (traj.times.size, 2, 2)
+    for t, i_mat in zip(traj.times, traj.invariants):
+        assert np.array_equal(i_mat, gen.hamiltonian(t))
+
+
+@pytest.mark.parametrize("jumps, message", [
+    (SIGMA_X, r"jumps must be an \(n, 2, 2\) stack, got shape \(2, 2\)"),
+    (np.zeros((1, 3, 3)), r"jumps must be an \(n, 2, 2\) stack, got shape \(1, 3, 3\)"),
+    ([np.full((2, 2), np.nan)], "jump operators have a non-finite entry"),
+], ids=["single_matrix", "wrong_dim", "non_finite"])
+def test_jump_stack_is_checked_at_construction(jumps, message):
+    with pytest.raises(ValidationError, match=message):
+        LindbladGenerator(dim=2, hamiltonian=lambda t: SIGMA_Z, jumps=jumps,
+                          rates=lambda t: (0.1,))
 
 
 def test_growth_formula_matches_series_difference():
@@ -221,7 +236,7 @@ def test_growth_rate_never_negative(seed):
     gen = LindbladGenerator(
         dim=3,
         hamiltonian=lambda t: np.zeros((3, 3), dtype=complex),
-        lindblads=(lambda t: l_op,),
+        jumps=[l_op],
         rates=lambda t: (0.3,),
     )
     assert Kernel(gen, 0.0).growth_rate(i_op, rho) >= -1e-12
@@ -231,7 +246,7 @@ def test_negative_rate_rejected():
     gen = LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        lindblads=(lambda t: SIGMA_X.astype(complex),),
+        jumps=[SIGMA_X],
         rates=lambda t: (-0.5,),
     )
     with pytest.raises(ValidationError):
@@ -262,7 +277,7 @@ def test_integrate_evaluates_generator_once_per_distinct_time():
     gen = CountingGenerator(
         dim=2,
         hamiltonian=lambda t: (1.0 + t) * SIGMA_Z.astype(complex),
-        lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
+        jumps=[SIGMA_MINUS],
         rates=rates,
     )
     rho0 = canonical_state(SIGMA_X.astype(complex), 1.0)
@@ -282,7 +297,7 @@ def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
     gen = LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: 0.7 * SIGMA_X.astype(complex),
-        lindblads=(lambda t: SIGMA_MINUS.astype(complex),),
+        jumps=[SIGMA_MINUS],
         rates=lambda t: (0.5,),
     )
     rho0 = DensityMatrix.from_matrix(
@@ -300,7 +315,7 @@ def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
         return abs(a - b) <= 1e-12 * abs(b)
 
     for idx in (0, 1, 97, 150, 299, 300):
-        rho, i_op = traj.states[idx].mat, traj.invariants[idx]
+        rho, i_op = traj.states[idx], traj.invariants[idx]
         s = traj.series
         comm = l_op @ i_op - i_op @ l_op
         growth = 2.0 * c * np.trace(comm.conj().T @ comm @ rho).real
@@ -319,7 +334,7 @@ def test_rates_callable_must_match_jump_count():
     gen = LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        lindblads=(lambda t: SIGMA_X.astype(complex),),
+        jumps=[SIGMA_X],
         rates=lambda t: (0.1, 0.2),
     )
     with pytest.raises(ValidationError):
@@ -332,7 +347,7 @@ def test_non_finite_generator_values_are_rejected_naming_t():
     gen = LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        lindblads=(lambda t: SIGMA_Z.astype(complex),),
+        jumps=[SIGMA_Z],
         rates=lambda t: (nan,),
     )
     with pytest.raises(ValidationError, match=r"rates\(0.25\) .* not all finite"):
@@ -343,7 +358,7 @@ def test_non_finite_generator_values_are_rejected_naming_t():
     hot = LindbladGenerator(
         dim=2,
         hamiltonian=lambda t: np.full((2, 2), np.inf, dtype=complex),
-        lindblads=(lambda t: SIGMA_Z.astype(complex),),
+        jumps=[SIGMA_Z],
         rates=lambda t: (0.1,),
     )
     with pytest.raises(ValidationError, match=r"H\(0.5\) has a non-finite entry"):

@@ -17,7 +17,6 @@ from weakinv.models import (
     invariance_residual,
     lowering,
     oscillator_generator,
-    oscillator_invariant_path,
     oscillator_predicted_growth,
     rational_decay,
     spin_coefficients,
@@ -95,9 +94,9 @@ def test_schedule_validation_rejects_growing_stiffness():
 def test_rate_follows_schedule():
     model = rational_decay(1.0, 0.5)
     gen = oscillator_generator(model)
-    _, _, cs = gen.eval(0.0)
+    _, cs = gen.eval(0.0)
     assert cs[0] == pytest.approx(0.25)
-    _, _, cs = gen.eval(2.0)
+    _, cs = gen.eval(2.0)
     assert cs[0] == pytest.approx(0.25 / 4.0)
 
 
@@ -225,8 +224,7 @@ def test_oscillator_trajectory_stays_clean_at_modest_truncation():
     model = replace(rational_decay(1.0, 0.5), n_fock=24)
     gen = oscillator_generator(model)
     rho0 = fock_ground(model.n_fock)
-    traj = integrate(gen, rho0, invariant_path=oscillator_invariant_path(model),
-                     t0=0.0, t1=0.1, dt=1e-3, alpha=2.0)
-    assert edge_occupation(traj.states[-1].mat, 2) < 1e-10
+    traj = integrate(gen, rho0, t0=0.0, t1=0.1, dt=1e-3, alpha=2.0)
+    assert edge_occupation(traj.states[-1], 2) < 1e-10
     e = traj.series["exp_I"]
     assert np.abs(e - e[0]).max() < 1e-9
