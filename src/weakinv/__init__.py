@@ -21,13 +21,7 @@ from .fokker_planck import (
     gaussian_profile,
     ou_invariant_coeffs,
 )
-from .lindblad import (
-    LindbladGenerator,
-    Trajectory,
-    integrate,
-    renyi_entropy,
-    vn_entropy,
-)
+from .lindblad import LindbladGenerator, Trajectory, integrate
 from .models import (
     OscillatorModel,
     SpinModel,

@@ -22,7 +22,7 @@ The grid operator uses centered second-order differences in flux form;
 degree <= 2 polynomials differentiate exactly under those stencils, which
 is what makes the discrete conservation of <J> essentially exact. The two
 outermost nodes are held fixed; the domain must be sized so the density
-never reaches them (monitored each step, never clamped).
+never reaches them (monitored at every node, never clamped).
 """
 
 from __future__ import annotations
@@ -32,14 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
-from .lindblad import rk4_step, time_grid
+from .errors import ValidationError
+from .lindblad import abort_at, march, rk4_step, time_grid
 
 BOUNDARY_DECAY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
-# Node states held at once for the block diagnostics (64 x 801 floats,
-# about 0.4 MB, on the default grid).
-_BLOCK_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -225,86 +222,47 @@ CLASSICAL_SERIES_KEYS = ("bar_J", "var_J", "growth_formula", "growth_fd",
                          "mass_err", "boundary_max", "min_P")
 
 
-def evolve(
-    dist: GridDistribution,
-    drift,
-    diffusion,
-    inv: PolyInvariant,
-    t0: float,
-    t1: float,
-    dt: float,
-) -> ClassicalTrajectory:
-    """Fixed-step RK4 integration with per-step safety monitors.
+def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
+           t0: float, t1: float, dt: float) -> ClassicalTrajectory:
+    """Fixed-step RK4 integration on `lindblad.march`, with safety monitors.
 
-    The window is tiled by `lindblad.time_grid` and each step is
-    `lindblad.rk4_step`, so both integrators share one grid rule and one
-    stepper; RK4's accuracy keeps the conserved <J> flat to rounding.
-    Drift and diffusion are sampled once per distinct time, at each node
-    (reused as the previous step's final stage) and at each midpoint;
-    those samples are the three "kernels" of a step. The explicit-step
-    CFL budget dt <= h^2 / (2 max D) is enforced every step from the
-    node's sample (diffusion may depend on time).
-
-    The boundary and negativity guards run at every node before its
-    step. The node states are copied into a block buffer and the
-    diagnostics (<J>, its variance, the growth formula, the mass drift)
-    are computed once per block of `_BLOCK_NODES` rows.
+    Both integrators share one grid rule, one stepper and one loop; RK4
+    keeps the conserved <J> flat to rounding. Drift and diffusion are
+    sampled once per distinct time; the samples are a step's "kernels".
+    Guards and diagnostics run once per block of nodes, and the run
+    aborts at the earliest node where the density stops being finite,
+    reaches the boundary or goes negative, or (at a node that starts a
+    step) its sample breaks the CFL budget dt <= h^2 / (2 max D).
     """
     times = time_grid(t0, t1, dt)
-
-    h = dist.h
-    x = dist.x
-    p = dist.values.copy()
-    mass0 = float(np.trapezoid(p, x))
+    h, x = dist.h, dist.x
+    mass0 = float(np.trapezoid(dist.values, x))
     cols = {k: np.empty(times.size) for k in CLASSICAL_SERIES_KEYS}
-    block = np.empty((min(_BLOCK_NODES, times.size), x.size))
 
-    def sample(t: float) -> tuple[np.ndarray, np.ndarray]:
-        return drift(x, t), diffusion(x, t)
+    def observe(span, block, coeffs):
+        t = times[span]
+        peak = block.max(axis=1)
+        bmax = np.abs(block[:, [0, 1, -2, -1]]).max(axis=1)
+        abort_at(bmax > BOUNDARY_DECAY_TOL * peak, lambda k: (
+            f"density reached the boundary at t = {t[k]:.6g} (edge value "
+            f"{bmax[k]:.3e} vs peak {peak[k]:.3e}); enlarge the domain"))
+        pmin = block.min(axis=1)
+        abort_at(pmin < -NEGATIVITY_TOL * peak,
+                 lambda k: f"density went negative at t = {t[k]:.6g}: min {pmin[k]:.3e}")
+        dmax = np.array([c[1].max() for c in coeffs])
+        limit = np.divide(h * h, 2.0 * dmax, out=np.full(dmax.shape, np.inf), where=dmax > 0.0)
+        abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit), lambda k: (
+            f"explicit-step budget violated at t = {t[k]:.6g}: "
+            f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit[k]:.3e}"))
 
-    def rhs(coeffs: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
-        return fp_rhs(values, h, *coeffs)
+        blk = GridDistribution(x=x, values=block, h=h)
+        cols["bar_J"][span], cols["var_J"][span] = invariant_moments(inv, blk, t)
+        cols["growth_formula"][span] = classical_growth_rate(inv, blk, diffusion, t)
+        cols["mass_err"][span] = np.trapezoid(block, x) - mass0
+        cols["boundary_max"][span] = bmax
+        cols["min_P"][span] = pmin
 
-    def flush(stop: int, rows: int) -> None:
-        span = slice(stop - rows, stop)
-        blk = GridDistribution(x=x, values=block[:rows], h=h)
-        cols["bar_J"][span], cols["var_J"][span] = invariant_moments(inv, blk, times[span])
-        cols["growth_formula"][span] = classical_growth_rate(inv, blk, diffusion, times[span])
-        cols["mass_err"][span] = np.trapezoid(blk.values, x) - mass0
-
-    start = sample(times[0])
-    for idx, t in enumerate(times):
-        peak = float(p.max())
-        bmax = float(np.abs(np.concatenate((p[:2], p[-2:]))).max())
-        if bmax > BOUNDARY_DECAY_TOL * peak:
-            raise NumericalError(
-                f"density reached the boundary at t = {t:.6g} "
-                f"(edge value {bmax:.3e} vs peak {peak:.3e}); enlarge the domain"
-            )
-        pmin = float(p.min())
-        if pmin < -NEGATIVITY_TOL * peak:
-            raise NumericalError(
-                f"density went negative at t = {t:.6g}: min {pmin:.3e}"
-            )
-        cols["boundary_max"][idx] = bmax
-        cols["min_P"][idx] = pmin
-        row = idx % len(block)
-        block[row] = p
-        last = idx == times.size - 1
-        if last or row == len(block) - 1:
-            flush(idx + 1, row + 1)
-        if last:
-            break
-
-        dmax = float(np.max(start[1]))
-        if dmax > 0.0 and dt > h * h / (2.0 * dmax):
-            raise NumericalError(
-                f"explicit-step budget violated at t = {t:.6g}: "
-                f"dt = {dt:.3e} exceeds h^2/(2 max D) = {h * h / (2.0 * dmax):.3e}"
-            )
-        end = sample(times[idx + 1])
-        p = rk4_step(rhs, (start, sample(t + 0.5 * dt), end), p, dt)
-        start = end
-
+    march(times, dt, dist.values, lambda t: (drift(x, t), diffusion(x, t)),
+          lambda coeffs, p: rk4_step(lambda c, v: fp_rhs(v, h, *c), coeffs, p, dt), observe)
     cols["growth_fd"] = np.gradient(cols["var_J"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

@@ -37,7 +37,8 @@ rates depend on time. Both equations are evaluated in effective-Hamiltonian
 form: with H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps
 sqrt(c_n) L_n, each right-hand side is two products with H_eff plus one
 stacked jump sandwich, and one such kernel per distinct time serves every
-stage of both Runge-Kutta steps.
+stage of both Runge-Kutta steps. `march`, the one stepping loop (of the
+classical mirror too), hands node blocks to stack-aware diagnostics.
 """
 
 from __future__ import annotations
@@ -48,11 +49,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import (
-    DensityMatrix,
-    _as_matrix,
-    require_hermitian,
-)
+from .operators import DensityMatrix, _breach, dagger, hermiticity_defect, require_hermitian
 
 EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
 C_TOL = 1e-12            # how negative a rate may be before it is an input error
@@ -115,18 +112,19 @@ class Kernel:
     """The generator at one time in effective-Hamiltonian form.
 
     H_eff = H - i sum_n c_n L_n^dag L_n and the stack of sqrt(c_n) L_n
-    (channels with c_n = 0 dropped) are all that both right-hand sides,
-    the growth rate and the entropy bound need, so one generator
-    evaluation per distinct time serves all of them. H itself is kept as
-    `h`: it is the closed-form invariant when none is integrated.
+    are all that both right-hand sides, the growth rate and the entropy
+    bound need, so one generator evaluation per distinct time serves all
+    of them. A zero rate leaves a zero matrix in the stack, so every
+    kernel of a generator has the same stack shape and node kernels
+    stack. H itself is kept as `h`: it is the closed-form invariant when
+    none is integrated.
     """
 
     __slots__ = ("h", "h_eff", "h_eff_dag", "jumps", "jumps_dag")
 
     def __init__(self, gen: LindbladGenerator, t: float):
         h, cs = gen.eval(t)
-        on = cs > 0.0
-        jumps = np.sqrt(cs[on])[:, None, None] * gen.jumps[on]
+        jumps = np.sqrt(cs)[:, None, None] * gen.jumps
         self.h = h
         self.jumps = jumps
         self.jumps_dag = jumps.conj().transpose(0, 2, 1)
@@ -143,41 +141,14 @@ class Kernel:
         return (-1j * (self.h_eff_dag @ m - m @ self.h_eff)
                 - 2.0 * (self.jumps_dag @ m @ self.jumps).sum(axis=0))
 
-    def growth_rate(self, i_mat: np.ndarray, m: np.ndarray) -> float:
-        """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho), the variance growth rate.
-
-        Each term is the second moment of a commutator, hence nonnegative up
-        to roundoff; a value below -1e-12 means the inputs were inconsistent.
-        """
-        comm = self.jumps @ i_mat - i_mat @ self.jumps
-        rate = 2.0 * float(np.vdot(comm, comm @ m).real)
-        if rate < -1e-12:
-            raise NumericalError(f"growth rate {rate:.3e} is negative; inputs inconsistent")
-        return rate
-
-    def bound_terms(self, weight: np.ndarray) -> float:
-        """2 tr(sum_n [L~_n^dag, L~_n] weight), the entropy-rate lower bound
-        averaged in `weight` (the state, or its escort for the Renyi family).
-
-        Exactly 0 when every jump is normal (in particular Hermitian), the
-        self-adjoint-noise case.
-        """
-        comm = (self.jumps_dag @ self.jumps - self.jumps @ self.jumps_dag).sum(axis=0)
-        if not comm.any():
-            return 0.0
-        val = 2.0 * complex(np.sum(comm * weight.T))
-        if abs(val.imag) > 1e-9 * max(abs(val), 1.0):
-            raise NumericalError(f"entropy bound has imaginary residue {val.imag:.3e}")
-        return val.real
-
 
 def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step of dm/dt = rhs(kernel, m).
 
     `kernels` holds whatever `rhs` needs to know of the step's start,
     midpoint and end: a `Kernel` each for the Lindblad equations, the
-    three times themselves for the classical grid. The midpoint entry
-    serves both middle stages.
+    drift and diffusion samples for the classical grid. The midpoint
+    entry serves both middle stages.
     """
     k_start, k_mid, k_end = kernels
     k1 = rhs(k_start, m)
@@ -187,54 +158,140 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
     return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# -- entropies ---------------------------------------------------------------
+# -- the stepping loop -------------------------------------------------------
 
-def _clipped_evals(rho) -> np.ndarray:
-    m = _as_matrix(rho)
-    defect = float(np.abs(m - m.conj().T).max(initial=0.0))
-    if defect > 1e-8:
-        raise ValidationError(f"entropy of a non-Hermitian state (defect {defect:.3e})")
-    tr = float(np.trace(m).real)
-    if abs(tr - 1.0) > 1e-6:
-        raise ValidationError(f"entropy of a non-normalised state (trace {tr:.6g})")
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    if w[0] < -1e-8:
-        raise ValidationError(f"entropy of a non-positive state (min eigenvalue {w[0]:.3e})")
-    return w
+# The most nodes, and bytes of node states, in one observed block: 64 rows
+# of fp_ou's default grid fit, larger oscillator states get shorter blocks
+# (8 nodes at 60 levels, 2 at 120).
+BLOCK_NODES = 64
+BLOCK_BYTES = 480 * 1024
 
 
-def _vn_from_evals(w: np.ndarray) -> float:
-    pos = w[w > EVAL_FLOOR]
-    return float(-np.sum(pos * np.log(pos)))
+def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole steps."""
+    if dt <= 0.0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    if t1 <= t0:
+        raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
+    n = int(round((t1 - t0) / dt))
+    if n < 2 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+        raise ValidationError(f"dt {dt} does not tile [{t0}, {t1}] into at least two whole steps")
+    return t0 + dt * np.arange(n + 1)
 
 
-def _renyi_from_evals(w: np.ndarray, alpha: float) -> float:
+def march(times, dt: float, x: np.ndarray, sample, step, observe) -> None:
+    """Step the state x across the nodes `times`, observing them in blocks.
+
+    `sample(t)` runs once per distinct time: first node, then per step
+    the midpoint and the next node, which starts the next step (2N + 1
+    calls). `step((start, mid, end), x)` returns the next node's state,
+    which must be finite. Blocks go in node order to `observe(span,
+    states, samples)`; states are overwritten by the next block. Whatever
+    stops the run, buffered nodes are observed first. An observer raises
+    the first guard any node breaches; the block is then observed node by
+    node, so the earliest node's error wins.
+    """
+    rows = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
+    block = np.empty((rows,) + x.shape, dtype=x.dtype)
+    samples = []
+
+    def flush(stop: int) -> None:
+        first = stop - len(samples)
+        try:
+            observe(slice(first, stop), block[:len(samples)], samples)
+        except NumericalError:
+            for k in range(len(samples)):
+                observe(slice(first + k, first + k + 1), block[k:k + 1], samples[k:k + 1])
+            raise
+        samples.clear()
+
+    for idx, t in enumerate(times):
+        try:
+            if idx == 0:
+                s = sample(t)
+            else:
+                mid, end = sample(times[idx - 1] + 0.5 * dt), sample(t)
+                x = step((s, mid, end), x)
+                s = end
+            if not np.isfinite(x).all():
+                raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
+        except Exception:
+            if samples:
+                flush(idx)
+            raise
+        block[len(samples)] = x
+        samples.append(s)
+        if len(samples) == rows or idx == times.size - 1:
+            flush(idx + 1)
+
+
+def abort_at(bad, message) -> None:
+    """Raise NumericalError(message(at)) at the first index where mask `bad` holds."""
+    at = _breach(bad)
+    if at is not None:
+        raise NumericalError(message(at))
+
+
+# -- node diagnostics: stacks of any leading shape in, one value per node out
+
+def entropies(w: np.ndarray, alpha: float):
+    """(von Neumann, Renyi-alpha) entropies per spectrum of a stack (..., d)
+    of state eigenvalues. The von Neumann sum skips eigenvalues <=
+    EVAL_FLOOR (0 ln 0 = 0), each spectrum summed alone over those it
+    keeps; the Renyi sum clips roundoff below 0; alpha = 1 is von Neumann."""
+    rows = np.reshape(w, (-1, np.shape(w)[-1]))
+    vn = np.reshape([-np.sum(p * np.log(p)) for p in (r[r > EVAL_FLOOR] for r in rows)],
+                    np.shape(w)[:-1])[()]
     if alpha == 1.0:
-        return _vn_from_evals(w)
-    pos = np.clip(w, 0.0, None)
-    return float(np.log(np.sum(pos ** alpha)) / (1.0 - alpha))
+        return vn, vn
+    return vn, (np.log(np.sum(np.clip(w, 0.0, None) ** alpha, axis=-1)) / (1.0 - alpha))[()]
 
 
-def vn_entropy(rho) -> float:
-    """-tr(rho ln rho), with eigenvalues <= 1e-15 excluded (0 ln 0 = 0)."""
-    return _vn_from_evals(_clipped_evals(rho))
-
-
-def renyi_entropy(rho, alpha: float) -> float:
-    """ln tr(rho^alpha) / (1 - alpha) for alpha > 0; alpha = 1 falls back to vn."""
-    if alpha <= 0.0:
-        raise ValidationError(f"Renyi order must be positive, got {alpha}")
-    return _renyi_from_evals(_clipped_evals(rho), alpha)
-
-
-def _escort(w: np.ndarray, v: np.ndarray, alpha: float):
-    """Escort weights p = w_+^alpha / sum(w_+^alpha) and V diag(p) V^dag."""
+def escort(w: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
+    """V diag(p) V^dag with p = w_+^alpha / sum(w_+^alpha), the escort state,
+    per eigendecomposition (w (..., d), v (..., d, d)) of a stack of states."""
     p = np.clip(w, 0.0, None) ** alpha
-    z = float(np.sum(p))
-    if z <= 0.0:
-        raise NumericalError("escort normalisation vanished; state is numerically zero")
-    p /= z
-    return p, v @ (p[:, None] * v.conj().T)
+    z = np.sum(p, axis=-1, keepdims=True)
+    abort_at(z <= 0.0, lambda at: "escort normalisation vanished; state is numerically zero")
+    return v @ ((p / z)[..., :, None] * dagger(v))
+
+
+def growth_rate(jumps: np.ndarray, inv: np.ndarray, rho: np.ndarray):
+    """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho), the variance growth rate.
+
+    `jumps` (..., n, d, d) are the scaled jumps sqrt(c_n) L_n of a
+    `Kernel` or of stacked nodes; `inv` and `rho` are (..., d, d). Each
+    term is a commutator's second moment, nonnegative up to roundoff; a
+    value below -1e-12 means the inputs were inconsistent."""
+    inv = inv[..., None, :, :]
+    comm = jumps @ inv - inv @ jumps
+    moved = comm @ rho[..., None, :, :]
+    nodes = (-1,) + comm.shape[-3:]
+    rate = np.reshape([2.0 * np.vdot(c, m).real
+                       for c, m in zip(comm.reshape(nodes), moved.reshape(nodes))],
+                      comm.shape[:-3])
+    abort_at(rate < -1e-12,
+             lambda at: f"growth rate {rate[at]:.3e} is negative; inputs inconsistent")
+    return rate[()]
+
+
+def entropy_bound(jumps: np.ndarray, weight: np.ndarray):
+    """2 tr(sum_n [L~_n^dag, L~_n] weight), the entropy-rate lower bound
+    averaged in `weight` (the state, or its escort for the Renyi family).
+
+    Stacks as in `growth_rate`; extra leading axes of `weight` broadcast.
+    Exactly 0, with no average formed, where every jump is normal (in
+    particular Hermitian), the self-adjoint-noise case."""
+    jumps_dag = dagger(jumps)
+    comm = (jumps_dag @ jumps - jumps @ jumps_dag).sum(axis=-3)
+    live = comm.any(axis=(-2, -1))
+    val = np.zeros(np.broadcast_shapes(live.shape, np.shape(weight)[:-2]), dtype=complex)
+    if live.any():
+        val = np.where(live, 2.0 * np.sum(comm * np.swapaxes(weight, -1, -2), axis=(-2, -1)), 0.0)
+    # np.hypot, unlike np.abs, matches the scalar abs() of a complex bit for bit
+    abort_at(np.abs(val.imag) > 1e-9 * np.maximum(np.hypot(val.real, val.imag), 1.0),
+             lambda at: f"entropy bound has imaginary residue {val[at].imag:.3e}")
+    return val.real[()]
 
 
 # -- trajectory integration --------------------------------------------------
@@ -260,138 +317,97 @@ class Trajectory:
     notes: dict[str, float] = field(default_factory=dict)
 
 
-def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole steps."""
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if t1 <= t0:
-        raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = int(round((t1 - t0) / dt))
-    if n < 2 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValidationError(
-            f"dt {dt} does not tile [{t0}, {t1}] into at least two whole steps"
-        )
-    return t0 + dt * np.arange(n + 1)
+def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float = 0.5,
+              dt: float = 1e-3, alpha: float = 2.0) -> Trajectory:
+    """Fixed-step joint integration of state and invariant on `march`.
 
+    Classic RK4 advances rho and (when `i0` is given) the invariant
+    through shared stages, with the generator evaluated once per distinct
+    time (2N + 1 evaluations for N steps). Without `i0` the invariant is
+    H(t), read from each node's kernel, and only rho is stepped; the
+    conservation guard then checks that H(t) is a weak invariant of `gen`.
 
-def integrate(
-    gen: LindbladGenerator,
-    rho0,
-    i0=None,
-    t0: float = 0.0,
-    t1: float = 0.5,
-    dt: float = 1e-3,
-    alpha: float = 2.0,
-) -> Trajectory:
-    """Fixed-step joint integration of state and invariant.
-
-    Classic fourth-order Runge-Kutta advances rho and (when `i0` is
-    given) the invariant matrix through shared stages, so both see the
-    generator at identical times. The generator is evaluated once per
-    distinct time: at each node (reused as the previous step's final
-    stage) and at each midpoint, 2N + 1 evaluations for N steps. Without
-    `i0` the invariant is H(t) itself, read in closed form from each
-    node's kernel, and only rho is stepped; the conservation guard then
-    checks that H(t) really is a weak invariant of `gen`.
-
-    The state is re-Hermitized once per step ((rho + rho^dag)/2, the
-    applied correction is tracked in notes); trace and positivity are
-    monitored, never enforced. The run aborts with a NumericalError if
-    the state stops being finite, tr(I rho) drifts beyond CONSERVATION_TOL
-    (relative to its initial size) or an eigenvalue of rho falls below
-    POSITIVITY_FLOOR.
+    The state is re-Hermitized once per step (the correction is tracked
+    in notes); trace and positivity are monitored, never enforced. The
+    node diagnostics run on stacks, once per block. The run aborts with a
+    NumericalError at the earliest node where the state stops being
+    finite, an eigenvalue of rho falls below POSITIVITY_FLOOR or tr(I rho)
+    drifts beyond CONSERVATION_TOL (relative to its initial size).
     """
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
 
     times = time_grid(t0, t1, dt)
-    n_nodes = times.size
+    rho = DensityMatrix.from_matrix(rho0).mat
+    # x stacks rho with the invariant when one is integrated
+    x = rho[None] if i0 is None else np.stack([rho, require_hermitian(i0, name="I(t0)")])
+    rhs = (Kernel.state_rhs, Kernel.invariant_rhs)[:len(x)]
 
-    m = DensityMatrix.from_matrix(rho0).mat.copy()
-    kern = Kernel(gen, times[0])
-    i_mat = kern.h if i0 is None else require_hermitian(i0, name="I(t0)").copy()
-
-    states = np.empty((n_nodes,) + m.shape, dtype=complex)
+    states = np.empty((times.size,) + rho.shape, dtype=complex)
     invariants = np.empty_like(states)
-    cols = {k: np.empty(n_nodes) for k in SERIES_KEYS}
-    max_herm_fix = 0.0
-    exp0 = None
+    cols = {k: np.empty(times.size) for k in SERIES_KEYS}
+    notes = {"max_herm_correction": 0.0}
+    exp0 = cons_scale = None
 
-    for idx, t in enumerate(times):
-        # node diagnostics
-        if not np.isfinite(m).all():
-            raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
-        sym = 0.5 * (m + m.conj().T)
+    def step(kernels, x):
+        nxt = np.stack([rk4_step(f, kernels, m, dt) for f, m in zip(rhs, x)])
+        fix = float(hermiticity_defect(nxt[0]))
+        notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
+        return 0.5 * (nxt + dagger(nxt))
+
+    # The block's arrays outlive each call, as loop variables would: each is
+    # freed only when the next block rebinds it, so its memory is reused
+    # rather than trimmed from the heap and faulted in again at large d.
+    jumps = sym = w = v = ir = iir = weight = weights = None
+
+    def observe(span, block, kernels):
+        nonlocal exp0, cons_scale, jumps, sym, w, v, ir, iir, weight, weights
+        t = times[span]
+        states[span] = block[:, 0]
+        if i0 is None:
+            np.stack([k.h for k in kernels], out=invariants[span])
+        else:
+            invariants[span] = block[:, 1]
+        rho, inv = states[span], invariants[span]
+        jumps = np.stack([k.jumps for k in kernels])
+        sym = 0.5 * (rho + dagger(rho))
         w, v = np.linalg.eigh(sym)
-        min_eig = float(w[0])
-        trace_err = float(abs(np.trace(m) - 1.0))
-        if min_eig < POSITIVITY_FLOOR:
-            raise NumericalError(
-                f"state lost positivity at t = {t:.6g}: min eigenvalue {min_eig:.3e} "
-                f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is "
-                "monitored, not enforced)"
-            )
-
-        i2 = i_mat @ i_mat
-        e_val = complex(np.trace(i_mat @ m))
-        e2_val = complex(np.trace(i2 @ m))
-        if abs(e_val.imag) > 1e-9 * max(abs(e_val), 1.0):
-            raise NumericalError(
-                f"<I> at t = {t:.6g} has imaginary residue {e_val.imag:.3e}"
-            )
+        min_eig = w[:, 0]
+        abort_at(min_eig < POSITIVITY_FLOOR, lambda k: (
+            f"state lost positivity at t = {t[k]:.6g}: min eigenvalue {min_eig[k]:.3e} "
+            f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is monitored, "
+            "not enforced)"))
+        ir = inv @ rho
+        iir = inv @ inv @ rho
+        e_val = np.trace(ir, axis1=-2, axis2=-1)
+        e2_val = np.trace(iir, axis1=-2, axis2=-1)
+        abort_at(np.abs(e_val.imag) > 1e-9 * np.maximum(np.hypot(e_val.real, e_val.imag), 1.0),
+                 lambda k: f"<I> at t = {t[k]:.6g} has imaginary residue {e_val[k].imag:.3e}")
         exp_i = e_val.real
         var_i = e2_val.real - exp_i * exp_i
-        if var_i < 0.0:
-            if var_i < -1e-10:
-                raise NumericalError(f"variance {var_i:.3e} negative at t = {t:.6g}")
-            var_i = 0.0
-
-        if exp0 is None:
-            exp0 = exp_i
+        abort_at(var_i < -1e-10,
+                 lambda k: f"variance {var_i[k]:.3e} negative at t = {t[k]:.6g}")
+        var_i = np.where(var_i < 0.0, 0.0, var_i)
+        if span.start == 0:
+            exp0 = exp_i[0]
             cons_scale = abs(exp0) if abs(exp0) > 1e-12 else 1.0
-        drift = abs(exp_i - exp0)
-        if drift > CONSERVATION_TOL * cons_scale:
-            raise NumericalError(
-                f"conservation breach at t = {t:.6g}: <I> drifted by {drift:.3e} "
-                f"(allowed {CONSERVATION_TOL * cons_scale:.3e}); the pair no longer "
-                "solves the two evolution equations consistently"
-            )
+        drift = np.abs(exp_i - exp0)
+        abort_at(drift > CONSERVATION_TOL * cons_scale, lambda k: (
+            f"conservation breach at t = {t[k]:.6g}: <I> drifted by {drift[k]:.3e} "
+            f"(allowed {CONSERVATION_TOL * cons_scale:.3e}); the pair no longer "
+            "solves the two evolution equations consistently"))
+        weight = escort(w, v, alpha) if alpha != 1.0 else sym
+        tr_err = np.trace(rho, axis1=-2, axis2=-1) - 1.0
+        cols["exp_I"][span] = exp_i
+        cols["var_I"][span] = var_i
+        cols["growth_formula"][span] = growth_rate(jumps, inv, rho)
+        cols["S_vn"][span], cols["S_renyi"][span] = entropies(w, alpha)
+        weights = np.stack((sym, weight))
+        cols["bound_vn"][span], cols["bound_renyi"][span] = entropy_bound(jumps, weights)
+        cols["trace_err"][span] = np.hypot(tr_err.real, tr_err.imag)
+        cols["min_eig"][span] = min_eig
 
-        escort = _escort(w, v, alpha)[1] if alpha != 1.0 else sym
-
-        cols["exp_I"][idx] = exp_i
-        cols["var_I"][idx] = var_i
-        cols["growth_formula"][idx] = kern.growth_rate(i_mat, m)
-        cols["S_vn"][idx] = _vn_from_evals(w)
-        cols["S_renyi"][idx] = _renyi_from_evals(w, alpha)
-        cols["bound_vn"][idx] = kern.bound_terms(sym)
-        cols["bound_renyi"][idx] = kern.bound_terms(escort)
-        cols["trace_err"][idx] = trace_err
-        cols["min_eig"][idx] = min_eig
-        states[idx] = m
-        invariants[idx] = i_mat
-
-        if idx == n_nodes - 1:
-            break
-
-        kernels = (kern, Kernel(gen, t + 0.5 * dt), Kernel(gen, times[idx + 1]))
-        m = rk4_step(Kernel.state_rhs, kernels, m, dt)
-        fix = float(np.abs(m - m.conj().T).max())
-        max_herm_fix = max(max_herm_fix, fix)
-        m = 0.5 * (m + m.conj().T)
-
-        kern = kernels[2]
-        if i0 is None:
-            i_mat = kern.h
-        else:
-            i_mat = rk4_step(Kernel.invariant_rhs, kernels, i_mat, dt)
-            i_mat = 0.5 * (i_mat + i_mat.conj().T)
-
+    march(times, dt, x, lambda t: Kernel(gen, t), step, observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
-    return Trajectory(
-        times=times,
-        states=states,
-        invariants=invariants,
-        series=cols,
-        notes={"max_herm_correction": max_herm_fix},
-    )
+    return Trajectory(times=times, states=states, invariants=invariants,
+                      series=cols, notes=notes)

@@ -29,6 +29,7 @@ from .channels import (
     sandwich,
 )
 from .config import ExperimentConfig
+from .errors import NumericalError
 from .fokker_planck import (
     ClassicalTrajectory,
     classical_growth_rate,
@@ -43,10 +44,9 @@ from .lindblad import (
     SERIES_KEYS,
     Kernel,
     Trajectory,
+    entropies,
     integrate,
-    renyi_entropy,
     rk4_step,
-    vn_entropy,
 )
 from .models import (
     edge_occupation,
@@ -59,7 +59,7 @@ from .models import (
     spin_hamiltonian,
     spin_predicted_growth,
 )
-from .operators import DensityMatrix, dagger, expectation, variance
+from .operators import DensityMatrix, _breach, dagger, expectation, variance
 from .thermo import (
     build_isoenergetic_path,
     canonical_state,
@@ -466,6 +466,8 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     lhs_scaled = path.temperature * (2.0 * path.heat_capacity * t_dot
                                      + path.temperature * c_dot)
     var_rate = np.gradient(path.var_h, dt, edge_order=2)
+    mats = np.stack([s.mat for s in path.states])
+    s_vn, s_renyi = entropies(np.linalg.eigvalsh(0.5 * (mats + dagger(mats))), cfg.alpha)
 
     columns = {
         "t": times,
@@ -473,8 +475,8 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
         "var_I": path.var_h,
         "growth_formula": lhs_scaled,
         "growth_fd": var_rate,
-        "S_vn": np.array([vn_entropy(s) for s in path.states]),
-        "S_renyi": np.array([renyi_entropy(s, cfg.alpha) for s in path.states]),
+        "S_vn": s_vn,
+        "S_renyi": s_renyi,
         "bound_vn": np.zeros(times.size),
         "bound_renyi": np.zeros(times.size),
         "trace_err": resid,
@@ -590,4 +592,16 @@ SCENARIO_SUMMARIES = {
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    return _RUNNERS[cfg.scenario](cfg)
+    """Run the configured scenario; a non-finite series value or check number
+    raises NumericalError naming the first one, so none is ever written."""
+    result = _RUNNERS[cfg.scenario](cfg)
+    table = np.column_stack([result.columns[k] for k in CSV_HEADER])
+    at = _breach(~np.isfinite(table))
+    if at is not None:
+        raise NumericalError(f"series column {CSV_HEADER[at[1]]} is not finite at row "
+                             f"{at[0]} (t = {table[at[0], 0]:.6g})")
+    for c in result.checks:
+        if not np.isfinite([c.measured, c.bound_or_target, c.tolerance]).all():
+            raise NumericalError(f"check {c.name} is not finite: measured {c.measured:.6g}, "
+                                 f"target {c.bound_or_target:.6g}, tol {c.tolerance:.6g}")
+    return result

@@ -142,6 +142,18 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
     assert "numerical abort" in capsys.readouterr().err
 
 
+def test_positivity_abort_names_the_node(tmp_path, capsys):
+    # an engine limit: at 180 Fock levels the default step loses positivity
+    cfg = _write(tmp_path, "osc180.json", {
+        "scenario": "oscillator", "t1": 0.04, "params": {"n_fock": 180}})
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: state lost positivity at t = 0.038: min eigenvalue "
+        "-2.504e-08 below floor -1.0e-08; reduce dt (positivity is monitored, "
+        "not enforced)\n"
+    )
+
+
 NON_FINITE_RUNS = pytest.mark.parametrize("name, doc, message", [
     # the field overflows at the first midpoint
     ("huge_rate", {"scenario": "spin", "t1": 0.01, "params": {"rate_c": 1e300}},
@@ -150,7 +162,13 @@ NON_FINITE_RUNS = pytest.mark.parametrize("name, doc, message", [
     ("huge_stiffness",
      {"scenario": "oscillator", "t1": 0.01, "params": {"k0": 1e300, "n_fock": 8}},
      "state is not finite at t = 0.001; reduce dt"),
-], ids=["huge_rate", "huge_stiffness"])
+    # the drift overflows the density in the first step
+    ("huge_drift", {"scenario": "fp_ou", "t1": 0.01, "params": {"gamma": 1e300}},
+     "state is not finite at t = 0.0001; reduce dt"),
+    # a finite density, but the square of the invariant overflows
+    ("huge_invariant", {"scenario": "fp_ou", "t1": 0.01, "params": {"a0": 1e300}},
+     "series column var_I is not finite at row 0 (t = 0)"),
+], ids=["huge_rate", "huge_stiffness", "huge_drift", "huge_invariant"])
 
 
 @NON_FINITE_RUNS
@@ -174,6 +192,24 @@ def test_non_finite_runs_print_no_numpy_warnings(tmp_path, name, doc, message):
     )
     assert proc.returncode == 3
     assert proc.stderr == f"numerical abort: {message}\n"
+    assert not (out / "verdict.json").exists()
+
+
+def test_non_finite_check_exits_3(tmp_path, capsys, monkeypatch):
+    # finite series but a check whose number overflowed: nothing is written
+    import weakinv.scenarios as scenarios
+
+    def runner(cfg):
+        result = real(cfg)
+        result.checks[0] = scenarios._rec("broken", "law", float("inf"), 0.0, 1e-9, False)
+        return result
+
+    real = scenarios._RUNNERS["spin"]
+    monkeypatch.setitem(scenarios._RUNNERS, "spin", runner)
+    out = tmp_path / "o"
+    assert main(["run", "--config", _spin_cfg(tmp_path), "--output-dir", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: check broken is not finite: measured inf, target 0, tol 1e-09\n")
     assert not (out / "verdict.json").exists()
 
 

@@ -1,18 +1,23 @@
 """Generator, invariant equation, growth law, entropies and their rate
 bounds, and the joint integrator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakinv.errors import NumericalError, ValidationError
 from weakinv.lindblad import (
+    BLOCK_BYTES,
+    BLOCK_NODES,
     Kernel,
     LindbladGenerator,
-    _escort,
+    entropies,
+    entropy_bound,
+    escort,
+    growth_rate,
     integrate,
-    renyi_entropy,
-    vn_entropy,
 )
 from weakinv.fokker_planck import (
     constant_diffusion,
@@ -21,7 +26,13 @@ from weakinv.fokker_planck import (
     ou_drift,
     ou_invariant_coeffs,
 )
-from weakinv.models import exponential_field, spin_generator, spin_hamiltonian
+from weakinv.models import (
+    exponential_field,
+    oscillator_generator,
+    rational_decay,
+    spin_generator,
+    spin_hamiltonian,
+)
 from weakinv.operators import (
     DensityMatrix,
     SIGMA_MINUS,
@@ -74,9 +85,9 @@ def test_growth_rate_dephasing():
     rho = np.eye(2, dtype=complex) / 2.0
     kern = Kernel(gen, 0.0)
     # 2c <[L,I]^dag [L,I]> with [s3, s1] = 2i s2: 2 * 4 = 8
-    assert kern.growth_rate(SIGMA_X, rho) == pytest.approx(8.0)
+    assert growth_rate(kern.jumps, SIGMA_X, rho) == pytest.approx(8.0)
     # I commuting with L gives exactly zero
-    assert kern.growth_rate(SIGMA_Z, rho) == pytest.approx(0.0)
+    assert growth_rate(kern.jumps, SIGMA_Z, rho) == pytest.approx(0.0)
 
 
 def test_identity_is_fixed_point_of_invariant_equation():
@@ -85,26 +96,33 @@ def test_identity_is_fixed_point_of_invariant_equation():
     assert np.abs(rhs).max() < 1e-14
 
 
-def test_entropies_on_known_spectra():
-    rho = DensityMatrix.from_matrix(np.diag([0.5, 0.5]).astype(complex))
-    assert vn_entropy(rho) == pytest.approx(np.log(2.0))
-    assert renyi_entropy(rho, 2.0) == pytest.approx(np.log(2.0))
-    assert renyi_entropy(rho, 0.5) == pytest.approx(np.log(2.0))
+def _spectrum(rho):
+    return np.linalg.eigvalsh(DensityMatrix.from_matrix(rho).mat)
 
-    pure = DensityMatrix.from_matrix(np.diag([1.0, 0.0]).astype(complex))
-    assert vn_entropy(pure) == pytest.approx(0.0, abs=1e-12)
-    assert renyi_entropy(pure, 2.0) == pytest.approx(0.0, abs=1e-12)
+
+def test_entropies_on_known_spectra():
+    rho = _spectrum(np.diag([0.5, 0.5]).astype(complex))
+    vn, renyi = entropies(rho, 2.0)
+    assert vn == pytest.approx(np.log(2.0))
+    assert renyi == pytest.approx(np.log(2.0))
+    assert entropies(rho, 0.5)[1] == pytest.approx(np.log(2.0))
+
+    pure = _spectrum(np.diag([1.0, 0.0]).astype(complex))
+    vn, renyi = entropies(pure, 2.0)
+    assert vn == pytest.approx(0.0, abs=1e-12)
+    assert renyi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_renyi_approaches_vn_near_alpha_one():
-    rho = DensityMatrix.from_matrix(np.diag([0.7, 0.2, 0.1]).astype(complex))
-    assert renyi_entropy(rho, 1.0) == pytest.approx(vn_entropy(rho))
-    assert renyi_entropy(rho, 1.0 + 1e-7) == pytest.approx(vn_entropy(rho), rel=1e-5)
+    rho = _spectrum(np.diag([0.7, 0.2, 0.1]).astype(complex))
+    vn, renyi = entropies(rho, 1.0)
+    assert renyi == vn
+    assert entropies(rho, 1.0 + 1e-7)[1] == pytest.approx(vn, rel=1e-5)
 
 
 def _escort_matrix(rho, alpha):
     w, v = np.linalg.eigh(rho)
-    return _escort(w, v, alpha)[1]
+    return escort(w, v, alpha)
 
 
 def test_escort_density_reweights_spectrum():
@@ -118,15 +136,15 @@ def test_hermitian_jump_bounds_vanish():
     gen = dephasing_generator(0.4)
     rho = np.diag([0.6, 0.4]).astype(complex)
     kern = Kernel(gen, 0.0)
-    assert kern.bound_terms(rho) == 0.0
-    assert kern.bound_terms(_escort_matrix(rho, 2.0)) == 0.0
+    assert entropy_bound(kern.jumps, rho) == 0.0
+    assert entropy_bound(kern.jumps, _escort_matrix(rho, 2.0)) == 0.0
 
 
 def test_damping_entropy_bound_on_excited_state():
     # [L^dag, L] = diag(1, -1); on the excited state the bound is 2c
     gen = damping_generator(0.5)
     rho = DensityMatrix.from_matrix(np.diag([1.0, 0.0]).astype(complex))
-    assert Kernel(gen, 0.0).bound_terms(rho.mat) == pytest.approx(1.0)
+    assert entropy_bound(Kernel(gen, 0.0).jumps, rho.mat) == pytest.approx(1.0)
 
     # and the actual entropy rate respects it: S(h) ~ -h ln h for the
     # decayed population h = 2c dt, so the early slope is enormous
@@ -185,8 +203,143 @@ def test_integrate_conservation_guard_trips():
         rates=lambda t: (0.5,),
     )
     rho0 = canonical_state(SIGMA_X, 1.0)
-    with pytest.raises(NumericalError, match="conservation breach at t = "):
+    with pytest.raises(NumericalError) as info:
         integrate(gen, rho0, t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
+    assert str(info.value) == CONSERVATION_BREACH
+
+
+CONSERVATION_BREACH = (
+    "conservation breach at t = 0.001: <I> drifted by 1.522e-03 (allowed "
+    "7.616e-08); the pair no longer solves the two evolution equations consistently"
+)
+
+
+def test_earlier_node_guard_wins_over_a_later_sampling_error():
+    # the rates turn NaN at node 30, inside the first block of nodes; the
+    # nodes already stepped are still observed first, so the breach at
+    # node 1 is what the run reports
+    gen = LindbladGenerator(
+        dim=2,
+        hamiltonian=lambda t: SIGMA_X,
+        jumps=[SIGMA_Z],
+        rates=lambda t: (float("nan") if t > 0.0299 else 0.5,),
+    )
+    with pytest.raises(ValidationError, match=r"rates\(0.03\) = \[nan\]"):
+        gen.eval(0.03)
+    rho0 = canonical_state(SIGMA_X, 1.0)
+    with pytest.raises(NumericalError) as info:
+        integrate(gen, rho0, t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
+    assert str(info.value) == CONSERVATION_BREACH
+
+
+def _random_nodes(rng, n_nodes, dim, n_jumps):
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    jumps = cplx(n_nodes, n_jumps, dim, dim)          # not normal
+    i_m = cplx(n_nodes, dim, dim)
+    inv = 0.5 * (i_m + i_m.conj().swapaxes(-1, -2))
+    r = cplx(n_nodes, dim, dim)
+    rho = r @ r.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return jumps, inv, rho
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+def test_stack_diagnostics_equal_single_node_calls(dim):
+    rng = np.random.default_rng(dim)
+    jumps, inv, rho = _random_nodes(rng, 5, dim, 2)
+    w, v = np.linalg.eigh(rho)
+    weight = escort(w, v, 2.0)
+    stacked = {
+        "growth": growth_rate(jumps, inv, rho),
+        "bound": entropy_bound(jumps, rho),
+        "vn": entropies(w, 2.0)[0],
+        "renyi": entropies(w, 2.0)[1],
+        "renyi_half": entropies(w, 0.5)[1],
+    }
+    both = entropy_bound(jumps, np.stack((rho, weight)))
+    assert both.shape == (2, 5)
+    assert np.array_equal(both[0], stacked["bound"])
+    for k in range(5):
+        single = {
+            "growth": growth_rate(jumps[k], inv[k], rho[k]),
+            "bound": entropy_bound(jumps[k], rho[k]),
+            "vn": entropies(w[k], 2.0)[0],
+            "renyi": entropies(w[k], 2.0)[1],
+            "renyi_half": entropies(w[k], 0.5)[1],
+        }
+        for key, value in single.items():
+            assert np.ndim(value) == 0 and value == stacked[key][k], key
+        assert np.array_equal(escort(w[k], v[k], 2.0), weight[k])
+        assert both[1, k] == entropy_bound(jumps[k], weight[k])
+
+
+def test_stack_guards_report_the_first_breaching_node():
+    rng = np.random.default_rng(3)
+    jumps, inv, rho = _random_nodes(rng, 4, 3, 1)
+    bad = rho.copy()
+    bad[2] *= -1.0          # negative states turn the second moment negative
+    bad[3] *= -2.0
+    with pytest.raises(NumericalError) as one:
+        growth_rate(jumps[2], inv[2], bad[2])
+    with pytest.raises(NumericalError) as stack:
+        growth_rate(jumps, inv, bad)
+    assert str(stack.value) == str(one.value)
+
+    weight = rho.astype(complex)
+    weight[1] *= 1j         # anti-Hermitian weights make the bound imaginary
+    weight[3] *= 2j
+    with pytest.raises(NumericalError) as one:
+        entropy_bound(jumps[1], weight[1])
+    with pytest.raises(NumericalError) as stack:
+        entropy_bound(jumps, weight)
+    assert str(stack.value) == str(one.value)
+
+
+def _block_edge_runs(run, rows):
+    """Windows ending just before, on and after a block edge reproduce the
+    first rows of a longer run bit for bit; growth_fd is a gradient over
+    the whole series, so only its last row (a one-sided difference) may
+    differ."""
+    full = run(2 * rows + 5)
+    for nodes in (rows - 1, rows, rows + 1):
+        part = run(nodes)
+        assert part.times.tobytes() == full.times[:nodes].tobytes()
+        assert part.states.tobytes() == full.states[:nodes].tobytes()
+        assert part.invariants.tobytes() == full.invariants[:nodes].tobytes()
+        for key, col in part.series.items():
+            upto = nodes - 1 if key == "growth_fd" else nodes
+            assert col[:upto].tobytes() == full.series[key][:upto].tobytes(), key
+
+
+def test_integrate_blocks_do_not_depend_on_the_window():
+    # dim 2 with an integrated invariant: full blocks of BLOCK_NODES nodes
+    model = exponential_field(B0, 0.1)
+    gen = spin_generator(model)
+    h0 = spin_hamiltonian(model, 0.0)
+    rho0 = canonical_state(h0, 1.0)
+    assert 2 * 2 * 2 * 16 * BLOCK_NODES <= BLOCK_BYTES
+
+    def run(nodes):
+        return integrate(gen, rho0, i0=h0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
+
+    _block_edge_runs(run, BLOCK_NODES)
+
+
+def test_integrate_byte_cap_shortens_blocks():
+    # 40 Fock levels: the byte cap, not BLOCK_NODES, sets the block length
+    model = replace(rational_decay(1.0, 0.5), n_fock=40)
+    gen = oscillator_generator(model)
+    k1, k2, _ = model.ops()
+    rho0 = canonical_state(k1 + float(model.k(0.0)) * k2, 1.0)
+    rows = BLOCK_BYTES // (40 * 40 * 16)
+    assert 1 < rows < BLOCK_NODES
+
+    def run(nodes):
+        return integrate(gen, rho0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
+
+    _block_edge_runs(run, rows)
 
 
 def test_closed_form_invariant_is_the_generator_hamiltonian():
@@ -239,7 +392,7 @@ def test_growth_rate_never_negative(seed):
         jumps=[l_op],
         rates=lambda t: (0.3,),
     )
-    assert Kernel(gen, 0.0).growth_rate(i_op, rho) >= -1e-12
+    assert growth_rate(Kernel(gen, 0.0).jumps, i_op, rho) >= -1e-12
 
 
 def test_negative_rate_rejected():
@@ -366,13 +519,13 @@ def test_non_finite_generator_values_are_rejected_naming_t():
 
 
 def test_kernel_guards_growth_sign_and_bound_residue():
-    kern = Kernel(damping_generator(0.5), 0.0)
+    jumps = Kernel(damping_generator(0.5), 0.0).jumps
     rho = np.diag([0.75, 0.25]).astype(complex)
     # a negative "state" turns the second moment negative
     with pytest.raises(NumericalError, match="growth rate .* is negative"):
-        kern.growth_rate(SIGMA_X.astype(complex), -rho)
+        growth_rate(jumps, SIGMA_X.astype(complex), -rho)
     # an anti-Hermitian weight makes the bound purely imaginary
     with pytest.raises(NumericalError, match="imaginary residue"):
-        kern.bound_terms(1j * rho)
-    bound = kern.bound_terms(rho)
-    assert type(bound) is float and bound == pytest.approx(0.5)
+        entropy_bound(jumps, 1j * rho)
+    bound = entropy_bound(jumps, rho)
+    assert type(bound) is np.float64 and bound == pytest.approx(0.5)
