@@ -176,7 +176,8 @@ def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
 
 @dataclass(frozen=True)
 class SpinModel:
-    """Field schedule B(t) and its derivative, each mapping t -> 3-vector."""
+    """Field schedule B(t) and its derivative, each mapping t -> 3-vector
+    (b maps a column of n times to (n, 3) for `spin_hamiltonian`)."""
 
     b: Callable[[float], np.ndarray]
     bdot: Callable[[float], np.ndarray]
@@ -188,8 +189,8 @@ def exponential_field(b0, rate: float) -> SpinModel:
     if base.shape != (3,):
         raise ValidationError(f"B0 must be a 3-vector, got shape {base.shape}")
 
-    def b(t: float) -> np.ndarray:
-        return base * np.exp(8.0 * rate * t)
+    def b(t) -> np.ndarray:
+        return np.exp(8.0 * rate * t)[..., None] * base
 
     def bdot(t: float) -> np.ndarray:
         return 8.0 * rate * base * np.exp(8.0 * rate * t)
@@ -236,9 +237,10 @@ def spin_coefficients(model: SpinModel, t: float) -> np.ndarray:
     return cs
 
 
-def spin_hamiltonian(model: SpinModel, t: float) -> np.ndarray:
+def spin_hamiltonian(model: SpinModel, t) -> np.ndarray:
+    """B(t) . sigma; a column of n times gives the (n, 2, 2) stack."""
     bv = np.asarray(model.b(t), dtype=float)
-    return sum(bv[n] * PAULIS[n] for n in range(3))
+    return sum(bv[..., n, None, None] * PAULIS[n] for n in range(3))
 
 
 def spin_generator(model: SpinModel) -> LindbladGenerator:

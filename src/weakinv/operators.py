@@ -54,14 +54,6 @@ def _require_square(a: np.ndarray, name: str) -> np.ndarray:
     return a
 
 
-def _require_matrix(a, name: str) -> np.ndarray:
-    """a as one square complex matrix; stacks are rejected, for the 2-D-only helpers."""
-    m = _as_matrix(a)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
-
-
 def _breach(bad) -> tuple | None:
     """Index of the first member where a guard mask holds, or None.
 

@@ -1,7 +1,7 @@
 """Canonical ensembles along an isoenergetic path.
 
 For a Hamiltonian family H(t) the canonical state at temperature T is
-exp(-H/T)/Z. Fixing the mean energy U and solving for T(t) node by node
+exp(-H/T)/Z. Fixing the mean energy U and solving for T(t) at every node
 gives the local-equilibrium description of a process whose expected
 energy is conserved while the spectrum of H(t) spreads. Along such a
 path the canonical energy variance is T^2 C with C the specific heat,
@@ -11,9 +11,10 @@ and its growth translates into the strict inequality
 
 which `check_specific_heat_relation` evaluates by central differences.
 
-Temperatures are in energy units (Boltzmann constant 1). All solvers
-work on the eigenvalues, with the ground energy subtracted before
-exponentiation so low temperatures cannot overflow.
+Temperatures are in energy units (Boltzmann constant 1). The helpers
+take stacks (..., d, d), temperatures and energies broadcasting per
+member, and work on the eigenvalues, with the ground energy subtracted
+before exponentiation so low temperatures cannot overflow.
 """
 
 from __future__ import annotations
@@ -23,105 +24,115 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import DensityMatrix, _require_matrix, require_hermitian, variance
+from .operators import (DensityMatrix, _as_matrix, _breach, _member, _require_square, dagger,
+                        hermiticity_defect, require_hermitian, variance)
 
 ROOT_TOL_REL = 1e-10
 T_BRACKET = (1e-6, 1e6)   # relative to the spectral scale of H
 
 
-def _spectrum(h) -> np.ndarray:
-    m = require_hermitian(_require_matrix(h, "Hamiltonian"), name="Hamiltonian")
-    return np.linalg.eigvalsh(m)
+def _hamiltonian(h) -> np.ndarray:
+    return require_hermitian(_require_square(_as_matrix(h), "Hamiltonian"), name="Hamiltonian")
 
 
-def _gibbs_weights(evals: np.ndarray, temperature: float) -> np.ndarray:
-    shifted = (evals - evals[0]) / temperature
-    p = np.exp(-shifted)
-    return p / p.sum()
+def _temperatures(temperature) -> np.ndarray:
+    temps = np.asarray(temperature)
+    at = _breach(temps <= 0.0)
+    if at is not None:
+        raise ValidationError(f"{_member(at)}temperature must be positive, got {temps[at]}")
+    return temps
 
 
-def canonical_state(h, temperature: float) -> DensityMatrix:
-    """exp(-H/T)/Z as a certified density matrix."""
-    if temperature <= 0.0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    m = require_hermitian(_require_matrix(h, "Hamiltonian"), name="Hamiltonian")
-    w, v = np.linalg.eigh(m)
-    p = _gibbs_weights(w, temperature)
-    out = v @ (p[:, None] * v.conj().T)
-    return DensityMatrix(
-        mat=out,
-        herm_defect=float(np.abs(out - out.conj().T).max()),
-        trace_defect=float(abs(np.trace(out) - 1.0)),
-        min_eig=float(p.min()),
-    )
+def _gibbs_weights(evals: np.ndarray, temps: np.ndarray) -> np.ndarray:
+    """exp(-E/T)/Z along the last axis of ascending spectra, one T per member."""
+    p = np.exp(-(evals - evals[..., :1]) / temps[..., None])
+    return p / p.sum(axis=-1, keepdims=True)
 
 
-def internal_energy(h, temperature: float) -> float:
-    """Canonical mean energy U(T) = tr(H exp(-H/T))/Z."""
-    if temperature <= 0.0:
-        raise ValidationError(f"temperature must be positive, got {temperature}")
-    w = _spectrum(h)
-    return float(np.dot(_gibbs_weights(w, temperature), w))
+def canonical_state(h, temperature) -> DensityMatrix:
+    """exp(-H/T)/Z as a certified density matrix, per member for stacks."""
+    temps = _temperatures(temperature)
+    w, v = np.linalg.eigh(_hamiltonian(h))
+    p = _gibbs_weights(w, temps)
+    out = v @ (p[..., :, None] * dagger(v))
+    return DensityMatrix(mat=out, herm_defect=hermiticity_defect(out),
+                         trace_defect=abs(np.trace(out, axis1=-2, axis2=-1) - 1.0),
+                         min_eig=p.min(axis=-1))
 
 
-def solve_isoenergetic_temperature(h, u: float) -> float:
-    """Temperature with canonical mean energy u.
+def internal_energy(h, temperature):
+    """Canonical mean energy U(T) = tr(H exp(-H/T))/Z, per member for stacks."""
+    temps = _temperatures(temperature)
+    w = np.linalg.eigvalsh(_hamiltonian(h))
+    return np.vecdot(_gibbs_weights(w, temps), w)
+
+
+def solve_isoenergetic_temperature(h, u):
+    """Temperature with canonical mean energy u, per member for stacks.
 
     U(T) increases monotonically from the ground energy (T -> 0) to the
     spectral mean (T -> inf), so u must lie strictly between the two.
     Bisection shrinks the bracket, Newton (with C = dU/dT) polishes; the
-    final residual must be below 1e-10 times the spectral scale.
+    final residual must be below 1e-10 times the spectral scale. Members
+    step alone and stop once converged; a breach names the earliest member,
+    at one member in the order flat, unreachable, bracket, stalled.
     """
-    w = _spectrum(h)
-    e_min, e_mean = float(w[0]), float(w.mean())
-    scale = max(float(np.abs(w).max()), 1e-30)
-    if e_mean - e_min <= 1e-14 * scale:
-        raise ValidationError("Hamiltonian is a multiple of the identity; U(T) is flat")
-    if not (e_min < u < e_mean):
-        raise ValidationError(
-            f"target energy {u:.12g} outside the reachable range "
-            f"({e_min:.12g}, {e_mean:.12g})"
-        )
+    evals = np.linalg.eigvalsh(_hamiltonian(h))
+    shape, d = np.broadcast_shapes(evals.shape[:-1], np.shape(u)), evals.shape[-1]
+    w = np.broadcast_to(evals, shape + (d,)).reshape(-1, d)
+    u = np.broadcast_to(np.asarray(u, dtype=float), shape).ravel()
 
-    def f(temp: float) -> float:
-        return float(np.dot(_gibbs_weights(w, temp), w)) - u
+    def f(temps, k=slice(None)):   # U(T) - u on members k, and the weights
+        p = _gibbs_weights(w[k], temps)
+        return np.vecdot(p, w[k]) - u[k], p
 
-    lo, hi = T_BRACKET[0] * scale, T_BRACKET[1] * scale
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise NumericalError(
-            f"bracket failure: U({lo:.3e}) - u = {flo:.3e}, U({hi:.3e}) - u = {fhi:.3e}"
-        )
+    e_min, e_mean = w[:, 0], w.mean(axis=-1)
+    scale = np.maximum(np.abs(w).max(axis=-1), 1e-30)
+    flat = e_mean - e_min <= 1e-14 * scale
+    outside = ~((e_min < u) & (u < e_mean))
+    bottom, top = T_BRACKET[0] * scale, T_BRACKET[1] * scale
+    f_lo, f_hi = f(bottom)[0], f(top)[0]
+    bracket = (f_lo > 0.0) | (f_hi < 0.0)
+    live, resid = ~(flat | outside | bracket), np.full(u.size, np.nan)
+
+    lo, hi = bottom.copy(), top.copy()
     for _ in range(80):   # geometric bisection, the bracket spans 12 decades
-        if hi - lo <= 1e-3 * lo:
+        k = np.flatnonzero(live & ~(hi - lo <= 1e-3 * lo))   # a bracket once narrow stays so
+        if k.size == 0:
             break
-        mid = float(np.sqrt(lo * hi))
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+        mid = np.sqrt(lo[k] * hi[k])
+        below = f(mid, k)[0] < 0.0
+        lo[k[below]], hi[k[~below]] = mid[below], mid[~below]
 
-    temp = 0.5 * (lo + hi)
-    tol = ROOT_TOL_REL * scale
-    for _ in range(60):
-        resid = f(temp)
-        if abs(resid) <= tol:
-            return float(temp)
-        if resid < 0.0:
-            lo = temp
-        else:
-            hi = temp
-        p = _gibbs_weights(w, temp)
-        var = float(np.dot(p, w * w) - np.dot(p, w) ** 2)
-        deriv = var / temp**2
-        nxt = temp - resid / deriv if deriv > 0.0 else 0.0
-        temp = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    resid = f(temp)
-    if abs(resid) > tol:
-        raise NumericalError(
-            f"temperature solve stalled: residual {resid:.3e} exceeds {tol:.3e}"
-        )
-    return float(temp)
+    temp, tol = 0.5 * (lo + hi), ROOT_TOL_REL * scale
+    for polish in range(61):   # a residual test before each of 60 Newton steps, and a last
+        k = np.flatnonzero(live)
+        resid[k], p = f(temp[k], k)
+        live[k] = np.abs(resid[k]) > tol[k]
+        if polish == 60 or not live.any():
+            break
+        k, p = k[live[k]], p[live[k]]
+        t, r = temp[k], resid[k]
+        lo[k], hi[k] = np.where(r < 0.0, t, lo[k]), np.where(r < 0.0, hi[k], t)
+        deriv = (np.vecdot(p, w[k] ** 2) - np.vecdot(p, w[k]) ** 2) / t**2
+        nxt = t - np.divide(r, deriv, out=np.full(k.size, np.inf), where=deriv > 0.0)
+        temp[k] = np.where((lo[k] < nxt) & (nxt < hi[k]), nxt, 0.5 * (lo[k] + hi[k]))
+
+    guard = np.select([flat, outside, bracket, live], [1, 2, 3, 4]).reshape(shape)
+    at = _breach(guard > 0)
+    if at is not None:
+        n = np.ravel_multi_index(at, shape)
+        exc, text = (
+            (ValidationError, "Hamiltonian is a multiple of the identity; U(T) is flat"),
+            (ValidationError, f"target energy {u[n]:.12g} outside the reachable range "
+                              f"({e_min[n]:.12g}, {e_mean[n]:.12g})"),
+            (NumericalError, f"bracket failure: U({bottom[n]:.3e}) - u = {f_lo[n]:.3e}, "
+                             f"U({top[n]:.3e}) - u = {f_hi[n]:.3e}"),
+            (NumericalError, f"temperature solve stalled: residual {resid[n]:.3e} "
+                             f"exceeds {tol[n]:.3e}"),
+        )[guard[at] - 1]
+        raise exc(_member(at) + text)
+    return temp.reshape(shape)[()]
 
 
 @dataclass
@@ -133,41 +144,39 @@ class IsoenergeticPath:
     temperature: np.ndarray
     heat_capacity: np.ndarray
     var_h: np.ndarray
-    states: list[DensityMatrix]
+    states: DensityMatrix
+    heating: np.ndarray   # 2 C T' + T C' by central differences, second order at the ends
 
 
-def build_isoenergetic_path(h_of_t, times, u: float) -> IsoenergeticPath:
-    """Solve T(t) with U fixed for each node of a uniform time grid."""
+def build_isoenergetic_path(h, times, u: float) -> IsoenergeticPath:
+    """Solve T(t) with U fixed at every node of a uniform time grid.
+
+    h is the (n, d, d) stack of the path's Hamiltonians, one per node.
+    """
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or ts.size < 3:
         raise ValidationError("need a 1-d grid with at least 3 nodes")
     steps = np.diff(ts)
     if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
         raise ValidationError("time grid must be uniform for the difference checks")
-    temps = np.empty(ts.size)
-    heats = np.empty(ts.size)
-    var_h = np.empty(ts.size)
-    states: list[DensityMatrix] = []
-    for i, t in enumerate(ts):
-        h = h_of_t(t)
-        temps[i] = solve_isoenergetic_temperature(h, u)
-        state = canonical_state(h, temps[i])
-        var_h[i] = variance(h, state)
-        heats[i] = var_h[i] / temps[i] ** 2
-        states.append(state)
-    return IsoenergeticPath(
-        times=ts, u=float(u), temperature=temps,
-        heat_capacity=heats, var_h=var_h, states=states,
-    )
+    hs = _as_matrix(h)
+    if hs.shape[:-2] != ts.shape:
+        raise ValidationError(f"need one Hamiltonian per node, got {hs.shape} for {ts.size}")
+    temps = solve_isoenergetic_temperature(hs, u)
+    states = canonical_state(hs, temps)
+    var_h = variance(hs, states)
+    heats, dt = var_h / temps**2, float(ts[1] - ts[0])
+    heating = (2.0 * heats * np.gradient(temps, dt, edge_order=2)
+               + temps * np.gradient(heats, dt, edge_order=2))
+    return IsoenergeticPath(times=ts, u=float(u), temperature=temps, heat_capacity=heats,
+                            var_h=var_h, states=states, heating=heating)
 
 
 def check_specific_heat_relation(path: IsoenergeticPath) -> dict:
     """Central-difference test of 2 C T' + T C' > 0 and of the identity
     T (2 C T' + T C') = d(T^2 C)/dt, reported at interior nodes."""
     dt = float(path.times[1] - path.times[0])
-    t_dot = np.gradient(path.temperature, dt, edge_order=2)
-    c_dot = np.gradient(path.heat_capacity, dt, edge_order=2)
-    lhs = 2.0 * path.heat_capacity * t_dot + path.temperature * c_dot
+    lhs = path.heating
     var_rate = np.gradient(path.temperature**2 * path.heat_capacity, dt, edge_order=2)
     interior = slice(1, -1)
     prod = path.temperature[interior] * lhs[interior]
@@ -180,10 +189,10 @@ def check_specific_heat_relation(path: IsoenergeticPath) -> dict:
     }
 
 
-def trace_distance(rho_a, rho_b) -> float:
-    """(1/2) tr |a - b| for Hermitian matrices."""
+def trace_distance(rho_a, rho_b):
+    """(1/2) tr |a - b| for Hermitian matrices, per member for stacks of one shape."""
     ma = require_hermitian(rho_a, name="a")
     mb = require_hermitian(rho_b, name="b")
-    if ma.shape != mb.shape or ma.ndim != 2:
+    if ma.shape != mb.shape:
         raise ValidationError(f"need two matrices of one shape, got {ma.shape} vs {mb.shape}")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum())
+    return 0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum(axis=-1)

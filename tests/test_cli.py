@@ -168,7 +168,12 @@ NON_FINITE_RUNS = pytest.mark.parametrize("name, doc, message", [
     # a finite density, but the square of the invariant overflows
     ("huge_invariant", {"scenario": "fp_ou", "t1": 0.01, "params": {"a0": 1e300}},
      "series column var_I is not finite at row 0 (t = 0)"),
-], ids=["huge_rate", "huge_stiffness", "huge_drift", "huge_invariant"])
+    # not a non-finite value but the same abort path: so cold a start puts
+    # U on the ground energy, which no finite temperature reaches
+    ("frozen_start", {"scenario": "thermo_spin", "params": {"t_init": 1e-3}},
+     "stack member 0: target energy -3.74165738677 outside the reachable range "
+     "(-3.74165738677, 0)"),
+], ids=["huge_rate", "huge_stiffness", "huge_drift", "huge_invariant", "frozen_start"])
 
 
 @NON_FINITE_RUNS

@@ -198,6 +198,15 @@ def test_spin_hamiltonian_is_field_dot_paulis():
     assert np.abs(h - want).max() < 1e-14
 
 
+def test_spin_hamiltonian_on_a_column_of_times():
+    model = exponential_field(np.array([1.0, -2.0, 3.0]), 0.1)
+    times = 0.5 / 2048 * np.arange(2049)
+    hs = spin_hamiltonian(model, times)
+    assert hs.shape == (2049, 2, 2)
+    for t, h in zip(times, hs):
+        assert np.array_equal(h, spin_hamiltonian(model, float(t)))
+
+
 def test_spin_invariance_residual_vanishes():
     model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
     gen = spin_generator(model)

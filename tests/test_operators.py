@@ -108,12 +108,11 @@ def test_expectation_rejects_large_imaginary_part():
 @pytest.mark.parametrize("entry", [lambda h: canonical_state(h, 1.0),
                                    lambda h: internal_energy(h, 1.0)],
                          ids=["canonical_state", "internal_energy"])
-def test_two_d_entry_points_reject_stacks(entry):
-    # a stack of Hermitian matrices passes the stack-aware checks, so the
-    # 2-D-only helpers must refuse it as a config-level shape error
-    stack = np.stack([SIGMA_Z, SIGMA_X])
-    with pytest.raises(ValidationError, match="must be a square matrix"):
-        entry(stack)
+def test_thermo_entry_points_reject_non_square_input(entry):
+    # a non-square input is a config-level shape error, named as the Hamiltonian
+    for bad in (np.ones((2, 3), dtype=complex), np.ones(2, dtype=complex)):
+        with pytest.raises(ValidationError, match="Hamiltonian must be a square matrix"):
+            entry(bad)
 
 
 @given(st.integers(2, 8), st.integers(0, 10**6))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakinv.errors import ValidationError
+from weakinv.errors import NumericalError, ValidationError
 from weakinv.models import exponential_field, spin_hamiltonian
 from weakinv.operators import SIGMA_Z, expectation, variance
 from weakinv.thermo import (
@@ -37,7 +37,7 @@ def test_canonical_state_commutes_with_hamiltonian():
 
 def _static_path_heat(h, temp):
     """Heat capacity the path builder reports for a constant H held at energy U(temp)."""
-    path = build_isoenergetic_path(lambda t: h, np.linspace(0.0, 1.0, 3),
+    path = build_isoenergetic_path(np.stack([h] * 3), np.linspace(0.0, 1.0, 3),
                                    internal_energy(h, temp))
     assert path.temperature == pytest.approx(temp, rel=1e-9)
     return float(path.heat_capacity[1])
@@ -106,8 +106,7 @@ def test_isoenergetic_path_identity_on_smooth_window():
     model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
     times = 0.5 / 512 * np.arange(513)
     u = internal_energy(spin_hamiltonian(model, 0.0), 4.0)
-    path = build_isoenergetic_path(
-        lambda t: spin_hamiltonian(model, t), times, u)
+    path = build_isoenergetic_path(spin_hamiltonian(model, times), times, u)
     rel = check_specific_heat_relation(path)
     assert rel["min_lhs"] > 0.0
     assert rel["max_identity_rel_err"] < 1e-5
@@ -118,8 +117,14 @@ def test_path_requires_uniform_grid():
     model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
     bad = np.array([0.0, 0.1, 0.3])
     with pytest.raises(ValidationError):
-        build_isoenergetic_path(
-            lambda t: spin_hamiltonian(model, t), bad, -1.0)
+        build_isoenergetic_path(spin_hamiltonian(model, bad), bad, -1.0)
+
+
+def test_path_needs_one_hamiltonian_per_node():
+    model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
+    times = np.linspace(0.0, 0.1, 5)
+    with pytest.raises(ValidationError, match="one Hamiltonian per node"):
+        build_isoenergetic_path(spin_hamiltonian(model, times[:4]), times, -1.0)
 
 
 def test_trace_distance_basics():
@@ -129,6 +134,66 @@ def test_trace_distance_basics():
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-14)
     mixed = np.eye(2, dtype=complex) / 2.0
     assert trace_distance(a, mixed) == pytest.approx(0.5)
-    # a stack passes the Hermiticity check member-wise but has no single distance
-    with pytest.raises(ValidationError):
-        trace_distance(np.stack([a, mixed]), np.stack([b, mixed]))
+    # a stack gives one distance per member; shapes must still match
+    pairs = trace_distance(np.stack([a, a, mixed]), np.stack([b, a, a]))
+    assert pairs.tolist() == [trace_distance(a, b), trace_distance(a, a),
+                              trace_distance(mixed, a)]
+    with pytest.raises(ValidationError, match="one shape"):
+        trace_distance(np.stack([a, mixed]), a)
+
+
+def _random_hamiltonians(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    return 0.5 * (g + g.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("dim", [2, 5])
+def test_stacked_calls_equal_two_d_calls(dim):
+    hs = _random_hamiltonians(6, dim, 23 + dim)
+    temps = np.array([0.3, 0.6, 1.0, 2.5, 7.0, 40.0])
+    u = internal_energy(hs, temps)
+    assert u.shape == (6,)
+    back = solve_isoenergetic_temperature(hs, u)
+    states = canonical_state(hs, temps)
+    dist = trace_distance(states.mat, canonical_state(hs, 1.0).mat)
+    for k in range(6):
+        assert u[k] == internal_energy(hs[k], temps[k])
+        assert back[k] == solve_isoenergetic_temperature(hs[k], u[k])
+        one = canonical_state(hs[k], temps[k])
+        assert np.array_equal(states.mat[k], one.mat)
+        assert (states.herm_defect[k], states.min_eig[k]) == (one.herm_defect, one.min_eig)
+        # |tr - 1| of equal matrices: numpy's complex abs on an array may
+        # round the last bit differently from the scalar one
+        assert states.trace_defect[k] == pytest.approx(one.trace_defect, rel=1e-12)
+        assert dist[k] == trace_distance(one, canonical_state(hs[k], 1.0))
+    # one Hamiltonian broadcasts against a column of temperatures and energies
+    h = hs[0]
+    assert np.array_equal(canonical_state(h, temps).mat,
+                          np.stack([canonical_state(h, t).mat for t in temps]))
+    assert np.array_equal(solve_isoenergetic_temperature(h, internal_energy(h, temps)),
+                          [solve_isoenergetic_temperature(h, internal_energy(h, t))
+                           for t in temps])
+
+
+def test_stack_guards_name_the_earliest_member():
+    z = np.diag([1.0, 0.0, -1.0]).astype(complex)    # levels -1, 0, 1
+    # member 1 misses the reachable range; member 2 is flat, a guard listed
+    # earlier, but the earlier member is reported
+    hs = np.stack([z, z, np.eye(3, dtype=complex)])
+    with pytest.raises(ValidationError) as err:
+        solve_isoenergetic_temperature(hs, np.array([-0.5, -1.5, 1.0]))
+    assert str(err.value) == (
+        "stack member 1: target energy -1.5 outside the reachable range (-1, 0)")
+    # at one member the guard order holds: flat before out of range
+    with pytest.raises(ValidationError) as err:
+        solve_isoenergetic_temperature(hs, np.array([-0.5, -0.5, 5.0]))
+    assert str(err.value) == (
+        "stack member 2: Hamiltonian is a multiple of the identity; U(T) is flat")
+    # a level 1e-7 above the ground is populated even at the bracket's lower
+    # end, so an energy just above the ground cannot be bracketed
+    gap = np.diag([-1.0, -1.0 + 1e-7, 1.0]).astype(complex)
+    with pytest.raises(NumericalError, match=r"^stack member 1: bracket failure: "):
+        solve_isoenergetic_temperature(np.stack([z, gap]), np.array([-0.5, -1.0 + 1e-8]))
+    with pytest.raises(ValidationError, match=r"^stack member 1: temperature must be positive"):
+        canonical_state(np.stack([z, z]), np.array([1.0, -2.0]))
