@@ -32,7 +32,6 @@ from .models import (
 )
 from .operators import (
     DensityMatrix,
-    Tolerances,
     dagger,
     expectation,
     variance,

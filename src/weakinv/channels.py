@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .operators import (
-    DEFAULT_TOL,
+    TRACE_TOL,
     DensityMatrix,
-    Tolerances,
     _as_matrix,
     _breach,
     _member,
@@ -87,7 +86,7 @@ def sandwich(left, m, right) -> np.ndarray:
     return (left @ m[..., None, :, :] @ right).sum(axis=-3)
 
 
-def apply(ch: QuantumChannel, rho, tol: Tolerances = DEFAULT_TOL) -> DensityMatrix:
+def apply(ch: QuantumChannel, rho) -> DensityMatrix:
     """Schroedinger-picture action rho -> sum V rho V^dag.
 
     The output is validated as a density matrix; a positivity failure
@@ -99,9 +98,7 @@ def apply(ch: QuantumChannel, rho, tol: Tolerances = DEFAULT_TOL) -> DensityMatr
         raise ValidationError(f"state shape {m.shape} does not match channel dim {ch.dim}")
     out = sandwich(ch.kraus, m, dagger(ch.kraus))
     # Loosen the trace check by the channel's own certified defect.
-    eff = Tolerances(herm=tol.herm, psd=tol.psd,
-                     trace=max(tol.trace, 2.0 * ch.tp_tol), imag=tol.imag)
-    return DensityMatrix.from_matrix(out, tol=eff)
+    return DensityMatrix.from_matrix(out, trace_tol=max(TRACE_TOL, 2.0 * ch.tp_tol))
 
 
 def adjoint_apply(ch: QuantumChannel, x) -> np.ndarray:

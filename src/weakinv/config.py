@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .fokker_planck import space_grid
+from .fokker_planck import explicit_step_limit, space_grid
 from .lindblad import time_grid
 
 
@@ -36,7 +36,7 @@ _COMMON_DEFAULTS = {
 
 # Scenario-specific overrides of the common block. The classical run needs
 # a longer window and a step inside the explicit-diffusion budget for its
-# default grid spacing.
+# default grid spacing; validate_config rejects a step outside it.
 _SCENARIO_COMMON: dict[str, dict[str, float]] = {
     "fp_ou": {"t1": 1.0, "dt": 1e-4},
 }
@@ -196,7 +196,12 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if scenario in _STEPS_ON_DT:
             time_grid(common["t0"], common["t1"], common["dt"])
         if scenario == "fp_ou":
-            space_grid(params["x_min"], params["x_max"], params["h"])
+            x = space_grid(params["x_min"], params["x_max"], params["h"])
+            # the spacing the engine steps on, which may sit a hair off h
+            limit = explicit_step_limit(x[1] - x[0], params["diffusion"])
+            if common["dt"] > limit:
+                raise ValidationError(f"dt = {common['dt']:.3e} exceeds the explicit-step "
+                                      f"budget h^2/(2 max D) = {limit:.3e}")
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -16,7 +16,10 @@ can only grow (the drift never contributes). The invariant equation run
 forward on a grid is anti-diffusive and ill-posed, so J is restricted to
 the quadratic ansatz J = a(t) x^2 + b(t) x + e(t), whose coefficient
 dynamics is exact. For the Ornstein-Uhlenbeck process (K = -gamma x,
-constant D) the coefficients are elementary exponentials.
+constant D) the coefficients are elementary exponentials. K and D are
+arrays on the grid; only J depends on t. The series carry the names of
+the CSV slots they fill: `exp_I`, `var_I` are <J> and its spread,
+`trace_err` the mass defect and `min_eig` the smallest density value.
 
 The grid operator uses centered second-order differences in flux form;
 degree <= 2 polynomials differentiate exactly under those stencils, which
@@ -111,12 +114,13 @@ class PolyInvariant:
         return 2.0 * self.a(t) * xv + self.b(t)
 
     def residual(self, x, drift, diffusion, t: float) -> float:
-        """Max-abs defect of the invariant equation; needs the rate callables."""
+        """Max-abs defect of the invariant equation, K and D on the grid x; needs the rates."""
         if self.da is None or self.db is None or self.de is None:
             raise ValidationError("residual needs analytic coefficient rates")
         xv = np.asarray(x, dtype=float)
+        drift, diffusion = _on_grid(xv, drift, diffusion)
         dj_dt = self.da(t) * xv * xv + self.db(t) * xv + self.de(t)
-        res = dj_dt + drift(xv, t) * self.slope(xv, t) + diffusion(xv, t) * 2.0 * self.a(t)
+        res = dj_dt + drift * self.slope(xv, t) + diffusion * 2.0 * self.a(t)
         return float(np.abs(res).max())
 
 
@@ -143,12 +147,19 @@ def ou_invariant_coeffs(
     )
 
 
-def ou_drift(gamma: float) -> Callable:
-    return lambda x, t: -gamma * np.asarray(x, dtype=float)
+def _on_grid(x: np.ndarray, *coeffs) -> list[np.ndarray]:
+    """The coefficient arrays, each checked to be sampled on the grid x."""
+    out = [np.asarray(c, dtype=float) for c in coeffs]
+    if any(c.shape != x.shape for c in out):
+        raise ValidationError(f"coefficients must be sampled on the grid {x.shape}, "
+                              f"got shapes {[c.shape for c in out]}")
+    return out
 
 
-def constant_diffusion(d_const: float) -> Callable:
-    return lambda x, t: np.full_like(np.asarray(x, dtype=float), d_const)
+def explicit_step_limit(h: float, diffusion) -> float:
+    """h^2 / (2 max D), the largest stable explicit step; inf when D vanishes."""
+    d_max = float(np.max(diffusion))
+    return h * h / (2.0 * d_max) if d_max > 0.0 else np.inf
 
 
 def fp_rhs(
@@ -157,7 +168,7 @@ def fp_rhs(
     """Semi-discrete right-hand side, centered differences, fixed edge nodes.
 
     `p` is the density on a grid of spacing `h`; `drift_values` and
-    `diffusion_values` are K and D sampled on that grid at the stage time.
+    `diffusion_values` are K and D sampled on that grid.
     """
     kp = drift_values * p
     dp = diffusion_values * p
@@ -201,13 +212,12 @@ def classical_growth_rate(
 ) -> float | np.ndarray:
     """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent).
 
-    Takes a stack of densities with one time per row as
-    `invariant_moments` does; `diffusion` is then called with that
-    column of times.
+    `diffusion` is D sampled on the grid. Takes a stack of densities with
+    one time per row as `invariant_moments` does.
     """
-    tc = _row_times(dist, t)
-    s = inv.slope(dist.x, tc)
-    rate = 2.0 * np.trapezoid(diffusion(dist.x, tc) * s * s * dist.values, dist.x)
+    (diffusion,) = _on_grid(dist.x, diffusion)
+    s = inv.slope(dist.x, _row_times(dist, t))
+    rate = 2.0 * np.trapezoid(diffusion * s * s * dist.values, dist.x)
     return _scalar_or_rows(rate, t)
 
 
@@ -218,28 +228,27 @@ class ClassicalTrajectory:
     notes: dict[str, float] = field(default_factory=dict)
 
 
-CLASSICAL_SERIES_KEYS = ("bar_J", "var_J", "growth_formula", "growth_fd",
-                         "mass_err", "boundary_max", "min_P")
-
-
 def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
            t0: float, t1: float, dt: float) -> ClassicalTrajectory:
     """Fixed-step RK4 integration on `lindblad.march`, with safety monitors.
 
     Both integrators share one grid rule, one stepper and one loop; RK4
-    keeps the conserved <J> flat to rounding. Drift and diffusion are
-    sampled once per distinct time; the samples are a step's "kernels".
+    keeps the conserved <J> flat to rounding. `drift` and `diffusion` are
+    K and D sampled on `dist.x`; every stage of every step uses them.
     Guards and diagnostics run once per block of nodes, and the run
     aborts at the earliest node where the density stops being finite,
     reaches the boundary or goes negative, or (at a node that starts a
-    step) its sample breaks the CFL budget dt <= h^2 / (2 max D).
+    step) dt breaks the CFL budget `explicit_step_limit`.
     """
     times = time_grid(t0, t1, dt)
     h, x = dist.h, dist.x
-    mass0 = float(np.trapezoid(dist.values, x))
-    cols = {k: np.empty(times.size) for k in CLASSICAL_SERIES_KEYS}
+    coeffs = tuple(_on_grid(x, drift, diffusion))
+    limit = explicit_step_limit(h, coeffs[1])
+    mass0 = dist.mass
+    cols = {k: np.empty(times.size) for k in
+            ("exp_I", "var_I", "growth_formula", "growth_fd", "trace_err", "min_eig")}
 
-    def observe(span, block, coeffs):
+    def observe(span, block, _):
         t = times[span]
         peak = block.max(axis=1)
         bmax = np.abs(block[:, [0, 1, -2, -1]]).max(axis=1)
@@ -249,20 +258,17 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
         pmin = block.min(axis=1)
         abort_at(pmin < -NEGATIVITY_TOL * peak,
                  lambda k: f"density went negative at t = {t[k]:.6g}: min {pmin[k]:.3e}")
-        dmax = np.array([c[1].max() for c in coeffs])
-        limit = np.divide(h * h, 2.0 * dmax, out=np.full(dmax.shape, np.inf), where=dmax > 0.0)
         abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit), lambda k: (
             f"explicit-step budget violated at t = {t[k]:.6g}: "
-            f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit[k]:.3e}"))
+            f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit:.3e}"))
 
         blk = GridDistribution(x=x, values=block, h=h)
-        cols["bar_J"][span], cols["var_J"][span] = invariant_moments(inv, blk, t)
-        cols["growth_formula"][span] = classical_growth_rate(inv, blk, diffusion, t)
-        cols["mass_err"][span] = np.trapezoid(block, x) - mass0
-        cols["boundary_max"][span] = bmax
-        cols["min_P"][span] = pmin
+        cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t)
+        cols["growth_formula"][span] = classical_growth_rate(inv, blk, coeffs[1], t)
+        cols["trace_err"][span] = np.trapezoid(block, x) - mass0
+        cols["min_eig"][span] = pmin
 
-    march(times, dt, dist.values, lambda t: (drift(x, t), diffusion(x, t)),
-          lambda coeffs, p: rk4_step(lambda c, v: fp_rhs(v, h, *c), coeffs, p, dt), observe)
-    cols["growth_fd"] = np.gradient(cols["var_J"], dt, edge_order=2)
+    march(times, dt, dist.values, lambda t: coeffs,
+          lambda c, p: rk4_step(lambda k, v: fp_rhs(v, h, *k), c, p, dt), observe)
+    cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

@@ -29,17 +29,14 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default numerical tolerances for operator certification."""
-
-    herm: float = 1e-10
-    psd: float = 1e-10
-    trace: float = 1e-9
-    imag: float = 1e-9
-
-
-DEFAULT_TOL = Tolerances()
+# Certification tolerances: Hermiticity defect, negative-eigenvalue floor,
+# trace defect (loosened per call by `channels.apply`), imaginary residue
+# of an expectation, and the roundoff a negative variance is clipped from.
+HERM_TOL = 1e-10
+PSD_TOL = 1e-10
+TRACE_TOL = 1e-9
+IMAG_TOL = 1e-9
+VARIANCE_CLIP = 1e-10
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -81,15 +78,14 @@ def hermiticity_defect(a):
     return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
 
 
-def require_hermitian(a, tol: float = DEFAULT_TOL.herm, name: str = "operator") -> np.ndarray:
-    """Return a as an ndarray after certifying every matrix Hermitian within tol."""
+def require_hermitian(a, name: str = "operator") -> np.ndarray:
+    """Return a as an ndarray after certifying every matrix Hermitian within HERM_TOL."""
     m = _as_matrix(a)
     defect = hermiticity_defect(m)
-    at = _breach(defect > tol)
+    at = _breach(defect > HERM_TOL)
     if at is not None:
-        raise ValidationError(
-            f"{_member(at)}{name} is not Hermitian: defect {defect[at]:.3e} exceeds tol {tol:.1e}"
-        )
+        raise ValidationError(f"{_member(at)}{name} is not Hermitian: defect "
+                              f"{defect[at]:.3e} exceeds tol {HERM_TOL:.1e}")
     return m
 
 
@@ -115,29 +111,29 @@ class DensityMatrix:
     min_eig: float
 
     @classmethod
-    def from_matrix(cls, mat, tol: Tolerances = DEFAULT_TOL) -> "DensityMatrix":
+    def from_matrix(cls, mat, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
         m = _require_square(_as_matrix(mat), "state")
         herm = hermiticity_defect(m)
-        at = _breach(herm > tol.herm)
+        at = _breach(herm > HERM_TOL)
         if at is not None:
             raise ValidationError(
                 f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
-                f"exceeds tol {tol.herm:.1e}"
+                f"exceeds tol {HERM_TOL:.1e}"
             )
         tr = np.trace(m, axis1=-2, axis2=-1)
         trace_defect = abs(tr - 1.0)
-        at = _breach(trace_defect > tol.trace)
+        at = _breach(trace_defect > trace_tol)
         if at is not None:
             raise ValidationError(
                 f"{_member(at)}state trace {tr[at]:.12g} misses 1 by "
-                f"{trace_defect[at]:.3e} (tol {tol.trace:.1e})"
+                f"{trace_defect[at]:.3e} (tol {trace_tol:.1e})"
             )
         min_eig = np.linalg.eigvalsh(0.5 * (m + dagger(m)))[..., 0]
-        at = _breach(min_eig < -tol.psd)
+        at = _breach(min_eig < -PSD_TOL)
         if at is not None:
             raise ValidationError(
                 f"{_member(at)}state has negative eigenvalue {min_eig[at]:.3e} "
-                f"below -{tol.psd:.1e}"
+                f"below -{PSD_TOL:.1e}"
             )
         return cls(mat=m, herm_defect=herm, trace_defect=trace_defect, min_eig=min_eig)
 
@@ -146,7 +142,7 @@ class DensityMatrix:
         return self.mat.shape[-1]
 
 
-def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag):
+def expectation(a, rho):
     """tr(A rho) for Hermitian A, returned as a real number.
 
     Operator and state may be stacks (..., d, d) that broadcast against
@@ -161,22 +157,22 @@ def expectation(a, rho, imag_tol: float = DEFAULT_TOL.imag):
         raise ValidationError(f"dimension mismatch: operator {ma.shape}, state {mr.shape}")
     val = np.trace(ma @ mr, axis1=-2, axis2=-1)
     residue = abs(val.imag)
-    # residue > imag_tol * max(|val|, 1), without a ufunc call per scalar
-    at = _breach((residue > imag_tol) & (residue > imag_tol * abs(val)))
+    # residue > IMAG_TOL * max(|val|, 1), without a ufunc call per scalar
+    at = _breach((residue > IMAG_TOL) & (residue > IMAG_TOL * abs(val)))
     if at is not None:
         raise ValidationError(
             f"{_member(at)}expectation has imaginary residue {val[at].imag:.3e} "
-            f"(tol {imag_tol:.1e}); operator or state is not Hermitian enough"
+            f"(tol {IMAG_TOL:.1e}); operator or state is not Hermitian enough"
         )
     return val.real
 
 
-def variance(a, rho, clip: float = 1e-10):
+def variance(a, rho):
     """<A^2> - <A>^2 in the given state, per member for stacks.
 
     Roundoff can push a mathematically zero variance slightly negative;
-    values in [-clip, 0) are clipped to 0 and logged. Anything more
-    negative means the inputs are broken and is a hard error.
+    values in [-VARIANCE_CLIP, 0) are clipped to 0 and logged. Anything
+    more negative means the inputs are broken and is a hard error.
     """
     ma = _as_matrix(a)
     mean = expectation(ma, rho)
@@ -184,11 +180,11 @@ def variance(a, rho, clip: float = 1e-10):
     var = second - mean * mean
     neg = var < 0.0
     if _breach(neg) is not None:
-        at = _breach(var < -clip)
+        at = _breach(var < -VARIANCE_CLIP)
         if at is not None:
             raise NumericalError(
                 f"{_member(at)}variance {var[at]:.3e} is negative beyond the clip "
-                f"threshold {clip:.1e}"
+                f"threshold {VARIANCE_CLIP:.1e}"
             )
         log.debug("clipped %d tiny negative variance(s), down to %.3e, to 0",
                   np.count_nonzero(neg), var.min())

@@ -10,8 +10,9 @@ All five scenarios share one CSV layout so downstream tooling never has
 to branch on scenario type. For the two Lindblad scenarios the columns
 are literal. For the other three the same slots carry the analogous
 quantities (conservation defects, fluctuation measures, hygiene
-witnesses); the README documents the mapping per scenario. Slots with no
-analogue hold 0.0.
+witnesses); the README documents the mapping per scenario. A runner
+returns only the slots it measures; `run_scenario` owns the layout and
+fills every slot with no analogue with 0.0.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ from .channels import (
 from .config import ExperimentConfig
 from .errors import NumericalError
 from .fokker_planck import (
-    ClassicalTrajectory,
     classical_growth_rate,
-    constant_diffusion,
     evolve,
     gaussian_profile,
-    ou_drift,
     ou_invariant_coeffs,
     space_grid,
 )
@@ -107,12 +105,12 @@ def _rec(name, law, measured, bound, tol, passed) -> CheckRecord:
 
 # -- shared trajectory checks ------------------------------------------------
 
-def _mean_conservation_check(traj: Trajectory, tol_rel: float) -> CheckRecord:
+def _mean_conservation_check(traj: Trajectory, tol_rel: float,
+                             name: str = "mean_invariant_conserved") -> CheckRecord:
     e = traj.series["exp_I"]
     scale = max(abs(float(e[0])), 1e-12)
     drift = float(np.abs(e - e[0]).max()) / scale
-    return _rec("mean_invariant_conserved", "conserved invariant average",
-                drift, 0.0, tol_rel, drift <= tol_rel)
+    return _rec(name, "conserved invariant average", drift, 0.0, tol_rel, drift <= tol_rel)
 
 
 def _monotone_check(values, name: str, law: str, slack: float) -> CheckRecord:
@@ -152,8 +150,8 @@ def _entropy_bound_checks(traj: Trajectory, dt: float) -> list[CheckRecord]:
     return out
 
 
-def _trajectory_columns(traj: Trajectory) -> dict[str, np.ndarray]:
-    return {"t": traj.times, **{k: traj.series[k] for k in SERIES_KEYS}}
+def _trajectory_columns(traj) -> dict[str, np.ndarray]:
+    return {"t": traj.times, **traj.series}
 
 
 # -- spin scenario -----------------------------------------------------------
@@ -233,11 +231,8 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
     frozen = integrate(spin_generator(frozen_model), rho0,
                        i0=spin_hamiltonian(frozen_model, cfg.t0),
                        t0=cfg.t0, t1=cfg.t1, dt=cfg.dt, alpha=cfg.alpha)
-    spec0 = np.sort(np.linalg.eigvalsh(frozen.invariants[0]))
-    spec_drift = max(
-        float(np.abs(np.sort(np.linalg.eigvalsh(mat)) - spec0).max())
-        for mat in frozen.invariants
-    )
+    spec = np.linalg.eigvalsh(frozen.invariants)      # ascending per node
+    spec_drift = float(np.abs(spec - spec[0]).max())
     checks.append(_rec("strong_invariant_spectrum",
                        "zero rates freeze the invariant spectrum",
                        spec_drift, 0.0, MONOTONE_SLACK,
@@ -393,20 +388,8 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
              float(pair.min()), 0.0, 1e-9, pair.min() >= -1e-9),
     ]
 
-    idx = np.arange(n, dtype=float)
-    columns = {
-        "t": idx,
-        "exp_I": cons,
-        "var_I": pair,
-        "growth_formula": gaps,
-        "growth_fd": np.zeros(n),
-        "S_vn": np.zeros(n),
-        "S_renyi": np.zeros(n),
-        "bound_vn": np.zeros(n),
-        "bound_renyi": np.zeros(n),
-        "trace_err": tp,
-        "min_eig": out_min,
-    }
+    columns = {"t": np.arange(n, dtype=float), "exp_I": cons, "var_I": pair,
+               "growth_formula": gaps, "trace_err": tp, "min_eig": out_min}
     return ScenarioResult(scenario="channel_fuzz", columns=columns, checks=checks)
 
 
@@ -459,19 +442,10 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     rho = path.states.mat
     s_vn, s_renyi = entropies(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))), cfg.alpha)
 
-    columns = {
-        "t": times,
-        "exp_I": np.full(times.size, u),
-        "var_I": path.var_h,
-        "growth_formula": path.temperature * path.heating,
-        "growth_fd": var_rate,
-        "S_vn": s_vn,
-        "S_renyi": s_renyi,
-        "bound_vn": np.zeros(times.size),
-        "bound_renyi": np.zeros(times.size),
-        "trace_err": resid,
-        "min_eig": path.states.min_eig,
-    }
+    columns = {"t": times, "exp_I": np.full(times.size, u), "var_I": path.var_h,
+               "growth_formula": path.temperature * path.heating, "growth_fd": var_rate,
+               "S_vn": s_vn, "S_renyi": s_renyi, "trace_err": resid,
+               "min_eig": path.states.min_eig}
     return ScenarioResult(
         scenario="thermo_spin", columns=columns, checks=checks,
         notes={"u": u, "canonical_gap_max": float(gap.max()),
@@ -481,61 +455,38 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
 # -- classical drift-diffusion ----------------------------------------------
 
-def _classical_columns(traj: ClassicalTrajectory) -> dict[str, np.ndarray]:
-    s = traj.series
-    n = traj.times.size
-    return {
-        "t": traj.times,
-        "exp_I": s["bar_J"],
-        "var_I": s["var_J"],
-        "growth_formula": s["growth_formula"],
-        "growth_fd": s["growth_fd"],
-        "S_vn": np.zeros(n),
-        "S_renyi": np.zeros(n),
-        "bound_vn": np.zeros(n),
-        "bound_renyi": np.zeros(n),
-        "trace_err": s["mass_err"],
-        "min_eig": s["min_P"],
-    }
-
-
 def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     x = space_grid(p["x_min"], p["x_max"], p["h"])
     dist = gaussian_profile(x, p["init_mean"], p["init_var"])
 
-    inv = ou_invariant_coeffs(p["gamma"], p["diffusion"], p["a0"], p["b0"], p["e0"])
-    drift = ou_drift(p["gamma"])
-    diff = constant_diffusion(p["diffusion"])
+    gamma, d_const = p["gamma"], p["diffusion"]
+    inv = ou_invariant_coeffs(gamma, d_const, p["a0"], p["b0"], p["e0"])
+    drift, diff = -gamma * x, np.full_like(x, d_const)
     traj = evolve(dist, drift, diff, inv, cfg.t0, cfg.t1, cfg.dt)
 
-    bar = traj.series["bar_J"]
-    scale = max(abs(float(bar[0])), 1e-12)
-    drift_rel = float(np.abs(bar - bar[0]).max()) / scale
+    var = traj.series["var_I"]
     checks = [
-        _rec("classical_mean_conserved", "conserved invariant average",
-             drift_rel, 0.0, 1e-6, drift_rel <= 1e-6),
+        _mean_conservation_check(traj, 1e-6, "classical_mean_conserved"),
+        _monotone_check(var, "classical_fluctuation_nondecreasing",
+                        "invariant fluctuation can only grow",
+                        MONOTONE_SLACK * max(1.0, float(np.abs(var).max()))),
     ]
 
-    var_scale = max(1.0, float(np.abs(traj.series["var_J"]).max()))
-    inc = float(np.diff(traj.series["var_J"]).min())
-    checks.append(_rec("classical_fluctuation_nondecreasing",
-                       "invariant fluctuation can only grow",
-                       inc, 0.0, MONOTONE_SLACK * var_scale,
-                       inc >= -MONOTONE_SLACK * var_scale))
-
-    f = traj.series["growth_formula"]
-    g = traj.series["growth_fd"]
-    rel_dev = float((np.abs(g - f)[1:-1]
-                     / np.maximum(np.abs(f)[1:-1], 1e-12)).max())
+    f, g = traj.series["growth_formula"][1:-1], traj.series["growth_fd"][1:-1]
+    rel_dev = float((np.abs(g - f) / np.maximum(np.abs(f), 1e-12)).max())
     checks.append(_rec("classical_growth_equality",
                        "finite-difference spread rate matches the slope formula",
                        rel_dev, 0.0, 1e-2, rel_dev <= 1e-2))
 
     # The growth formula never sees the drift: recompute the initial rate
-    # with a five-fold different relaxation and demand bit-level agreement.
-    inv_alt = ou_invariant_coeffs(5.0 * p["gamma"], p["diffusion"],
-                                  p["a0"], p["b0"], p["e0"])
+    # with a five-fold relaxation whose invariant equals `inv` at t0, and
+    # demand bit-level agreement.
+    a_t0 = inv.a(cfg.t0)
+    a_alt = a_t0 * np.exp(-10.0 * gamma * cfg.t0)
+    inv_alt = ou_invariant_coeffs(5.0 * gamma, d_const, a_alt,
+                                  inv.b(cfg.t0) * np.exp(-5.0 * gamma * cfg.t0),
+                                  inv.e(cfg.t0) + d_const * (a_t0 - a_alt) / (5.0 * gamma))
     r_base = classical_growth_rate(inv, dist, diff, cfg.t0)
     r_alt = classical_growth_rate(inv_alt, dist, diff, cfg.t0)
     checks.append(_rec("drift_independence",
@@ -543,7 +494,7 @@ def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
                        abs(r_base - r_alt), 0.0, 1e-10,
                        abs(r_base - r_alt) <= 1e-10))
 
-    mass_dev = float(np.abs(traj.series["mass_err"]).max())
+    mass_dev = float(np.abs(traj.series["trace_err"]).max())
     checks.append(_rec("mass_conserved", "probability mass conserved",
                        mass_dev, 0.0, 1e-9, mass_dev <= 1e-9))
 
@@ -553,7 +504,7 @@ def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
                        "closed-form coefficients solve the invariant equation",
                        res, 0.0, 1e-12, res <= 1e-12))
 
-    return ScenarioResult(scenario="fp_ou", columns=_classical_columns(traj),
+    return ScenarioResult(scenario="fp_ou", columns=_trajectory_columns(traj),
                           checks=checks, notes=traj.notes)
 
 
@@ -582,10 +533,18 @@ SCENARIO_SUMMARIES = {
 
 
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
-    """Run the configured scenario; a non-finite series value or check number
+    """Run the configured scenario and complete its columns in CSV_HEADER
+    order, 0.0 in every slot the runner did not fill; a column outside the
+    layout raises KeyError. A non-finite series value or check number
     raises NumericalError naming the first one, so none is ever written."""
     result = _RUNNERS[cfg.scenario](cfg)
-    table = np.column_stack([result.columns[k] for k in CSV_HEADER])
+    extra = sorted(set(result.columns) - set(CSV_HEADER))
+    if extra:
+        raise KeyError(f"columns outside the CSV layout: {extra}")
+    n = len(result.columns["t"])
+    result.columns = {k: result.columns[k] if k in result.columns else np.zeros(n)
+                      for k in CSV_HEADER}
+    table = np.column_stack(list(result.columns.values()))
     at = _breach(~np.isfinite(table))
     if at is not None:
         raise NumericalError(f"series column {CSV_HEADER[at[1]]} is not finite at row "

@@ -7,12 +7,14 @@ goes through the same public entry points the CLI uses.
 """
 
 import dataclasses
+import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from weakinv.cli import emit_verdict
+from weakinv.cli import emit_verdict, format_series
 from weakinv.config import default_config
 from weakinv.scenarios import run_scenario
 
@@ -173,6 +175,40 @@ def test_verdict_carries_every_scenarios_notes(tmp_path, spin, oscillator,
     # notes carry nothing machine-dependent, such as a worker count
     assert "workers" not in fuzz.notes
     assert "canonical_gap_max" in thermo.notes
+
+
+# Golden baselines of the default runs: the benchmark's references (channel
+# fuzz: the first 200 of its 5000 cases, same seed) and, for the
+# oscillator, which the benchmark does not run, one kept with the tests.
+_ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = {
+    "spin": (_ROOT / "bench/reference/spin/series.csv.gz", None),
+    "fp_ou": (_ROOT / "bench/reference/fp_ou/series.csv.gz", None),
+    "thermo_spin": (_ROOT / "bench/reference/thermo_spin/series.csv.gz", None),
+    "channel_fuzz": (_ROOT / "bench/reference/channel_fuzz_5k/series.csv.gz", 200),
+    "oscillator": (_ROOT / "tests/golden/oscillator_series.csv.gz", None),
+}
+
+
+def _table(text: str, rows=None):
+    header, *lines = text.splitlines()
+    return header, np.array([[float(v) for v in line.split(",")]
+                             for line in lines[:rows]])
+
+
+def test_series_match_golden_baselines(spin, oscillator, fuzz, thermo, fp):
+    # the benchmark gate's rule: |got - want| <= max(1e-10 max(|got|, |want|), 1e-12)
+    for r in (spin, oscillator, fuzz, thermo, fp):
+        path, rows = GOLDEN[r.scenario]
+        want_header, want = _table(gzip.decompress(path.read_bytes()).decode(), rows)
+        got_header, got = _table(format_series(r.columns))
+        assert got_header == want_header, r.scenario
+        assert got.shape == want.shape, r.scenario
+        tol = np.maximum(1e-10 * np.maximum(np.abs(got), np.abs(want)), 1e-12)
+        bad = np.argwhere(~(np.abs(got - want) <= tol))
+        assert bad.size == 0, (
+            f"{r.scenario} row {bad[0][0]} column {got_header.split(',')[bad[0][1]]}: "
+            f"{float(got[tuple(bad[0])])!r} vs golden {float(want[tuple(bad[0])])!r}")
 
 
 def test_total_budget(spin, oscillator, fuzz, thermo, fp):

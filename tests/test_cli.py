@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weakinv
 from weakinv.cli import main
+from weakinv.config import default_config
 from weakinv.scenarios import CSV_HEADER
 
 EXPECTED_HEADER = ("t,exp_I,var_I,growth_formula,growth_fd,S_vn,S_renyi,"
@@ -117,6 +119,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
+    ("cfl_dt", '{"scenario": "fp_ou", "dt": 1e-3}'),
     ("negative_seed",
      '{"scenario": "channel_fuzz", "seed": -1, "params": {"n_channels": 4}}'),
 ])
@@ -216,6 +219,49 @@ def test_non_finite_check_exits_3(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         "numerical abort: check broken is not finite: measured inf, target 0, tol 1e-09\n")
     assert not (out / "verdict.json").exists()
+
+
+def test_run_scenario_fills_the_empty_slots(monkeypatch):
+    # a runner returns only the slots it measures; run_scenario lays them
+    # out in CSV order with zeros in the rest
+    import weakinv.scenarios as scenarios
+
+    monkeypatch.setitem(scenarios._RUNNERS, "spin", lambda cfg: scenarios.ScenarioResult(
+        "spin", {"var_I": np.ones(3), "t": np.arange(3.0)}, []))
+    cols = scenarios.run_scenario(default_config("spin")).columns
+    assert tuple(cols) == CSV_HEADER
+    assert cols["t"].tolist() == [0.0, 1.0, 2.0] and cols["var_I"].tolist() == [1.0] * 3
+    assert all(cols[k].tolist() == [0.0] * 3 for k in CSV_HEADER if k not in ("t", "var_I"))
+
+
+def test_column_outside_the_layout_exits_4(tmp_path, capsys, monkeypatch):
+    # a misspelt slot is an internal error, never a silent zero column
+    import weakinv.scenarios as scenarios
+
+    def runner(cfg):
+        result = real(cfg)
+        result.columns["var_i"] = result.columns.pop("var_I")
+        return result
+
+    real = scenarios._RUNNERS["spin"]
+    monkeypatch.setitem(scenarios._RUNNERS, "spin", runner)
+    out = tmp_path / "o"
+    assert main(["run", "--config", _spin_cfg(tmp_path), "--output-dir", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "internal error: KeyError: \"columns outside the CSV layout: ['var_i']\"\n")
+    assert not (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("t0", [0.1, 0.3])
+def test_drift_independence_for_a_later_start(tmp_path, t0):
+    # the five-fold relaxation's invariant is anchored at t0, so the two
+    # growth rates agree there as they do at t0 = 0
+    cfg = _write(tmp_path, "fp.json", {"scenario": "fp_ou", "t0": t0, "t1": t0 + 0.05})
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+    checks = json.loads((out / "verdict.json").read_text())["checks"]
+    [check] = [c for c in checks if c["name"] == "drift_independence"]
+    assert check["measured"] <= 1e-10
 
 
 def test_failed_check_exits_1(tmp_path):

@@ -1,5 +1,6 @@
 """Config schema: defaults, validation failures, JSON loading."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,8 @@ from weakinv.config import (
     load_config,
     validate_config,
 )
+from weakinv.errors import NumericalError
+from weakinv.scenarios import run_scenario
 
 
 def test_every_scenario_has_valid_defaults():
@@ -60,6 +63,19 @@ def test_grids_that_do_not_tile_are_config_errors():
     for scenario in ("channel_fuzz", "thermo_spin"):
         cfg = validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3})
         assert cfg.t1 == 0.0105
+
+
+def test_explicit_step_budget_is_a_config_error():
+    # D is the constant params.diffusion and h the spacing of the grid the
+    # engine steps on (a hair under 0.02 here), so the config alone decides
+    # dt <= h^2 / (2 D), exactly as the engine's own guard does
+    for dt in (1e-3, 2e-4):
+        with pytest.raises(ConfigError, match="explicit-step budget"):
+            validate_config({"scenario": "fp_ou", "t1": 0.01, "dt": dt})
+    cfg = default_config("fp_ou")
+    with pytest.raises(NumericalError, match="explicit-step budget violated at t = 0"):
+        run_scenario(dataclasses.replace(cfg, t1=0.01, dt=2e-4))
+    assert validate_config({"scenario": "fp_ou", "t1": 0.01, "dt": 1e-4}).dt == 1e-4
 
 
 def test_param_kind_enforcement():

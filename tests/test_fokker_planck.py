@@ -11,12 +11,10 @@ from weakinv.fokker_planck import (
     GridDistribution,
     PolyInvariant,
     classical_growth_rate,
-    constant_diffusion,
     evolve,
     fp_rhs,
     gaussian_profile,
     invariant_moments,
-    ou_drift,
     ou_invariant_coeffs,
 )
 
@@ -40,7 +38,7 @@ def test_ou_coefficients_solve_the_adjoint_equation():
     inv = ou_invariant_coeffs(1.3, 0.7, a0=0.9, b0=0.4, e0=-0.2)
     x = _grid(-4.0, 4.0, 0.05)
     for t in (0.0, 0.37, 1.0):
-        res = inv.residual(x, ou_drift(1.3), constant_diffusion(0.7), t)
+        res = inv.residual(x, -1.3 * x, np.full_like(x, 0.7), t)
         assert np.abs(res).max() < 1e-9
 
 
@@ -63,7 +61,7 @@ def test_stacked_diagnostics_equal_per_row_calls():
     times = np.array([0.0, 0.013, 0.4, 1.7])
     stack = GridDistribution(x=x, values=np.array(rows), h=0.05)
     inv = ou_invariant_coeffs(1.3, 0.7, a0=0.9, b0=0.4, e0=-0.2)
-    diff = constant_diffusion(0.7)
+    diff = np.full_like(x, 0.7)
 
     bar, var = invariant_moments(inv, stack, times)
     rate = classical_growth_rate(inv, stack, diff, times)
@@ -86,7 +84,7 @@ def test_linear_invariant_growth_is_state_independent():
         a=lambda t: 0.0, b=lambda t: 1.0, e=lambda t: 0.0)
     for mean, var in ((0.0, 0.5), (1.5, 0.2)):
         p = gaussian_profile(x, mean=mean, var=var)
-        assert classical_growth_rate(inv, p, constant_diffusion(1.0),
+        assert classical_growth_rate(inv, p, np.full_like(x, 1.0),
                                      0.0) == pytest.approx(2.0, rel=1e-8)
 
 
@@ -95,7 +93,7 @@ def test_quadratic_growth_rate_closed_form():
     x = _grid(-6.0, 6.0, 0.02)
     p = gaussian_profile(x, mean=0.3, var=0.4)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
-    rate = classical_growth_rate(inv, p, constant_diffusion(1.0), 0.0)
+    rate = classical_growth_rate(inv, p, np.full_like(x, 1.0), 0.0)
     assert rate == pytest.approx(8.0 * (0.4 + 0.09), rel=1e-8)
 
 
@@ -103,7 +101,7 @@ def test_rhs_annihilates_stationary_profile():
     # OU stationary density exp(-gamma x^2 / (2D)) up to normalization.
     x = _grid(-8.0, 8.0, 0.02)
     p = gaussian_profile(x, mean=0.0, var=1.0)   # var = D/gamma = 1
-    rhs = fp_rhs(p.values, p.h, ou_drift(1.0)(x, 0.0), constant_diffusion(1.0)(x, 0.0))
+    rhs = fp_rhs(p.values, p.h, -1.0 * x, np.full_like(x, 1.0))
     # O(h^2) truncation floor; a transported profile gives |rhs| ~ 0.4
     assert np.abs(rhs).max() < 5e-4
 
@@ -112,11 +110,11 @@ def test_mean_invariant_conserved_along_flow():
     x = _grid()
     p0 = gaussian_profile(x, mean=0.5, var=0.5)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
-    traj = evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv,
+    traj = evolve(p0, -1.0 * x, np.full_like(x, 1.0), inv,
                   t0=0.0, t1=0.2, dt=1e-4)
-    bar = traj.series["bar_J"]
+    bar = traj.series["exp_I"]
     assert np.abs(bar - bar[0]).max() < 1e-9 * max(abs(bar[0]), 1.0)
-    assert np.all(np.diff(traj.series["var_J"]) > -1e-9)
+    assert np.all(np.diff(traj.series["var_I"]) > -1e-9)
 
 
 def test_cfl_violation_is_rejected():
@@ -126,7 +124,7 @@ def test_cfl_violation_is_rejected():
     # the unstable steps drive later nodes negative before the block is
     # observed; the budget breach at the first node is still what is raised
     with pytest.raises(NumericalError) as info:
-        evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv,
+        evolve(p0, -1.0 * x, np.full_like(x, 1.0), inv,
                t0=0.0, t1=0.01, dt=1e-3)
     assert str(info.value) == ("explicit-step budget violated at t = 0: dt = 1.000e-03 "
                                "exceeds h^2/(2 max D) = 2.000e-04")
@@ -140,7 +138,7 @@ def test_boundary_leak_aborts():
     msg = ("density reached the boundary at t = 0.007 (edge value 2.622e-10 "
            "vs peak 1.907e+00); enlarge the domain")
     with pytest.raises(NumericalError) as info:
-        evolve(p0, ou_drift(0.1), constant_diffusion(1.0), inv,
+        evolve(p0, -0.1 * x, np.full_like(x, 1.0), inv,
                t0=0.0, t1=2.0, dt=1e-3)
     assert str(info.value) == msg
 
@@ -155,7 +153,7 @@ def test_block_diagnostics_do_not_depend_on_the_window():
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.3, e0=0.1)
 
     def run(nodes):
-        return evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv,
+        return evolve(p0, -1.0 * x, np.full_like(x, 1.0), inv,
                       t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
     full = run(131)
@@ -165,6 +163,20 @@ def test_block_diagnostics_do_not_depend_on_the_window():
         for key, col in part.series.items():
             upto = nodes - 1 if key == "growth_fd" else nodes
             assert col[:upto].tobytes() == full.series[key][:upto].tobytes(), key
+
+
+def test_coefficients_must_be_sampled_on_the_grid():
+    # K and D are arrays on the grid; a scalar would broadcast silently
+    x = _grid(-4.0, 4.0, 0.05)
+    p0 = gaussian_profile(x, mean=0.0, var=0.5)
+    inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
+    ones, short = np.full_like(x, 1.0), np.ones(x.size - 1)
+    for call in (lambda: evolve(p0, -x, short, inv, t0=0.0, t1=0.01, dt=1e-3),
+                 lambda: evolve(p0, -1.0, ones, inv, t0=0.0, t1=0.01, dt=1e-3),
+                 lambda: classical_growth_rate(inv, p0, 1.0, 0.0),
+                 lambda: inv.residual(x, -x, short, 0.0)):
+        with pytest.raises(ValidationError, match="sampled on the grid"):
+            call()
 
 
 def test_profile_validation():
@@ -184,8 +196,8 @@ def test_conservation_for_random_quadratic(a0, b0, mean):
     x = _grid(-8.0, 8.0, 0.04)
     p0 = gaussian_profile(x, mean=mean, var=0.4)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=a0, b0=b0, e0=0.1)
-    traj = evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv,
+    traj = evolve(p0, -1.0 * x, np.full_like(x, 1.0), inv,
                   t0=0.0, t1=0.05, dt=4e-4)
-    bar = traj.series["bar_J"]
+    bar = traj.series["exp_I"]
     scale = max(abs(bar[0]), 1.0)
     assert np.abs(bar - bar[0]).max() < 1e-8 * scale

@@ -20,10 +20,8 @@ from weakinv.lindblad import (
     integrate,
 )
 from weakinv.fokker_planck import (
-    constant_diffusion,
     evolve,
     gaussian_profile,
-    ou_drift,
     ou_invariant_coeffs,
 )
 from weakinv.models import (
@@ -163,7 +161,7 @@ def _lindblad_window(t0, t1, dt):
 def _fokker_planck_window(t0, t1, dt):
     p0 = gaussian_profile(np.linspace(-4.0, 4.0, 161), mean=0.0, var=0.5)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
-    evolve(p0, ou_drift(1.0), constant_diffusion(1.0), inv, t0=t0, t1=t1, dt=dt)
+    evolve(p0, -1.0 * p0.x, np.full_like(p0.x, 1.0), inv, t0=t0, t1=t1, dt=dt)
 
 
 @pytest.mark.parametrize("run", [_lindblad_window, _fokker_planck_window],
