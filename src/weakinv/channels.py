@@ -137,19 +137,14 @@ def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
     """
     if dt <= 0.0:
         raise ValidationError(f"step needs dt > 0, got {dt}")
-    h, cs = gen.eval(t)
-    dim = h.shape[0]
-    v0 = np.eye(dim, dtype=complex) - 1j * dt * h
-    ops = []
-    scale = float(np.abs(h).max(initial=0.0))
-    for l_op, c in zip(gen.jumps, cs):
-        ll = l_op.conj().T @ l_op
-        v0 -= dt * c * ll
-        scale = max(scale, float(c * np.abs(ll).max(initial=0.0)))
-        if c > 0.0:
-            ops.append(np.sqrt(2.0 * c * dt) * l_op)
+    coeffs, cs = gen.eval(t)
+    h, jumps = gen.hamiltonian(coeffs), gen.scaled_jumps(cs)
+    ll = dagger(jumps) @ jumps                  # c_n L_n^dag L_n
+    v0 = np.eye(len(h), dtype=complex) - 1j * dt * h - dt * ll.sum(axis=0)
+    scale = max(float(np.abs(h).max(initial=0.0)), float(np.abs(ll).max(initial=0.0)))
     budget = 10.0 * dt * dt * max(1.0, scale) ** 2
-    return QuantumChannel.from_kraus([v0, *ops], tp_tol=max(CPTP_TOL, budget))
+    return QuantumChannel.from_kraus([v0, *np.sqrt(2.0 * dt) * jumps[cs > 0.0]],
+                                     tp_tol=max(CPTP_TOL, budget))
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:

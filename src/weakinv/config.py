@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import ValidationError
 from .fokker_planck import explicit_step_limit, space_grid
 from .lindblad import time_grid
+from .models import rational_decay
 
 
 class ConfigError(ValidationError):
@@ -59,9 +60,8 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "oscillator": {
         "k0": (1.0, "pos_float"),
-        # decay may be negative in a config; the engine rejects a growing
-        # stiffness schedule at run time, which is a numerical-domain error,
-        # not a schema error.
+        # a signed float in the schema; validate_config rejects a stiffness
+        # that does not shrink on the window, by the engine's own rule.
         "decay": (0.5, "float"),
         "n_fock": (60, "int_min:4"),
         "initial_state": ("ground", "choice:ground,gibbs"),
@@ -202,6 +202,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if common["dt"] > limit:
                 raise ValidationError(f"dt = {common['dt']:.3e} exceeds the explicit-step "
                                       f"budget h^2/(2 max D) = {limit:.3e}")
+        if scenario == "oscillator":
+            rational_decay(params["k0"], params["decay"]).validate_schedule(
+                common["t0"], common["t1"])
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 

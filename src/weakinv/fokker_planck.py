@@ -268,7 +268,8 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
         cols["trace_err"][span] = np.trapezoid(block, x) - mass0
         cols["min_eig"][span] = pmin
 
-    march(times, dt, dist.values, lambda t: coeffs,
+    rows = np.broadcast_to(np.stack(coeffs), (2 * times.size - 1, 2, x.size))
+    march(times, dist.values, rows, list,
           lambda c, p: rk4_step(lambda k, v: fp_rhs(v, h, *k), c, p, dt), observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

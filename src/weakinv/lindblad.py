@@ -28,27 +28,29 @@ outside the physically resolved subspace are amplified at rates up to
 c_n * spread(spec(L_n))^2. For bounded generators (spin-sized L) this is
 harmless and the matrix equation is integrated directly. For truncated
 unbounded operators the amplification is catastrophic. Both models here
-choose their rates so that H(t) itself is the weak invariant, so without
-an initial invariant `integrate` takes I(t) = H(t) in closed form from the
-generator it already evaluates at every node.
+choose their rates so that H(t) itself is the weak invariant, which
+`integrate` takes in closed form when given no initial invariant.
 
-The jump operators are one constant (n, dim, dim) stack; only H and the
-rates depend on time. Both equations are evaluated in effective-Hamiltonian
-form: with H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps
-sqrt(c_n) L_n, each right-hand side is two products with H_eff plus one
-stacked jump sandwich, and one such kernel per distinct time serves every
-stage of both Runge-Kutta steps. `march`, the one stepping loop (of the
-classical mirror too), hands node blocks to stack-aware diagnostics.
+The generator is affine in time, H(t) = sum_k f_k(t) H_k with constant
+jumps L_n at rates c_n(t), and is sampled once per run on all 2N + 1
+times the RK4 steps need. Both equations take the effective Hamiltonian
+H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n;
+the adjoint one swaps each for its adjoint and the sandwich sign +2 for
+-2, so the state and its invariants step as one stack through one
+right-hand side. `march`, the one stepping loop (of the classical mirror
+too), hands node blocks to stack-aware diagnostics.
 """
 
 from __future__ import annotations
 
+from copy import deepcopy
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, SamplingError, ValidationError
 from .operators import DensityMatrix, _breach, dagger, hermiticity_defect, require_hermitian
 
 EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
@@ -57,98 +59,106 @@ CONSERVATION_TOL = 1e-7
 POSITIVITY_FLOOR = -1e-8
 
 
+def reject_first(checks) -> None:
+    """Raise SamplingError at the earliest row (first axis) that a (mask,
+    message(index)) check flags; at one row the earlier check wins."""
+    found = [(at, message) for bad, message in checks if (at := _breach(bad)) is not None]
+    if found:
+        at, message = min(found, key=lambda f: f[0][0])     # the first of equal rows
+        raise SamplingError(message(at), at[0])
+
+
 @dataclass(frozen=True)
 class LindbladGenerator:
-    """Time-dependent generator data: H(t), constant jump operators L_n, rates c_n(t).
+    """Affine generator data: H(t) = sum_k f_k(t) H_k, jumps L_n at rates c_n(t).
 
-    `hamiltonian` is a callable of time, `jumps` one (n, dim, dim) stack
-    checked for shape and finiteness at construction, and `rates` one
-    callable that returns every c_n at once, so models whose rates share a
-    formula compute it once per time. Every evaluation certifies H finite
-    and Hermitian with the right shape, one finite rate per jump operator,
-    and rates nonnegative within C_TOL (tiny negative roundoff is clamped
-    to 0).
+    `terms` (m, d, d) and `jumps` (n, d, d) are checked once, at
+    construction (shape, finiteness, Hermiticity of the terms); `coeffs`
+    and `rates` map a column of T times to (T, m) and (T, n) arrays.
     """
 
-    dim: int
-    hamiltonian: Callable[[float], np.ndarray]
+    terms: np.ndarray
     jumps: np.ndarray
-    rates: Callable[[float], Sequence[float]]
+    coeffs: Callable[[np.ndarray], np.ndarray]
+    rates: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        jumps = np.asarray(self.jumps, dtype=complex)
-        if jumps.ndim != 3 or jumps.shape[1:] != (self.dim, self.dim):
-            raise ValidationError(
-                f"jumps must be an (n, {self.dim}, {self.dim}) stack, got shape {jumps.shape}"
-            )
-        if not np.isfinite(jumps).all():
-            raise ValidationError("jump operators have a non-finite entry")
-        object.__setattr__(self, "jumps", jumps)
+        dim = np.shape(self.terms)[-1]
+        for name, rows, what in (("terms", "m", "Hamiltonian terms"),
+                                 ("jumps", "n", "jump operators")):
+            ops = np.asarray(getattr(self, name), dtype=complex)
+            if ops.ndim != 3 or ops.shape[1:] != (dim, dim):
+                raise ValidationError(f"{name} must be an ({rows}, {dim}, {dim}) stack, "
+                                      f"got shape {ops.shape}")
+            if not np.isfinite(ops).all():
+                raise ValidationError(f"{what} have a non-finite entry")
+            object.__setattr__(self, name, ops)
+        require_hermitian(self.terms, name="Hamiltonian term")
 
-    def eval(self, t: float):
-        """(H(t), the rates c_n(t) as an array), both certified."""
-        h = require_hermitian(self.hamiltonian(t), name=f"H({t})")
-        if h.shape != (self.dim, self.dim):
-            raise ValidationError(f"H({t}) has shape {h.shape}, expected dim {self.dim}")
-        if not np.isfinite(h).all():
-            raise ValidationError(f"H({t}) has a non-finite entry")
-        rates = np.asarray(self.rates(t), dtype=float)
-        if rates.shape != (len(self.jumps),):
-            raise ValidationError(
-                f"{len(self.jumps)} jump operators but rates({t}) has shape "
-                f"{rates.shape}"
-            )
-        if not np.isfinite(rates).all():
-            raise ValidationError(f"rates({t}) = {rates.tolist()} are not all finite")
-        for k, c in enumerate(rates.tolist()):
-            if c < -C_TOL:
-                raise ValidationError(
-                    f"rate c_{k}({t}) = {c:.6e} is negative beyond tolerance {C_TOL:.0e}"
-                )
-        return h, np.maximum(rates, 0.0)
+    def eval(self, times):
+        """(coeffs (T, m), rates (T, n)) on a column of T times; a scalar time
+        gives the rows (m,) and (n,). The guards raise SamplingError at the
+        earliest bad time; at one time H's finiteness comes first, then the
+        rates' finiteness and sign (roundoff within C_TOL is clamped to 0).
+        """
+        col = np.reshape(np.asarray(times, dtype=float), -1)
+        coeffs = np.asarray(self.coeffs(col))
+        if coeffs.shape != (col.size, len(self.terms)) or np.iscomplexobj(coeffs):
+            raise ValidationError(f"coeffs on {col.size} times must be real with "
+                                  f"{len(self.terms)} columns, got {coeffs.dtype} {coeffs.shape}")
+        hot = ~np.isfinite(coeffs).all(axis=1)
+        stop = hot.argmax() if hot.any() else col.size   # later rates cannot come first
+        rates = np.asarray(self.rates(col[:stop]), dtype=float)
+        if rates.shape != (stop, len(self.jumps)):
+            raise ValidationError(f"{len(self.jumps)} jump operators but rates on "
+                                  f"{stop} times have shape {rates.shape}")
+        reject_first([
+            (hot, lambda k: f"H({col[k[0]]}) has a non-finite entry"),
+            (~np.isfinite(rates).all(axis=1),
+             lambda k: f"rates({col[k[0]]}) = {rates[k[0]].tolist()} are not all finite"),
+            (rates < -C_TOL, lambda k: f"rate c_{k[1]}({col[k[0]]}) = {rates[k]:.6e} "
+                                       f"is negative beyond tolerance {C_TOL:.0e}"),
+        ])
+        rates = np.maximum(rates, 0.0)
+        return (coeffs, rates) if np.ndim(times) else (coeffs[0], rates[0])
+
+    def hamiltonian(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_k f_k H_k per row of coefficients (..., m)."""
+        return sum(coeffs[..., k, None, None] * term for k, term in enumerate(self.terms))
+
+    def scaled_jumps(self, rates: np.ndarray) -> np.ndarray:
+        """sqrt(c_n) L_n per row of rates (..., n); zero rates leave zeros."""
+        return np.sqrt(rates)[..., None, None] * self.jumps
 
 
-class Kernel:
-    """The generator at one time in effective-Hamiltonian form.
+def rhs_kernels(gen: LindbladGenerator, coeffs: np.ndarray, rates: np.ndarray,
+                adjoint) -> list:
+    """The `lindblad_rhs` kernel of each sampled row of coeffs (R, m) and
+    rates (R, n), for a stack whose member k follows the state equation,
+    or the adjoint one where adjoint[k] holds."""
+    jumps = gen.scaled_jumps(rates)
+    jumps_dag = dagger(jumps)
+    h_eff = gen.hamiltonian(coeffs) - 1j * (jumps_dag @ jumps).sum(axis=-3)
+    adj = np.asarray(adjoint)[:, None, None]
+    a = np.where(adj, dagger(h_eff)[:, None], h_eff[:, None])
+    ls = np.where(adj[..., None], jumps_dag[:, None], jumps[:, None])
+    return list(zip(a, dagger(a), ls, dagger(ls), repeat(np.where(adj, -2.0, 2.0))))
 
-    H_eff = H - i sum_n c_n L_n^dag L_n and the stack of sqrt(c_n) L_n
-    are all that both right-hand sides, the growth rate and the entropy
-    bound need, so one generator evaluation per distinct time serves all
-    of them. A zero rate leaves a zero matrix in the stack, so every
-    kernel of a generator has the same stack shape and node kernels
-    stack. H itself is kept as `h`: it is the closed-form invariant when
-    none is integrated.
-    """
 
-    __slots__ = ("h", "h_eff", "h_eff_dag", "jumps", "jumps_dag")
-
-    def __init__(self, gen: LindbladGenerator, t: float):
-        h, cs = gen.eval(t)
-        jumps = np.sqrt(cs)[:, None, None] * gen.jumps
-        self.h = h
-        self.jumps = jumps
-        self.jumps_dag = jumps.conj().transpose(0, 2, 1)
-        self.h_eff = h - 1j * (self.jumps_dag @ jumps).sum(axis=0)
-        self.h_eff_dag = self.h_eff.conj().T
-
-    def state_rhs(self, m: np.ndarray) -> np.ndarray:
-        """-i (H_eff rho - rho H_eff^dag) + 2 sum_n L~_n rho L~_n^dag."""
-        return (-1j * (self.h_eff @ m - m @ self.h_eff_dag)
-                + 2.0 * (self.jumps @ m @ self.jumps_dag).sum(axis=0))
-
-    def invariant_rhs(self, m: np.ndarray) -> np.ndarray:
-        """-i (H_eff^dag I - I H_eff) - 2 sum_n L~_n^dag I L~_n."""
-        return (-1j * (self.h_eff_dag @ m - m @ self.h_eff)
-                - 2.0 * (self.jumps_dag @ m @ self.jumps).sum(axis=0))
+def lindblad_rhs(kernel, m: np.ndarray) -> np.ndarray:
+    """-i (A m - m A^dag) + s sum_n J_n m J_n^dag on a stack m (k, d, d),
+    with A, J and s per member from `rhs_kernels`: H_eff, L~ and +2 for the
+    state, H_eff^dag, L~^dag and -2 for an invariant."""
+    a, a_dag, ls, ls_dag, sign = kernel
+    return -1j * (a @ m - m @ a_dag) + sign * (ls @ m[:, None] @ ls_dag).sum(axis=1)
 
 
 def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
     """One classic RK4 step of dm/dt = rhs(kernel, m).
 
-    `kernels` holds whatever `rhs` needs to know of the step's start,
-    midpoint and end: a `Kernel` each for the Lindblad equations, the
-    drift and diffusion samples for the classical grid. The midpoint
-    entry serves both middle stages.
+    `kernels` holds whatever `rhs` needs at the step's start, midpoint
+    (both middle stages) and end: `rhs_kernels` rows for the Lindblad
+    equations, the drift and diffusion for the classical grid.
     """
     k_start, k_mid, k_end = kernels
     k1 = rhs(k_start, m)
@@ -179,50 +189,52 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
-def march(times, dt: float, x: np.ndarray, sample, step, observe) -> None:
+def march(times, x: np.ndarray, rows, prepare, step, observe) -> None:
     """Step the state x across the nodes `times`, observing them in blocks.
 
-    `sample(t)` runs once per distinct time: first node, then per step
-    the midpoint and the next node, which starts the next step (2N + 1
-    calls). `step((start, mid, end), x)` returns the next node's state,
-    which must be finite. Blocks go in node order to `observe(span,
-    states, samples)`; states are overwritten by the next block. Whatever
-    stops the run, buffered nodes are observed first. An observer raises
-    the first guard any node breaches; the block is then observed node by
-    node, so the earliest node's error wins.
+    `rows` holds what the steps need: node i at row 2i, the midpoint
+    after it at 2i + 1. `prepare` turns runs of rows, no longer than a
+    block, into kernel lists, and `step(kernels, x)` returns the (finite)
+    next node's state from one step's start, midpoint and end kernels.
+    Blocks go in node order to `observe(span, states, node_rows)`; states
+    are overwritten by the next block. Whatever stops the run, buffered
+    nodes are observed first. An observer raises the first guard any node
+    breaches; the block is then observed node by node, so the earliest
+    node's error wins.
     """
-    rows = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
-    block = np.empty((rows,) + x.shape, dtype=x.dtype)
-    samples = []
+    cap = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
+    block = np.empty((cap,) + x.shape, dtype=x.dtype)
+    # steps per run of kernels: four x-sized stacks a row within the byte cap
+    steps = max(1, (min(cap, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
+    first = lo = hi = 0
+    kernels = []
 
     def flush(stop: int) -> None:
-        first = stop - len(samples)
         try:
-            observe(slice(first, stop), block[:len(samples)], samples)
+            observe(slice(first, stop), block[:stop - first], rows[2 * first:2 * stop:2])
         except NumericalError:
-            for k in range(len(samples)):
-                observe(slice(first + k, first + k + 1), block[k:k + 1], samples[k:k + 1])
+            for k in range(first, stop):
+                observe(slice(k, k + 1), block[k - first:k - first + 1], rows[2 * k:2 * k + 1])
             raise
-        samples.clear()
 
     for idx, t in enumerate(times):
         try:
-            if idx == 0:
-                s = sample(t)
-            else:
-                mid, end = sample(times[idx - 1] + 0.5 * dt), sample(t)
-                x = step((s, mid, end), x)
-                s = end
+            if idx:
+                if 2 * idx >= hi:   # a copy of the last run's end starts the next
+                    lo, kernels = max(hi - 1, 0), deepcopy(kernels[-1:])
+                    kernels += prepare(rows[hi:2 * (idx + steps) - 1])
+                    hi = lo + len(kernels)
+                x = step(kernels[2 * idx - 2 - lo:2 * idx + 1 - lo], x)
             if not np.isfinite(x).all():
                 raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
         except Exception:
-            if samples:
+            if idx > first:
                 flush(idx)
             raise
-        block[len(samples)] = x
-        samples.append(s)
-        if len(samples) == rows or idx == times.size - 1:
+        block[idx - first] = x
+        if idx + 1 - first == cap or idx == times.size - 1:
             flush(idx + 1)
+            first = idx + 1
 
 
 def abort_at(bad, message) -> None:
@@ -259,8 +271,8 @@ def escort(w: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
 def growth_rate(jumps: np.ndarray, inv: np.ndarray, rho: np.ndarray):
     """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho), the variance growth rate.
 
-    `jumps` (..., n, d, d) are the scaled jumps sqrt(c_n) L_n of a
-    `Kernel` or of stacked nodes; `inv` and `rho` are (..., d, d). Each
+    `jumps` (..., n, d, d) are the scaled jumps sqrt(c_n) L_n at one node
+    or at stacked nodes; `inv` and `rho` are (..., d, d). Each
     term is a commutator's second moment, nonnegative up to roundoff; a
     value below -1e-12 means the inputs were inconsistent."""
     inv = inv[..., None, :, :]
@@ -304,53 +316,66 @@ SERIES_KEYS = (
 
 @dataclass
 class Trajectory:
-    """Co-integrated (state, invariant) pair plus per-node diagnostics.
+    """Co-integrated state and invariants plus per-node diagnostics.
 
-    `states` and `invariants` are (n_nodes, dim, dim) arrays, one matrix
-    per node of `times`.
+    `states` and `invariants` (of the first invariant, which the series
+    describe) are (n_nodes, dim, dim) arrays, one matrix per node of
+    `times`; `variances` (n_nodes, k) holds the variance of each invariant.
     """
 
     times: np.ndarray
     states: np.ndarray
     invariants: np.ndarray
     series: dict[str, np.ndarray]
+    variances: np.ndarray
     notes: dict[str, float] = field(default_factory=dict)
 
 
 def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float = 0.5,
               dt: float = 1e-3, alpha: float = 2.0) -> Trajectory:
-    """Fixed-step joint integration of state and invariant on `march`.
+    """Fixed-step joint integration of state and invariants on `march`.
 
-    Classic RK4 advances rho and (when `i0` is given) the invariant
-    through shared stages, with the generator evaluated once per distinct
-    time (2N + 1 evaluations for N steps). Without `i0` the invariant is
-    H(t), read from each node's kernel, and only rho is stepped; the
-    conservation guard then checks that H(t) is a weak invariant of `gen`.
+    One `eval` samples the generator at the 2N + 1 distinct times of N
+    steps (nodes and midpoints). Classic RK4 advances rho and `i0`, one
+    invariant or a (k, dim, dim) stack, as one stack. Without `i0` the
+    invariant is H(t) and only rho is stepped; the conservation guard
+    then checks that H(t) is a weak invariant of `gen`.
 
     The state is re-Hermitized once per step (the correction is tracked
     in notes); trace and positivity are monitored, never enforced. The
     node diagnostics run on stacks, once per block. The run aborts with a
     NumericalError at the earliest node where the state stops being
     finite, an eigenvalue of rho falls below POSITIVITY_FLOOR or tr(I rho)
-    drifts beyond CONSERVATION_TOL (relative to its initial size).
+    of any invariant drifts beyond CONSERVATION_TOL (relative to its
+    initial size); a sampling error once the nodes before it are observed.
     """
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
 
     times = time_grid(t0, t1, dt)
     rho = DensityMatrix.from_matrix(rho0).mat
-    # x stacks rho with the invariant when one is integrated
-    x = rho[None] if i0 is None else np.stack([rho, require_hermitian(i0, name="I(t0)")])
-    rhs = (Kernel.state_rhs, Kernel.invariant_rhs)[:len(x)]
+    inv0 = np.empty((0,) + rho.shape) if i0 is None else require_hermitian(i0, name="I(t0)")
+    if inv0.shape[-2:] != rho.shape or inv0.ndim > 3:
+        raise ValidationError(f"I(t0) has shape {inv0.shape}, not {rho.shape} or a stack")
+    x = np.concatenate([rho[None], inv0.reshape((-1,) + rho.shape)])
+    m = len(gen.terms)
+
+    # every node, with the midpoint after it interleaved
+    column = np.insert(times, np.arange(1, times.size), times[:-1] + 0.5 * dt)
+    try:
+        rows, fault = np.hstack(gen.eval(column)), None
+    except SamplingError as exc:
+        rows, fault = np.hstack(gen.eval(column[:exc.at])), exc
 
     states = np.empty((times.size,) + rho.shape, dtype=complex)
     invariants = np.empty_like(states)
+    variances = np.empty((times.size, max(1, len(x) - 1)))
     cols = {k: np.empty(times.size) for k in SERIES_KEYS}
     notes = {"max_herm_correction": 0.0}
     exp0 = cons_scale = None
 
     def step(kernels, x):
-        nxt = np.stack([rk4_step(f, kernels, m, dt) for f, m in zip(rhs, x)])
+        nxt = rk4_step(lindblad_rhs, kernels, x, dt)
         fix = float(hermiticity_defect(nxt[0]))
         notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
         return 0.5 * (nxt + dagger(nxt))
@@ -360,16 +385,14 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     # rather than trimmed from the heap and faulted in again at large d.
     jumps = sym = w = v = ir = iir = weight = weights = None
 
-    def observe(span, block, kernels):
+    def observe(span, block, node_rows):
         nonlocal exp0, cons_scale, jumps, sym, w, v, ir, iir, weight, weights
         t = times[span]
         states[span] = block[:, 0]
-        if i0 is None:
-            np.stack([k.h for k in kernels], out=invariants[span])
-        else:
-            invariants[span] = block[:, 1]
-        rho, inv = states[span], invariants[span]
-        jumps = np.stack([k.jumps for k in kernels])
+        inv = gen.hamiltonian(node_rows[:, :m])[:, None] if i0 is None else block[:, 1:]
+        invariants[span] = inv[:, 0]
+        rho = states[span]
+        jumps = gen.scaled_jumps(node_rows[:, m:])
         sym = 0.5 * (rho + dagger(rho))
         w, v = np.linalg.eigh(sym)
         min_eig = w[:, 0]
@@ -377,37 +400,41 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
             f"state lost positivity at t = {t[k]:.6g}: min eigenvalue {min_eig[k]:.3e} "
             f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is monitored, "
             "not enforced)"))
-        ir = inv @ rho
-        iir = inv @ inv @ rho
+        ir = inv @ rho[:, None]
+        iir = inv @ inv @ rho[:, None]
         e_val = np.trace(ir, axis1=-2, axis2=-1)
         e2_val = np.trace(iir, axis1=-2, axis2=-1)
         abort_at(np.abs(e_val.imag) > 1e-9 * np.maximum(np.hypot(e_val.real, e_val.imag), 1.0),
-                 lambda k: f"<I> at t = {t[k]:.6g} has imaginary residue {e_val[k].imag:.3e}")
+                 lambda k: f"<I> at t = {t[k[0]]:.6g} has imaginary residue {e_val[k].imag:.3e}")
         exp_i = e_val.real
         var_i = e2_val.real - exp_i * exp_i
         abort_at(var_i < -1e-10,
-                 lambda k: f"variance {var_i[k]:.3e} negative at t = {t[k]:.6g}")
+                 lambda k: f"variance {var_i[k]:.3e} negative at t = {t[k[0]]:.6g}")
         var_i = np.where(var_i < 0.0, 0.0, var_i)
         if span.start == 0:
             exp0 = exp_i[0]
-            cons_scale = abs(exp0) if abs(exp0) > 1e-12 else 1.0
+            cons_scale = np.where(np.abs(exp0) > 1e-12, np.abs(exp0), 1.0)
         drift = np.abs(exp_i - exp0)
         abort_at(drift > CONSERVATION_TOL * cons_scale, lambda k: (
-            f"conservation breach at t = {t[k]:.6g}: <I> drifted by {drift[k]:.3e} "
-            f"(allowed {CONSERVATION_TOL * cons_scale:.3e}); the pair no longer "
+            f"conservation breach at t = {t[k[0]]:.6g}: <I> drifted by {drift[k]:.3e} "
+            f"(allowed {CONSERVATION_TOL * cons_scale[k[1]]:.3e}); the pair no longer "
             "solves the two evolution equations consistently"))
         weight = escort(w, v, alpha) if alpha != 1.0 else sym
         tr_err = np.trace(rho, axis1=-2, axis2=-1) - 1.0
-        cols["exp_I"][span] = exp_i
-        cols["var_I"][span] = var_i
-        cols["growth_formula"][span] = growth_rate(jumps, inv, rho)
+        cols["exp_I"][span] = exp_i[:, 0]
+        cols["var_I"][span] = var_i[:, 0]
+        variances[span] = var_i
+        cols["growth_formula"][span] = growth_rate(jumps, inv[:, 0], rho)
         cols["S_vn"][span], cols["S_renyi"][span] = entropies(w, alpha)
         weights = np.stack((sym, weight))
         cols["bound_vn"][span], cols["bound_renyi"][span] = entropy_bound(jumps, weights)
         cols["trace_err"][span] = np.hypot(tr_err.real, tr_err.imag)
         cols["min_eig"][span] = min_eig
 
-    march(times, dt, x, lambda t: Kernel(gen, t), step, observe)
+    march(times[:(len(rows) + 1) // 2], x, rows,
+          lambda r: rhs_kernels(gen, r[:, :m], r[:, m:], np.arange(len(x)) > 0), step, observe)
+    if fault is not None:
+        raise fault
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
-    return Trajectory(times=times, states=states, invariants=invariants,
-                      series=cols, notes=notes)
+    return Trajectory(times=times, states=states, invariants=invariants, series=cols,
+                      variances=variances, notes=notes)

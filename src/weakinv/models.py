@@ -16,9 +16,9 @@ Oscillator with shrinking stiffness
     integrating its matrix equation forward (on the truncated space that
     equation amplifies off-algebra noise at rates ~ c * spread(K2)^2,
     which overwhelms double precision within t ~ 0.1); it is H(t) itself,
-    which `integrate` reads from the generator at every node. A general
-    weak invariant stays inside the algebra, I = kappa1 K1 + kappa2 K2 +
-    kappa3 K3 + kappa0, whose coefficient dynamics
+    which `integrate` forms from the sampled coefficients at every node.
+    A general weak invariant stays inside the algebra, I = kappa1 K1 +
+    kappa2 K2 + kappa3 K3 + kappa0, whose coefficient dynamics
 
         kappa1' = -2 kappa3
         kappa2' = 2 k kappa3 - 2 c kappa1
@@ -37,17 +37,21 @@ Spin in a growing field
     B0 exp(8ct) has all three rates equal to c. Since H^2 = B^2 and
     [sigma_n, H]^dag [sigma_n, H] = 4 (B^2 - B_n^2), the fluctuation
     growth rate is d B^2/dt for every state.
+
+Schedules (k and kdot, B and Bdot) also take a column of times, so each
+generator samples its coefficients and rates in one call per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import ValidationError
-from .lindblad import Kernel, LindbladGenerator
+from .lindblad import LindbladGenerator, lindblad_rhs, reject_first, rhs_kernels
 from .operators import PAULIS, _as_matrix, expectation
 
 EDGE_OCCUPATION_TOL = 1e-8
@@ -113,46 +117,34 @@ class OscillatorModel:
         return build_su11_ops(self.n_fock, self.omega_ref)
 
     def validate_schedule(self, t0: float, t1: float, samples: int = 65) -> None:
-        """Reject schedules that break the weak-invariant construction."""
+        """Reject schedules that break the weak-invariant construction (a
+        pole of k reads as infinite); config validation calls this too."""
         for t in np.linspace(t0, t1, samples):
-            kv, kd = float(self.k(t)), float(self.kdot(t))
-            if kv <= 0.0:
-                raise ValidationError(
-                    f"stiffness must stay positive: k({t:.6g}) = {kv:.6g}"
-                )
-            if kd >= 0.0:
-                raise ValidationError(
-                    f"the dissipative construction needs k(t) strictly decreasing "
-                    f"(rate c = -kdot/2 must be positive): kdot({t:.6g}) = {kd:.6g}"
-                )
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kv, kd = float(self.k(t)), float(self.kdot(t))
+            if not 0.0 < kv < np.inf:
+                raise ValidationError(f"stiffness must stay positive and finite: "
+                                      f"k({t:.6g}) = {kv:.6g}")
+            if not kd < 0.0:
+                raise ValidationError(f"the dissipative construction needs k(t) strictly "
+                                      f"decreasing (rate c = -kdot/2 must be positive): "
+                                      f"kdot({t:.6g}) = {kd:.6g}")
 
 
 def rational_decay(k0: float = 1.0, decay: float = 0.5) -> OscillatorModel:
     """k(t) = k0 / (1 + decay * t), the default schedule (decay > 0 shrinks)."""
-    def k(t: float) -> float:
-        return k0 / (1.0 + decay * t)
-
-    def kdot(t: float) -> float:
-        return -k0 * decay / (1.0 + decay * t) ** 2
-
-    return OscillatorModel(n_fock=60, k=k, kdot=kdot)
+    return OscillatorModel(n_fock=60, k=lambda t: k0 / (1.0 + decay * t),
+                           kdot=lambda t: -k0 * decay / (1.0 + decay * t) ** 2)
 
 
 def oscillator_generator(model: OscillatorModel) -> LindbladGenerator:
     """Generator with H(t) = K1 + k(t) K2, single jump L = K2, c = -kdot/2."""
     k1, k2, _ = model.ops()
-
-    def hamiltonian(t: float) -> np.ndarray:
-        return k1 + float(model.k(t)) * k2
-
-    def rates(t: float) -> tuple[float]:
-        return (-0.5 * float(model.kdot(t)),)
-
     return LindbladGenerator(
-        dim=model.n_fock,
-        hamiltonian=hamiltonian,
+        terms=np.array([k1, k2]),
         jumps=k2[None],
-        rates=rates,
+        coeffs=lambda t: np.stack([np.ones_like(t), model.k(t)], axis=-1),
+        rates=lambda t: -0.5 * model.kdot(t)[:, None],
     )
 
 
@@ -176,8 +168,8 @@ def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
 
 @dataclass(frozen=True)
 class SpinModel:
-    """Field schedule B(t) and its derivative, each mapping t -> 3-vector
-    (b maps a column of n times to (n, 3) for `spin_hamiltonian`)."""
+    """Field schedule B(t) and its derivative, each mapping a time to a
+    3-vector and a column of n times to (n, 3)."""
 
     b: Callable[[float], np.ndarray]
     bdot: Callable[[float], np.ndarray]
@@ -188,53 +180,39 @@ def exponential_field(b0, rate: float) -> SpinModel:
     base = np.asarray(b0, dtype=float)
     if base.shape != (3,):
         raise ValidationError(f"B0 must be a 3-vector, got shape {base.shape}")
-
-    def b(t) -> np.ndarray:
-        return np.exp(8.0 * rate * t)[..., None] * base
-
-    def bdot(t: float) -> np.ndarray:
-        return 8.0 * rate * base * np.exp(8.0 * rate * t)
-
-    return SpinModel(b=b, bdot=bdot)
+    return SpinModel(b=lambda t: np.exp(8.0 * rate * t)[..., None] * base,
+                     bdot=lambda t: 8.0 * rate * base * np.exp(8.0 * rate * t)[..., None])
 
 
-def spin_coefficients(model: SpinModel, t: float) -> np.ndarray:
-    """The three rates c_n(t) forced by weak invariance of H(t).
+def spin_coefficients(model: SpinModel, t) -> np.ndarray:
+    """The three rates c_n(t) forced by weak invariance of H(t), (T, 3) on
+    a column of T times.
 
     c_n = (1/8) (sum over the other two of Bdot_m/B_m - Bdot_n/B_n).
     Every component of B must stay away from zero, the rates must come
     out nonnegative, and the defining identity
     Bdot = 4((c2+c3)B1, (c3+c1)B2, (c1+c2)B3) is re-checked on the way
-    out as a guard against schedule bugs.
+    out as a guard against schedule bugs; the earliest bad time is named.
     """
-    bv = np.asarray(model.b(t), dtype=float)
-    bd = np.asarray(model.bdot(t), dtype=float)
-    if bv.shape != (3,) or bd.shape != (3,):
+    bv, bd = (np.asarray(f(t), dtype=float) for f in (model.b, model.bdot))
+    if bv.shape != np.shape(t) + (3,) or bd.shape != bv.shape:
         raise ValidationError("field and derivative must be 3-vectors")
-    if np.any(np.abs(bv) <= 1e-12):
-        raise ValidationError(
-            f"field component crosses zero at t = {t:.6g}: B = {bv.tolist()}"
-        )
-    logd = bd / bv
-    total = logd.sum()
-    cs = (total - 2.0 * logd) / 8.0
-    if np.any(cs < -1e-12):
-        raise ValidationError(
-            f"schedule gives a negative rate at t = {t:.6g}: c = {cs.tolist()}"
-        )
-    cs = np.clip(cs, 0.0, None)
-    recon = 4.0 * np.array([
-        (cs[1] + cs[2]) * bv[0],
-        (cs[2] + cs[0]) * bv[1],
-        (cs[0] + cs[1]) * bv[2],
+    col, bv, bd = np.reshape(t, -1), bv.reshape(-1, 3), bd.reshape(-1, 3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logd = bd / bv
+        cs = (logd.sum(axis=1, keepdims=True) - 2.0 * logd) / 8.0
+        fit = np.clip(cs, 0.0, None)
+        defect = np.abs(4.0 * (fit[:, [1, 2, 0]] + fit[:, [2, 0, 1]]) * bv - bd).max(axis=1)
+    reject_first([
+        ((np.abs(bv) <= 1e-12).any(axis=1), lambda k: (
+            f"field component crosses zero at t = {col[k[0]]:.6g}: B = {bv[k[0]].tolist()}")),
+        ((cs < -1e-12).any(axis=1), lambda k: (
+            f"schedule gives a negative rate at t = {col[k[0]]:.6g}: c = {cs[k[0]].tolist()}")),
+        (defect > 1e-10 * np.maximum(np.abs(bd).max(axis=1), 1e-30), lambda k: (
+            f"rate reconstruction defect {defect[k]:.3e} exceeds 1e-10 relative at "
+            f"t = {col[k[0]]:.6g}")),
     ])
-    scale = max(float(np.abs(bd).max()), 1e-30)
-    defect = float(np.abs(recon - bd).max())
-    if defect > 1e-10 * scale:
-        raise ValidationError(
-            f"rate reconstruction defect {defect:.3e} exceeds 1e-10 relative at t = {t:.6g}"
-        )
-    return cs
+    return fit.reshape(np.shape(t) + (3,))
 
 
 def spin_hamiltonian(model: SpinModel, t) -> np.ndarray:
@@ -245,15 +223,8 @@ def spin_hamiltonian(model: SpinModel, t) -> np.ndarray:
 
 def spin_generator(model: SpinModel) -> LindbladGenerator:
     """Generator with H(t) = B(t).sigma and the three Paulis as jumps."""
-    def ham(t: float) -> np.ndarray:
-        return spin_hamiltonian(model, t)
-
-    return LindbladGenerator(
-        dim=2,
-        hamiltonian=ham,
-        jumps=np.array(PAULIS),
-        rates=lambda t: spin_coefficients(model, t),
-    )
+    return LindbladGenerator(terms=np.array(PAULIS), jumps=np.array(PAULIS),
+                             coeffs=model.b, rates=partial(spin_coefficients, model))
 
 
 def spin_predicted_growth(model: SpinModel, t: float) -> float:
@@ -272,8 +243,7 @@ def invariance_residual(gen: LindbladGenerator, h_dot, t: float, trim: int = 0) 
     edge levels from each side of the comparison, for truncated spaces
     where the residual is pure edge artefact.
     """
-    kern = Kernel(gen, t)
-    res = np.asarray(h_dot, dtype=complex) - kern.invariant_rhs(kern.h)
-    if trim > 0:
-        res = res[:-trim, :-trim]
-    return float(np.abs(res).max())
+    coeffs, rates = gen.eval(np.array([t]))
+    rhs = lindblad_rhs(rhs_kernels(gen, coeffs, rates, [True])[0], gen.hamiltonian(coeffs))
+    res = np.asarray(h_dot, dtype=complex) - rhs[0]
+    return float(np.abs(res[:-trim or None, :-trim or None]).max())

@@ -123,12 +123,11 @@ def test_duality_of_expectations(dim, n_kraus, seeds):
 
 
 def _static_spin_generator(c):
-    h = SIGMA_Z.astype(complex)
     return LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: h,
+        terms=[SIGMA_Z],
         jumps=[SIGMA_X],
-        rates=lambda t: (c,),
+        coeffs=lambda t: np.ones((t.size, 1)),
+        rates=lambda t: np.full((t.size, 1), c),
     )
 
 
@@ -146,7 +145,8 @@ def test_step_channel_matches_generator_to_first_order():
     dt = 1e-4
     ch = lindblad_step_channel(gen, 0.0, dt)
     stepped = sum(v @ rho @ v.conj().T for v in ch.kraus)
-    from weakinv.lindblad import Kernel
-    euler = rho + dt * Kernel(gen, 0.0).state_rhs(rho)
+    from weakinv.lindblad import lindblad_rhs, rhs_kernels
+    kernel = rhs_kernels(gen, *gen.eval(np.array([0.0])), [False])[0]
+    euler = rho + dt * lindblad_rhs(kernel, rho[None])[0]
     # agreement through first order, so the residual is O(dt^2)
     assert np.abs(stepped - euler).max() < 100.0 * dt * dt

@@ -117,6 +117,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
      '{"scenario": "thermo_spin", "params": {"b0": [0, 2.0, 3.0]}}'),
     ("one_level_fuzz", '{"scenario": "channel_fuzz", "params": {"max_dim": 1}}'),
     ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
+    ("growing_stiffness", '{"scenario": "oscillator", "params": {"decay": -0.5}}'),
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
     ("cfl_dt", '{"scenario": "fp_ou", "dt": 1e-3}'),
@@ -135,10 +136,10 @@ def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
 
 
 def test_numerical_abort_exits_3(tmp_path, capsys):
-    # decay < 0 makes the spring constant grow, which the schedule refuses
+    # a stiffness so large that the first step overflows the state
     cfg = _write(tmp_path, "osc.json", {
-        "scenario": "oscillator",
-        "params": {"decay": -0.5, "n_fock": 16},
+        "scenario": "oscillator", "t1": 0.01,
+        "params": {"k0": 1e300, "n_fock": 8},
     })
     assert main(["run", "--config", cfg, "--output-dir",
                  str(tmp_path / "o")]) == 3

@@ -88,10 +88,12 @@ def test_param_kind_enforcement():
                          "params": {"initial_state": "sideways"}})
     with pytest.raises(ConfigError):
         validate_config({"scenario": "oscillator", "params": {"n_fock": 2.5}})
-    # signed float: passes the schema, the engine decides (wrong-sign decay
-    # must surface as a numerical abort, not a config error)
-    cfg = validate_config({"scenario": "oscillator", "params": {"decay": -0.5}})
-    assert cfg.params["decay"] == -0.5
+    # signed float: the schema lets it through, but a growing stiffness is
+    # decided by the config alone, by the engine's own schedule rule
+    with pytest.raises(ConfigError, match="needs k\\(t\\) strictly decreasing"):
+        validate_config({"scenario": "oscillator", "params": {"decay": -0.5}})
+    cfg = validate_config({"scenario": "oscillator", "params": {"decay": 0.25}})
+    assert cfg.params["decay"] == 0.25
 
 
 def test_scenario_specific_window_defaults():

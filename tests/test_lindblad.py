@@ -7,17 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakinv.errors import NumericalError, ValidationError
+from weakinv.errors import NumericalError, SamplingError, ValidationError
 from weakinv.lindblad import (
     BLOCK_BYTES,
     BLOCK_NODES,
-    Kernel,
     LindbladGenerator,
     entropies,
     entropy_bound,
     escort,
     growth_rate,
     integrate,
+    lindblad_rhs,
+    rhs_kernels,
 )
 from weakinv.fokker_planck import (
     evolve,
@@ -43,36 +44,49 @@ from weakinv.thermo import canonical_state
 B0 = np.array([1.0, 2.0, 3.0])
 
 
-def dephasing_generator(c=1.0):
+def constant_generator(h, jumps, rates):
+    """H and the rates constant in time: one term H with coefficient 1."""
     return LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        jumps=[SIGMA_Z],
-        rates=lambda t: (c,),
+        terms=[h],
+        jumps=jumps,
+        coeffs=lambda t: np.ones((t.size, 1)),
+        rates=lambda t: np.tile(np.asarray(rates, dtype=float), (t.size, 1)),
     )
+
+
+ZERO = np.zeros((2, 2), dtype=complex)
+
+
+def dephasing_generator(c=1.0):
+    return constant_generator(ZERO, [SIGMA_Z], [c])
 
 
 def damping_generator(c=0.5):
     # lowering operator in the (excited, ground) ordering
-    return LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        jumps=[SIGMA_MINUS],
-        rates=lambda t: (c,),
-    )
+    return constant_generator(ZERO, [SIGMA_MINUS], [c])
+
+
+def rhs_at(gen, m, adjoint=False, t=0.0):
+    """The state (or, with adjoint, the invariant) equation's RHS at time t."""
+    kernel = rhs_kernels(gen, *gen.eval(np.array([t])), [adjoint])[0]
+    return lindblad_rhs(kernel, np.asarray(m, dtype=complex)[None])[0]
+
+
+def jumps_at(gen, t=0.0):
+    return gen.scaled_jumps(gen.eval(t)[1])
 
 
 def test_dephasing_invariant_rhs_closed_form():
     # H = 0, L = s3, c = 1, I = s1: rhs = (s3 s3 s1 + s1 s3 s3 - 2 s3 s1 s3) = 4 s1
     gen = dephasing_generator(1.0)
-    rhs = Kernel(gen, 0.0).invariant_rhs(SIGMA_X)
+    rhs = rhs_at(gen, SIGMA_X, adjoint=True)
     assert np.abs(rhs - 4.0 * SIGMA_X).max() < 1e-12
 
 
 def test_state_and_invariant_rhs_differ_in_jump_ordering():
     gen = damping_generator(0.5)
     rho = np.diag([1.0, 0.0]).astype(complex)   # excited state
-    drho = Kernel(gen, 0.0).state_rhs(rho)
+    drho = rhs_at(gen, rho)
     # population leaves the excited level at rate 2c <e|L+L|e> = 1
     assert drho[0, 0].real == pytest.approx(-1.0)
     assert np.trace(drho).real == pytest.approx(0.0, abs=1e-14)
@@ -81,16 +95,16 @@ def test_state_and_invariant_rhs_differ_in_jump_ordering():
 def test_growth_rate_dephasing():
     gen = dephasing_generator(1.0)
     rho = np.eye(2, dtype=complex) / 2.0
-    kern = Kernel(gen, 0.0)
+    jumps = jumps_at(gen)
     # 2c <[L,I]^dag [L,I]> with [s3, s1] = 2i s2: 2 * 4 = 8
-    assert growth_rate(kern.jumps, SIGMA_X, rho) == pytest.approx(8.0)
+    assert growth_rate(jumps, SIGMA_X, rho) == pytest.approx(8.0)
     # I commuting with L gives exactly zero
-    assert growth_rate(kern.jumps, SIGMA_Z, rho) == pytest.approx(0.0)
+    assert growth_rate(jumps, SIGMA_Z, rho) == pytest.approx(0.0)
 
 
 def test_identity_is_fixed_point_of_invariant_equation():
     gen = damping_generator(0.7)
-    rhs = Kernel(gen, 0.0).invariant_rhs(np.eye(2, dtype=complex))
+    rhs = rhs_at(gen, np.eye(2), adjoint=True)
     assert np.abs(rhs).max() < 1e-14
 
 
@@ -133,16 +147,16 @@ def test_escort_density_reweights_spectrum():
 def test_hermitian_jump_bounds_vanish():
     gen = dephasing_generator(0.4)
     rho = np.diag([0.6, 0.4]).astype(complex)
-    kern = Kernel(gen, 0.0)
-    assert entropy_bound(kern.jumps, rho) == 0.0
-    assert entropy_bound(kern.jumps, _escort_matrix(rho, 2.0)) == 0.0
+    jumps = jumps_at(gen)
+    assert entropy_bound(jumps, rho) == 0.0
+    assert entropy_bound(jumps, _escort_matrix(rho, 2.0)) == 0.0
 
 
 def test_damping_entropy_bound_on_excited_state():
     # [L^dag, L] = diag(1, -1); on the excited state the bound is 2c
     gen = damping_generator(0.5)
     rho = DensityMatrix.from_matrix(np.diag([1.0, 0.0]).astype(complex))
-    assert entropy_bound(Kernel(gen, 0.0).jumps, rho.mat) == pytest.approx(1.0)
+    assert entropy_bound(jumps_at(gen), rho.mat) == pytest.approx(1.0)
 
     # and the actual entropy rate respects it: S(h) ~ -h ln h for the
     # decayed population h = 2c dt, so the early slope is enormous
@@ -194,12 +208,7 @@ def test_spin_trajectory_conserves_invariant_mean():
 def test_integrate_conservation_guard_trips():
     # without i0 the invariant is H(t); sigma_x under sigma_z dephasing is
     # not a weak invariant, so its mean decays and the guard must trip
-    gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: SIGMA_X,
-        jumps=[SIGMA_Z],
-        rates=lambda t: (0.5,),
-    )
+    gen = constant_generator(SIGMA_X, [SIGMA_Z], [0.5])
     rho0 = canonical_state(SIGMA_X, 1.0)
     with pytest.raises(NumericalError) as info:
         integrate(gen, rho0, t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
@@ -217,10 +226,10 @@ def test_earlier_node_guard_wins_over_a_later_sampling_error():
     # nodes already stepped are still observed first, so the breach at
     # node 1 is what the run reports
     gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: SIGMA_X,
+        terms=[SIGMA_X],
         jumps=[SIGMA_Z],
-        rates=lambda t: (float("nan") if t > 0.0299 else 0.5,),
+        coeffs=lambda t: np.ones((t.size, 1)),
+        rates=lambda t: np.where(t > 0.0299, np.nan, 0.5)[:, None],
     )
     with pytest.raises(ValidationError, match=r"rates\(0.03\) = \[nan\]"):
         gen.eval(0.03)
@@ -347,7 +356,7 @@ def test_closed_form_invariant_is_the_generator_hamiltonian():
     traj = integrate(gen, rho0, t0=0.0, t1=0.05, dt=1e-3, alpha=2.0)
     assert traj.invariants.shape == traj.states.shape == (traj.times.size, 2, 2)
     for t, i_mat in zip(traj.times, traj.invariants):
-        assert np.array_equal(i_mat, gen.hamiltonian(t))
+        assert np.array_equal(i_mat, gen.hamiltonian(gen.eval(t)[0]))
 
 
 @pytest.mark.parametrize("jumps, message", [
@@ -357,8 +366,7 @@ def test_closed_form_invariant_is_the_generator_hamiltonian():
 ], ids=["single_matrix", "wrong_dim", "non_finite"])
 def test_jump_stack_is_checked_at_construction(jumps, message):
     with pytest.raises(ValidationError, match=message):
-        LindbladGenerator(dim=2, hamiltonian=lambda t: SIGMA_Z, jumps=jumps,
-                          rates=lambda t: (0.1,))
+        constant_generator(SIGMA_Z, jumps, [0.1])
 
 
 def test_growth_formula_matches_series_difference():
@@ -384,22 +392,12 @@ def test_growth_rate_never_negative(seed):
     r = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     rho = r @ r.conj().T
     rho /= np.trace(rho).real
-    gen = LindbladGenerator(
-        dim=3,
-        hamiltonian=lambda t: np.zeros((3, 3), dtype=complex),
-        jumps=[l_op],
-        rates=lambda t: (0.3,),
-    )
-    assert growth_rate(Kernel(gen, 0.0).jumps, i_op, rho) >= -1e-12
+    gen = constant_generator(np.zeros((3, 3), dtype=complex), [l_op], [0.3])
+    assert growth_rate(jumps_at(gen), i_op, rho) >= -1e-12
 
 
 def test_negative_rate_rejected():
-    gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        jumps=[SIGMA_X],
-        rates=lambda t: (-0.5,),
-    )
+    gen = constant_generator(ZERO, [SIGMA_X], [-0.5])
     with pytest.raises(ValidationError):
         gen.eval(0.0)
 
@@ -411,46 +409,112 @@ def test_variance_shift_exact_identity():
     assert shifted == pytest.approx(base, rel=1e-12)
 
 
-def test_integrate_evaluates_generator_once_per_distinct_time():
+def test_integrate_samples_the_generator_once_per_run():
     n_steps = 20
-    rate_times = []
-    eval_times = []
+    columns, rate_columns = [], []
 
     def rates(t):
-        rate_times.append(t)
-        return (0.4,)
+        rate_columns.append(t)
+        return np.full((t.size, 1), 0.4)
 
     class CountingGenerator(LindbladGenerator):
-        def eval(self, t):
-            eval_times.append(t)
-            return super().eval(t)
+        def eval(self, times):
+            columns.append(times)
+            return super().eval(times)
 
     gen = CountingGenerator(
-        dim=2,
-        hamiltonian=lambda t: (1.0 + t) * SIGMA_Z.astype(complex),
+        terms=[SIGMA_Z],
         jumps=[SIGMA_MINUS],
+        coeffs=lambda t: (1.0 + t)[:, None],
         rates=rates,
     )
     rho0 = canonical_state(SIGMA_X.astype(complex), 1.0)
     traj = integrate(gen, rho0, i0=np.eye(2, dtype=complex) + SIGMA_Z,
                      t0=0.0, t1=n_steps * 1e-2, dt=1e-2)
-    assert len(eval_times) == 2 * n_steps + 1
-    assert rate_times == eval_times
+    assert len(columns) == len(rate_columns) == 1
+    assert np.array_equal(rate_columns[0], columns[0])
     # every node plus every midpoint, each exactly once
+    col = columns[0]
+    assert col.shape == (2 * n_steps + 1,)
     mids = 0.5 * (traj.times[:-1] + traj.times[1:])
     expected = np.sort(np.concatenate([traj.times, mids]))
-    assert np.allclose(np.sort(eval_times), expected, rtol=0.0, atol=1e-15)
-    assert len(set(eval_times)) == len(eval_times)
+    assert np.allclose(np.sort(col), expected, rtol=0.0, atol=1e-15)
+    assert len(set(col.tolist())) == col.size
+
+
+@pytest.mark.parametrize("hot_at, cold_at, message", [
+    (0.05, 0.02, r"^rate c_0\(0.02\) = -1.000000e-01 is negative beyond tolerance 1e-12$"),
+    (0.02, 0.05, r"^H\(0.02\) has a non-finite entry$"),
+    (0.02, 0.02, r"^H\(0.02\) has a non-finite entry$"),
+], ids=["rate_first", "hamiltonian_first", "same_time"])
+def test_the_earliest_sampling_guard_wins(hot_at, cold_at, message):
+    # H turns infinite at hot_at and the rate negative at cold_at: the
+    # earlier time's guard is reported, and at one time H's guard comes first
+    gen = LindbladGenerator(
+        terms=[SIGMA_Z],
+        jumps=[SIGMA_X],
+        coeffs=lambda t: np.where(t > hot_at - 1e-9, np.inf, 1.0)[:, None],
+        rates=lambda t: np.where(t > cold_at - 1e-9, -0.1, 0.1)[:, None],
+    )
+    with pytest.raises(SamplingError, match=message) as info:
+        gen.eval(np.linspace(0.0, 0.1, 11))
+    assert info.value.at == 2
+    with pytest.raises(SamplingError, match=message):
+        integrate(gen, np.eye(2) / 2.0, i0=SIGMA_Z, t0=0.0, t1=0.1, dt=1e-2)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([SIGMA_Z, SIGMA_MINUS], "stack member 1: Hamiltonian term is not Hermitian"),
+    ([SIGMA_Z, np.full((2, 2), np.inf)], "Hamiltonian terms have a non-finite entry"),
+    (SIGMA_Z, r"terms must be an \(m, 2, 2\) stack, got shape \(2, 2\)"),
+], ids=["non_hermitian", "non_finite", "single_matrix"])
+def test_terms_are_checked_at_construction(terms, message):
+    with pytest.raises(ValidationError, match=message):
+        LindbladGenerator(terms=terms, jumps=[SIGMA_X],
+                          coeffs=lambda t: np.ones((t.size, 2)),
+                          rates=lambda t: np.ones((t.size, 1)))
+
+
+def test_a_stack_of_invariants_rides_on_one_state_path():
+    gen = damping_generator(0.5)
+    rho0 = canonical_state(0.7 * SIGMA_X, 1.0)
+    i0 = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]])
+    stack = np.stack([i0, i0 + 2.5 * np.eye(2), SIGMA_Z])
+    both = integrate(gen, rho0, i0=stack, t0=0.0, t1=0.2, dt=1e-3)
+    assert both.invariants.shape == (201, 2, 2)
+    assert both.variances.shape == (201, 3)
+    for k, inv in enumerate(stack):
+        one = integrate(gen, rho0, i0=inv, t0=0.0, t1=0.2, dt=1e-3)
+        assert one.variances.shape == (201, 1)
+        assert np.array_equal(one.states, both.states)
+        assert np.array_equal(one.variances[:, 0], both.variances[:, k])
+        if k == 0:
+            assert np.array_equal(one.invariants, both.invariants)
+            for key, col in one.series.items():
+                assert np.array_equal(col, both.series[key]), key
+    # an identity shift moves the mean, never the spread
+    assert np.abs(both.variances[:, 1] - both.variances[:, 0]).max() < 1e-12
+
+
+def test_every_invariant_of_a_stack_is_held_to_conservation():
+    # a coarse step under strong dephasing: the RK4 pair stops conserving
+    # <sigma_x> beyond the tolerance, while the identity stays conserved
+    gen = dephasing_generator(5.0)
+    rho0 = canonical_state(SIGMA_X, 1.0)
+    window = dict(t0=0.0, t1=0.2, dt=1e-2)
+    integrate(gen, rho0, i0=np.eye(2), **window)
+    with pytest.raises(NumericalError) as alone:
+        integrate(gen, rho0, i0=SIGMA_X, **window)
+    assert str(alone.value).startswith("conservation breach at t = 0.01: ")
+    for stack in ([np.eye(2), SIGMA_X], [SIGMA_X, np.eye(2)]):
+        with pytest.raises(NumericalError) as info:
+            integrate(gen, rho0, i0=np.stack(stack), **window)
+        assert str(info.value) == str(alone.value)
 
 
 def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
     # amplitude damping: [L^dag, L] != 0, so the bound columns are nonzero
-    gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: 0.7 * SIGMA_X.astype(complex),
-        jumps=[SIGMA_MINUS],
-        rates=lambda t: (0.5,),
-    )
+    gen = constant_generator(0.7 * SIGMA_X, [SIGMA_MINUS], [0.5])
     rho0 = DensityMatrix.from_matrix(
         np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]], dtype=complex))
     i0 = np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]], dtype=complex)
@@ -482,12 +546,7 @@ def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
 
 
 def test_rates_callable_must_match_jump_count():
-    gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        jumps=[SIGMA_X],
-        rates=lambda t: (0.1, 0.2),
-    )
+    gen = constant_generator(ZERO, [SIGMA_X], [0.1, 0.2])
     with pytest.raises(ValidationError):
         gen.eval(0.0)
 
@@ -495,29 +554,24 @@ def test_rates_callable_must_match_jump_count():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_generator_values_are_rejected_naming_t():
     nan = float("nan")
-    gen = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.zeros((2, 2), dtype=complex),
-        jumps=[SIGMA_Z],
-        rates=lambda t: (nan,),
-    )
+    gen = constant_generator(ZERO, [SIGMA_Z], [nan])
     with pytest.raises(ValidationError, match=r"rates\(0.25\) .* not all finite"):
         gen.eval(0.25)
     with pytest.raises(ValidationError, match="not all finite"):
         integrate(gen, np.eye(2, dtype=complex) / 2.0, i0=SIGMA_X, t0=0.0, t1=0.1, dt=1e-2)
 
     hot = LindbladGenerator(
-        dim=2,
-        hamiltonian=lambda t: np.full((2, 2), np.inf, dtype=complex),
+        terms=[SIGMA_Z],
         jumps=[SIGMA_Z],
-        rates=lambda t: (0.1,),
+        coeffs=lambda t: np.full((t.size, 1), np.inf),
+        rates=lambda t: np.full((t.size, 1), 0.1),
     )
     with pytest.raises(ValidationError, match=r"H\(0.5\) has a non-finite entry"):
         hot.eval(0.5)
 
 
 def test_kernel_guards_growth_sign_and_bound_residue():
-    jumps = Kernel(damping_generator(0.5), 0.0).jumps
+    jumps = jumps_at(damping_generator(0.5))
     rho = np.diag([0.75, 0.25]).astype(complex)
     # a negative "state" turns the second moment negative
     with pytest.raises(NumericalError, match="growth rate .* is negative"):
