@@ -121,11 +121,12 @@ def kadison_gap(ch: QuantumChannel, i_op) -> np.ndarray:
     return adjoint_apply(ch, m @ m) - fwd @ fwd
 
 
-def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
+def lindblad_step_channel(gen, coeffs, rates, dt: float) -> QuantumChannel:
     """First-order Kraus factorisation of a short generator step.
 
-    With jump operators L_n at rates c_n >= 0 and Hamiltonian H, the step
-    over [t, t+dt] is
+    `coeffs` (m,) and `rates` (n,) are one row that `gen.eval` sampled at
+    the step's start t. With jump operators L_n at rates c_n >= 0 and
+    Hamiltonian H, the step over [t, t+dt] is
 
         V_0 = 1 - i dt H - dt sum_n c_n L_n^dag L_n,
         V_n = sqrt(2 c_n dt) L_n,
@@ -137,13 +138,12 @@ def lindblad_step_channel(gen, t: float, dt: float) -> QuantumChannel:
     """
     if dt <= 0.0:
         raise ValidationError(f"step needs dt > 0, got {dt}")
-    coeffs, cs = gen.eval(t)
-    h, jumps = gen.hamiltonian(coeffs), gen.scaled_jumps(cs)
+    h, jumps = gen.hamiltonian(coeffs), gen.scaled_jumps(rates)
     ll = dagger(jumps) @ jumps                  # c_n L_n^dag L_n
     v0 = np.eye(len(h), dtype=complex) - 1j * dt * h - dt * ll.sum(axis=0)
     scale = max(float(np.abs(h).max(initial=0.0)), float(np.abs(ll).max(initial=0.0)))
     budget = 10.0 * dt * dt * max(1.0, scale) ** 2
-    return QuantumChannel.from_kraus([v0, *np.sqrt(2.0 * dt) * jumps[cs > 0.0]],
+    return QuantumChannel.from_kraus([v0, *np.sqrt(2.0 * dt) * jumps[rates > 0.0]],
                                      tp_tol=max(CPTP_TOL, budget))
 
 

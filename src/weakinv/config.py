@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
-from .fokker_planck import explicit_step_limit, space_grid
+from .errors import NumericalError, ValidationError
+from .fokker_planck import explicit_step_limit, gaussian_profile, interior_minimum, space_grid
 from .lindblad import time_grid
 from .models import rational_decay
 
@@ -194,7 +194,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     # Grids the config alone makes unrunnable, by the engine's own rules.
     try:
         if scenario in _STEPS_ON_DT:
-            time_grid(common["t0"], common["t1"], common["dt"])
+            times = time_grid(common["t0"], common["t1"], common["dt"])
         if scenario == "fp_ou":
             x = space_grid(params["x_min"], params["x_max"], params["h"])
             # the spacing the engine steps on, which may sit a hair off h
@@ -202,10 +202,13 @@ def validate_config(raw: dict) -> ExperimentConfig:
             if common["dt"] > limit:
                 raise ValidationError(f"dt = {common['dt']:.3e} exceeds the explicit-step "
                                       f"budget h^2/(2 max D) = {limit:.3e}")
+            # a start that vanishes on the grid or reaches its edges at the first node
+            start = gaussian_profile(x, params["init_mean"], params["init_var"])
+            interior_minimum(start.values[None], times[:1])
         if scenario == "oscillator":
             rational_decay(params["k0"], params["decay"]).validate_schedule(
                 common["t0"], common["t1"])
-    except ValidationError as exc:
+    except (ValidationError, NumericalError) as exc:
         raise ConfigError(str(exc)) from exc
 
     return ExperimentConfig(scenario=scenario, output_dir=output_dir,

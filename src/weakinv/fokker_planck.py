@@ -17,9 +17,11 @@ forward on a grid is anti-diffusive and ill-posed, so J is restricted to
 the quadratic ansatz J = a(t) x^2 + b(t) x + e(t), whose coefficient
 dynamics is exact. For the Ornstein-Uhlenbeck process (K = -gamma x,
 constant D) the coefficients are elementary exponentials. K and D are
-arrays on the grid; only J depends on t. The series carry the names of
-the CSV slots they fill: `exp_I`, `var_I` are <J> and its spread,
-`trace_err` the mass defect and `min_eig` the smallest density value.
+arrays on the grid; only J depends on t. Every integral over the grid is
+a per-row dot product with its one trapezoid weight vector. The series
+carry the names of the CSV slots they fill: `exp_I`, `var_I` are <J>
+and its spread, `trace_err` the mass defect and `min_eig` the smallest
+density value.
 
 The grid operator uses centered second-order differences in flux form;
 degree <= 2 polynomials differentiate exactly under those stencils, which
@@ -30,7 +32,7 @@ never reaches them (monitored at every node, never clamped).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -44,11 +46,13 @@ NEGATIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GridDistribution:
-    """Probability density sampled on a uniform grid."""
+    """A density on a uniform grid, or a stack (m, n) of them, with the grid's
+    trapezoid `weights` (numpy's rule: half of each cell's width at either end)."""
 
     x: np.ndarray
     values: np.ndarray
     h: float
+    weights: np.ndarray
 
     @classmethod
     def from_samples(cls, x, values) -> "GridDistribution":
@@ -65,11 +69,12 @@ class GridDistribution:
             raise ValidationError("density must be positive somewhere")
         if pv.min() < -NEGATIVITY_TOL * peak:
             raise ValidationError(f"density has negative values down to {pv.min():.3e}")
-        return cls(x=xv, values=pv, h=h)
+        return cls(x=xv, values=pv, h=h, weights=np.convolve(steps, [0.5, 0.5]))
 
     @property
-    def mass(self) -> float:
-        return float(np.trapezoid(self.values, self.x))
+    def mass(self):
+        """The integral of each density: a float, or one per row of a stack."""
+        return np.vecdot(self.values, self.weights)
 
 
 def space_grid(x_min: float, x_max: float, h: float) -> np.ndarray:
@@ -91,7 +96,7 @@ def gaussian_profile(x, mean: float, var: float) -> GridDistribution:
     p = np.exp(-0.5 * (xv - mean) ** 2 / var)
     p[0] = p[-1] = 0.0
     dist = GridDistribution.from_samples(xv, p)
-    return GridDistribution(x=dist.x, values=dist.values / dist.mass, h=dist.h)
+    return replace(dist, values=dist.values / dist.mass)
 
 
 @dataclass(frozen=True)
@@ -180,45 +185,43 @@ def fp_rhs(
     return out
 
 
-def _row_times(dist: GridDistribution, t):
-    """`t` shaped to broadcast against the grid: one time per row of a stack."""
-    tv = np.asarray(t, dtype=float)
-    if tv.shape != dist.values.shape[:-1]:
-        raise ValidationError(
-            f"need one time per density row: {tv.shape} vs {dist.values.shape[:-1]}")
-    return tv[..., None] if tv.ndim else t
-
-
-def _scalar_or_rows(value, t):
-    return float(value) if np.ndim(t) == 0 else value
-
-
 def invariant_moments(inv: PolyInvariant, dist: GridDistribution, t):
-    """<J> and <(J - <J>)^2> over the density (trapezoid rule).
+    """<J> and <(J - <J>)^2> over the density.
 
-    `dist.values` may be a stack (m, n) of densities with `t` holding one
-    time per row; both results are then arrays of length m, each entry
-    equal to the single-density call on that row. The coefficient
-    callables of `inv` must broadcast over a column of times.
+    `dist.values` may be a stack (m, n) of densities; `t` is then a
+    column (m, 1) of times, one per row, and both results are arrays of
+    length m, each entry equal to the single-density call on that row.
+    The coefficient callables of `inv` must broadcast over the column.
     """
-    j = inv.values(dist.x, _row_times(dist, t))
-    mean = np.trapezoid(j * dist.values, dist.x)
-    second = np.trapezoid(j * j * dist.values, dist.x)
-    return _scalar_or_rows(mean, t), _scalar_or_rows(second - mean * mean, t)
+    j = inv.values(dist.x, t)
+    mean = np.vecdot(j * dist.values, dist.weights)
+    second = np.vecdot(j * j * dist.values, dist.weights)
+    return mean, second - mean * mean
 
 
-def classical_growth_rate(
-    inv: PolyInvariant, dist: GridDistribution, diffusion, t
-) -> float | np.ndarray:
+def classical_growth_rate(inv: PolyInvariant, dist: GridDistribution, diffusion, t):
     """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent).
 
     `diffusion` is D sampled on the grid. Takes a stack of densities with
-    one time per row as `invariant_moments` does.
+    a column of times as `invariant_moments` does.
     """
     (diffusion,) = _on_grid(dist.x, diffusion)
-    s = inv.slope(dist.x, _row_times(dist, t))
-    rate = 2.0 * np.trapezoid(diffusion * s * s * dist.values, dist.x)
-    return _scalar_or_rows(rate, t)
+    s = inv.slope(dist.x, t)
+    return 2.0 * np.vecdot(diffusion * s * s * dist.values, dist.weights)
+
+
+def interior_minimum(block: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row's minimum of a density stack (m, n) at times t (m,); aborts at the first
+    row whose four edge nodes exceed BOUNDARY_DECAY_TOL of its peak, or that goes negative."""
+    peak = block.max(axis=1)
+    bmax = np.abs(block[:, [0, 1, -2, -1]]).max(axis=1)
+    abort_at(bmax > BOUNDARY_DECAY_TOL * peak, lambda k: (
+        f"density reached the boundary at t = {t[k]:.6g} (edge value "
+        f"{bmax[k]:.3e} vs peak {peak[k]:.3e}); enlarge the domain"))
+    pmin = block.min(axis=1)
+    abort_at(pmin < -NEGATIVITY_TOL * peak,
+             lambda k: f"density went negative at t = {t[k]:.6g}: min {pmin[k]:.3e}")
+    return pmin
 
 
 @dataclass
@@ -250,22 +253,15 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
 
     def observe(span, block, _):
         t = times[span]
-        peak = block.max(axis=1)
-        bmax = np.abs(block[:, [0, 1, -2, -1]]).max(axis=1)
-        abort_at(bmax > BOUNDARY_DECAY_TOL * peak, lambda k: (
-            f"density reached the boundary at t = {t[k]:.6g} (edge value "
-            f"{bmax[k]:.3e} vs peak {peak[k]:.3e}); enlarge the domain"))
-        pmin = block.min(axis=1)
-        abort_at(pmin < -NEGATIVITY_TOL * peak,
-                 lambda k: f"density went negative at t = {t[k]:.6g}: min {pmin[k]:.3e}")
+        pmin = interior_minimum(block, t)
         abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit), lambda k: (
             f"explicit-step budget violated at t = {t[k]:.6g}: "
             f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit:.3e}"))
 
-        blk = GridDistribution(x=x, values=block, h=h)
-        cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t)
-        cols["growth_formula"][span] = classical_growth_rate(inv, blk, coeffs[1], t)
-        cols["trace_err"][span] = np.trapezoid(block, x) - mass0
+        blk = replace(dist, values=block)
+        cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t[:, None])
+        cols["growth_formula"][span] = classical_growth_rate(inv, blk, coeffs[1], t[:, None])
+        cols["trace_err"][span] = blk.mass - mass0
         cols["min_eig"][span] = pmin
 
     rows = np.broadcast_to(np.stack(coeffs), (2 * times.size - 1, 2, x.size))

@@ -96,11 +96,9 @@ class LindbladGenerator:
         require_hermitian(self.terms, name="Hamiltonian term")
 
     def eval(self, times):
-        """(coeffs (T, m), rates (T, n)) on a column of T times; a scalar time
-        gives the rows (m,) and (n,). The guards raise SamplingError at the
-        earliest bad time; at one time H's finiteness comes first, then the
-        rates' finiteness and sign (roundoff within C_TOL is clamped to 0).
-        """
+        """(coeffs (T, m), rates (T, n)) on a column of T times. The guards raise
+        SamplingError at the earliest bad time; at one time H's finiteness comes
+        first, then the rates' finiteness and sign (roundoff within C_TOL clamps to 0)."""
         col = np.reshape(np.asarray(times, dtype=float), -1)
         coeffs = np.asarray(self.coeffs(col))
         if coeffs.shape != (col.size, len(self.terms)) or np.iscomplexobj(coeffs):
@@ -119,8 +117,7 @@ class LindbladGenerator:
             (rates < -C_TOL, lambda k: f"rate c_{k[1]}({col[k[0]]}) = {rates[k]:.6e} "
                                        f"is negative beyond tolerance {C_TOL:.0e}"),
         ])
-        rates = np.maximum(rates, 0.0)
-        return (coeffs, rates) if np.ndim(times) else (coeffs[0], rates[0])
+        return coeffs, np.maximum(rates, 0.0)
 
     def hamiltonian(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_k f_k H_k per row of coefficients (..., m)."""

@@ -159,12 +159,14 @@ def channel_step_defect(gen, rho_mat, t: float, dt: float, n_micro: int = 8) -> 
     The factored step has an O(tau^2) local defect, so the accumulated error
     scales as dt^2 / n_micro: halving dt must shrink this by about 4.
     """
-    kernels = rhs_kernels(gen, *gen.eval(np.array([t, t + 0.5 * dt, t + dt])), [False])
-    ref = rk4_step(lindblad_rhs, kernels, rho_mat[None], dt)[0]
     tau = dt / n_micro
+    # one sample: the RK4 step's start, midpoint and end, then each micro-step's start
+    coeffs, rates = gen.eval(np.append([t, t + 0.5 * dt, t + dt], t + tau * np.arange(n_micro)))
+    kernels = rhs_kernels(gen, coeffs[:3], rates[:3], [False])
+    ref = rk4_step(lindblad_rhs, kernels, rho_mat[None], dt)[0]
     m = rho_mat
-    for j in range(n_micro):
-        ch = lindblad_step_channel(gen, t + j * tau, tau)
+    for row in zip(coeffs[3:], rates[3:]):
+        ch = lindblad_step_channel(gen, *row, tau)
         m = sandwich(ch.kraus, m, dagger(ch.kraus))
     return float(np.linalg.norm(m - ref, ord=2))
 

@@ -131,10 +131,15 @@ def _static_spin_generator(c):
     )
 
 
+def _step_channel_at_zero(gen, dt):
+    coeffs, rates = gen.eval(np.array([0.0]))
+    return lindblad_step_channel(gen, coeffs[0], rates[0], dt)
+
+
 def test_step_channel_residual_within_budget():
     gen = _static_spin_generator(0.3)
     for dt in (1e-2, 1e-3):
-        ch = lindblad_step_channel(gen, 0.0, dt)
+        ch = _step_channel_at_zero(gen, dt)
         # certified at construction; the defect must really be O(dt^2)
         assert ch.tp_defect <= 10.0 * dt * dt * 4.0
 
@@ -143,7 +148,7 @@ def test_step_channel_matches_generator_to_first_order():
     gen = _static_spin_generator(0.3)
     rho = np.diag([0.75, 0.25]).astype(complex)
     dt = 1e-4
-    ch = lindblad_step_channel(gen, 0.0, dt)
+    ch = _step_channel_at_zero(gen, dt)
     stepped = sum(v @ rho @ v.conj().T for v in ch.kraus)
     from weakinv.lindblad import lindblad_rhs, rhs_kernels
     kernel = rhs_kernels(gen, *gen.eval(np.array([0.0])), [False])[0]

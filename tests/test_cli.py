@@ -121,6 +121,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
     ("cfl_dt", '{"scenario": "fp_ou", "dt": 1e-3}'),
+    # an initial profile that vanishes on the grid, or already reaches its edges
+    ("far_mean", '{"scenario": "fp_ou", "params": {"init_mean": 100.0}}'),
+    ("wide_start", '{"scenario": "fp_ou", "params": {"init_var": 50.0}}'),
     ("negative_seed",
      '{"scenario": "channel_fuzz", "seed": -1, "params": {"n_channels": 4}}'),
 ])

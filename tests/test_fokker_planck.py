@@ -1,6 +1,8 @@
 """Classical drift-diffusion mirror: conservation of the quadratic
 invariant average and the drift-independent fluctuation growth law."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from weakinv.fokker_planck import (
     gaussian_profile,
     invariant_moments,
     ou_invariant_coeffs,
+    space_grid,
 )
 
 
@@ -59,22 +62,43 @@ def test_stacked_diagnostics_equal_per_row_calls():
     rows = [gaussian_profile(x, mean=m, var=v).values
             for m, v in ((0.0, 0.5), (0.7, 0.3), (-1.1, 0.9), (0.2, 0.05))]
     times = np.array([0.0, 0.013, 0.4, 1.7])
-    stack = GridDistribution(x=x, values=np.array(rows), h=0.05)
+    stack = replace(gaussian_profile(x, mean=0.0, var=0.5), values=np.array(rows))
     inv = ou_invariant_coeffs(1.3, 0.7, a0=0.9, b0=0.4, e0=-0.2)
     diff = np.full_like(x, 0.7)
 
-    bar, var = invariant_moments(inv, stack, times)
-    rate = classical_growth_rate(inv, stack, diff, times)
-    assert bar.shape == var.shape == rate.shape == (4,)
+    bar, var = invariant_moments(inv, stack, times[:, None])
+    rate = classical_growth_rate(inv, stack, diff, times[:, None])
+    mass = stack.mass
+    assert bar.shape == var.shape == rate.shape == mass.shape == (4,)
     for i, (row, t) in enumerate(zip(rows, times)):
-        one = GridDistribution(x=x, values=row, h=0.05)
+        one = replace(stack, values=row)
         assert (bar[i], var[i]) == invariant_moments(inv, one, t)
         assert rate[i] == classical_growth_rate(inv, one, diff, t)
+        assert mass[i] == one.mass
 
-    with pytest.raises(ValidationError, match="one time per density row"):
-        invariant_moments(inv, stack, times[:3])
-    with pytest.raises(ValidationError, match="one time per density row"):
-        classical_growth_rate(inv, stack, diff, 0.0)
+
+def test_integrals_match_numpy_trapezoid_on_an_asymmetric_grid():
+    # one weight vector stands in for np.trapezoid in every integral
+    x = space_grid(-3.5, 6.25, 0.0625)
+    # no symmetry, and unequal nonzero values at both ends
+    p = np.exp(-0.1 * (x - 1.2) ** 2) * (1.0 + 0.3 * np.sin(x))
+    dist = GridDistribution.from_samples(x, p)
+    inv = ou_invariant_coeffs(0.8, 0.6, a0=0.9, b0=-0.4, e0=0.3)
+    diff = 0.5 + 0.1 * x * x
+    t = 0.37
+    j, s = inv.values(x, t), inv.slope(x, t)
+    mean = np.trapezoid(j * p, x)
+    want = {
+        "mass": np.trapezoid(p, x),
+        "mean": mean,
+        "var": np.trapezoid(j * j * p, x) - mean * mean,
+        "rate": 2.0 * np.trapezoid(diff * s * s * p, x),
+    }
+    bar, var = invariant_moments(inv, dist, t)
+    got = {"mass": dist.mass, "mean": bar, "var": var,
+           "rate": classical_growth_rate(inv, dist, diff, t)}
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-14, abs=0.0), key
 
 
 def test_linear_invariant_growth_is_state_independent():

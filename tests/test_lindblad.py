@@ -73,7 +73,7 @@ def rhs_at(gen, m, adjoint=False, t=0.0):
 
 
 def jumps_at(gen, t=0.0):
-    return gen.scaled_jumps(gen.eval(t)[1])
+    return gen.scaled_jumps(gen.eval(np.array([t]))[1][0])
 
 
 def test_dephasing_invariant_rhs_closed_form():
@@ -232,7 +232,7 @@ def test_earlier_node_guard_wins_over_a_later_sampling_error():
         rates=lambda t: np.where(t > 0.0299, np.nan, 0.5)[:, None],
     )
     with pytest.raises(ValidationError, match=r"rates\(0.03\) = \[nan\]"):
-        gen.eval(0.03)
+        gen.eval(np.array([0.03]))
     rho0 = canonical_state(SIGMA_X, 1.0)
     with pytest.raises(NumericalError) as info:
         integrate(gen, rho0, t0=0.0, t1=0.2, dt=1e-3, alpha=2.0)
@@ -356,7 +356,7 @@ def test_closed_form_invariant_is_the_generator_hamiltonian():
     traj = integrate(gen, rho0, t0=0.0, t1=0.05, dt=1e-3, alpha=2.0)
     assert traj.invariants.shape == traj.states.shape == (traj.times.size, 2, 2)
     for t, i_mat in zip(traj.times, traj.invariants):
-        assert np.array_equal(i_mat, gen.hamiltonian(gen.eval(t)[0]))
+        assert np.array_equal(i_mat, gen.hamiltonian(gen.eval(np.array([t]))[0][0]))
 
 
 @pytest.mark.parametrize("jumps, message", [
@@ -399,7 +399,7 @@ def test_growth_rate_never_negative(seed):
 def test_negative_rate_rejected():
     gen = constant_generator(ZERO, [SIGMA_X], [-0.5])
     with pytest.raises(ValidationError):
-        gen.eval(0.0)
+        gen.eval(np.array([0.0]))
 
 
 def test_variance_shift_exact_identity():
@@ -548,7 +548,7 @@ def test_integrate_diagnostics_match_standalone_on_non_normal_jumps():
 def test_rates_callable_must_match_jump_count():
     gen = constant_generator(ZERO, [SIGMA_X], [0.1, 0.2])
     with pytest.raises(ValidationError):
-        gen.eval(0.0)
+        gen.eval(np.array([0.0]))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -556,7 +556,7 @@ def test_non_finite_generator_values_are_rejected_naming_t():
     nan = float("nan")
     gen = constant_generator(ZERO, [SIGMA_Z], [nan])
     with pytest.raises(ValidationError, match=r"rates\(0.25\) .* not all finite"):
-        gen.eval(0.25)
+        gen.eval(np.array([0.25]))
     with pytest.raises(ValidationError, match="not all finite"):
         integrate(gen, np.eye(2, dtype=complex) / 2.0, i0=SIGMA_X, t0=0.0, t1=0.1, dt=1e-2)
 
@@ -567,7 +567,7 @@ def test_non_finite_generator_values_are_rejected_naming_t():
         rates=lambda t: np.full((t.size, 1), 0.1),
     )
     with pytest.raises(ValidationError, match=r"H\(0.5\) has a non-finite entry"):
-        hot.eval(0.5)
+        hot.eval(np.array([0.5]))
 
 
 def test_kernel_guards_growth_sign_and_bound_residue():

@@ -94,10 +94,10 @@ def test_schedule_validation_rejects_growing_stiffness():
 def test_rate_follows_schedule():
     model = rational_decay(1.0, 0.5)
     gen = oscillator_generator(model)
-    _, cs = gen.eval(0.0)
-    assert cs[0] == pytest.approx(0.25)
-    _, cs = gen.eval(2.0)
-    assert cs[0] == pytest.approx(0.25 / 4.0)
+    _, cs = gen.eval(np.array([0.0]))
+    assert cs[0, 0] == pytest.approx(0.25)
+    _, cs = gen.eval(np.array([2.0]))
+    assert cs[0, 0] == pytest.approx(0.25 / 4.0)
 
 
 def test_invariant_equation_residual_small_in_interior():
