@@ -27,12 +27,12 @@ log = logging.getLogger(__name__)
 
 
 def format_series(columns: dict) -> str:
-    """Render the standard table; 17 significant digits round-trip floats."""
-    n = len(columns["t"])
-    lines = [",".join(CSV_HEADER)]
-    for i in range(n):
-        lines.append(",".join(f"{float(columns[k][i]):.17g}" for k in CSV_HEADER))
-    return "\n".join(lines) + "\n"
+    """Render the standard table, 512 rows at a time; 17 digits round-trip floats."""
+    row = ",".join(["%.17g"] * len(CSV_HEADER)) + "\n"
+    lines = [",".join(CSV_HEADER) + "\n"]
+    for i in range(0, len(columns["t"]), 512):
+        lines += [row % r for r in zip(*(columns[k][i:i + 512].tolist() for k in CSV_HEADER))]
+    return "".join(lines)
 
 
 def emit_series(result: ScenarioResult, path: Path) -> None:

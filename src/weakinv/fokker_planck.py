@@ -18,16 +18,17 @@ the quadratic ansatz J = a(t) x^2 + b(t) x + e(t), whose coefficient
 dynamics is exact. For the Ornstein-Uhlenbeck process (K = -gamma x,
 constant D) the coefficients are elementary exponentials. K and D are
 arrays on the grid; only J depends on t. Every integral over the grid is
-a per-row dot product with its one trapezoid weight vector. The series
-carry the names of the CSV slots they fill: `exp_I`, `var_I` are <J>
-and its spread, `trace_err` the mass defect and `min_eig` the smallest
-density value.
+a per-row dot product with its one trapezoid weight vector, of the power
+moments <x^k> and <D x^k> for the diagnostics of J. The series carry the
+names of the CSV slots they fill: `exp_I`, `var_I` are <J> and its
+spread, `trace_err` the mass defect and `min_eig` the smallest density.
 
 The grid operator uses centered second-order differences in flux form;
 degree <= 2 polynomials differentiate exactly under those stencils, which
-is what makes the discrete conservation of <J> essentially exact. The two
-outermost nodes are held fixed; the domain must be sized so the density
-never reaches them (monitored at every node, never clamped).
+is what makes the discrete conservation of <J> essentially exact. One
+RK4 step of the constant operator is a banded matrix, built once per run.
+The two outermost nodes are held fixed; the domain must be sized so the
+density never reaches them (monitored at every node, never clamped).
 """
 
 from __future__ import annotations
@@ -110,14 +111,6 @@ class PolyInvariant:
     db: Callable[[float], float] | None = None
     de: Callable[[float], float] | None = None
 
-    def values(self, x, t: float) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
-        return self.a(t) * xv * xv + self.b(t) * xv + self.e(t)
-
-    def slope(self, x, t: float) -> np.ndarray:
-        xv = np.asarray(x, dtype=float)
-        return 2.0 * self.a(t) * xv + self.b(t)
-
     def residual(self, x, drift, diffusion, t: float) -> float:
         """Max-abs defect of the invariant equation, K and D on the grid x; needs the rates."""
         if self.da is None or self.db is None or self.de is None:
@@ -125,7 +118,7 @@ class PolyInvariant:
         xv = np.asarray(x, dtype=float)
         drift, diffusion = _on_grid(xv, drift, diffusion)
         dj_dt = self.da(t) * xv * xv + self.db(t) * xv + self.de(t)
-        res = dj_dt + drift * self.slope(xv, t) + diffusion * 2.0 * self.a(t)
+        res = dj_dt + drift * (2.0 * self.a(t) * xv + self.b(t)) + diffusion * 2.0 * self.a(t)
         return float(np.abs(res).max())
 
 
@@ -178,36 +171,62 @@ def fp_rhs(
     kp = drift_values * p
     dp = diffusion_values * p
     out = np.zeros(p.shape)
-    out[1:-1] = (
-        -(kp[2:] - kp[:-2]) / (2.0 * h)
-        + (dp[2:] - 2.0 * dp[1:-1] + dp[:-2]) / (h * h)
+    out[..., 1:-1] = (
+        -(kp[..., 2:] - kp[..., :-2]) / (2.0 * h)
+        + (dp[..., 2:] - 2.0 * dp[..., 1:-1] + dp[..., :-2]) / (h * h)
     )
     return out
 
 
-def invariant_moments(inv: PolyInvariant, dist: GridDistribution, t):
-    """<J> and <(J - <J>)^2> over the density.
+def rk4_step_map(h: float, drift, diffusion, dt: float, shape):
+    """The RK4 step of `fp_rhs`, a degree-4 polynomial in the 3-point operator, as
+    one map with 9 diagonals for states of `shape` (..., n). One `rk4_step` on the
+    9 combs (comb r sums e_j over j = r mod 9) gives every column without overlap
+    (Curtis, Powell & Reid 1974); a step is one dot product per node over a fixed
+    window view of a padded buffer."""
+    n = shape[-1]
+    combs = (np.arange(n) % 9 == np.arange(9)[:, None]).astype(float)
+    cols = rk4_step(lambda k, v: fp_rhs(v, h, *k), [(drift, diffusion)] * 3, combs, dt)
+    j = np.arange(n)[:, None] + np.arange(-4, 5)        # the column on each band slot
+    band = np.where((j >= 0) & (j < n), cols[j % 9, np.arange(n)[:, None]], 0.0)
+    pad = np.zeros(tuple(shape[:-1]) + (n + 8,))
+    window = np.lib.stride_tricks.sliding_window_view(pad, 9, axis=-1)
 
-    `dist.values` may be a stack (m, n) of densities; `t` is then a
-    column (m, 1) of times, one per row, and both results are arrays of
-    length m, each entry equal to the single-density call on that row.
-    The coefficient callables of `inv` must broadcast over the column.
+    def step(p: np.ndarray) -> np.ndarray:
+        pad[..., 4:-4] = p
+        return np.vecdot(window, band)
+    return step
+
+
+def invariant_moments(inv: PolyInvariant, dist: GridDistribution, t):
+    """<J> and <(J - <J>)^2> over the density, from its power moments <x^k>, k <= 4.
+
+    `dist.values` may be a stack (m, n) of densities; `t` is then one time
+    per row, (m,) or a column (m, 1), and both results are arrays of length
+    m, each entry equal to the single-density call on that row.
     """
-    j = inv.values(dist.x, t)
-    mean = np.vecdot(j * dist.values, dist.weights)
-    second = np.vecdot(j * j * dist.values, dist.weights)
+    t = np.reshape(t, np.shape(dist.values)[:-1])
+    a, b, e = inv.a(t), inv.b(t), inv.e(t)
+    m0, m1, m2, m3, m4 = (np.vecdot(dist.values, dist.weights * dist.x ** k) for k in range(5))
+    mean = a * m2 + b * m1 + e * m0
+    second = (a * a * m4 + 2.0 * a * b * m3 + (b * b + 2.0 * a * e) * m2
+              + 2.0 * b * e * m1 + e * e * m0)
     return mean, second - mean * mean
 
 
 def classical_growth_rate(inv: PolyInvariant, dist: GridDistribution, diffusion, t):
-    """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent).
+    """2 <D (dJ/dx)^2>, the spread growth rate (drift-independent), from the
+    moments <D x^k>, k <= 2.
 
     `diffusion` is D sampled on the grid. Takes a stack of densities with
-    a column of times as `invariant_moments` does.
+    one time per row as `invariant_moments` does.
     """
     (diffusion,) = _on_grid(dist.x, diffusion)
-    s = inv.slope(dist.x, t)
-    return 2.0 * np.vecdot(diffusion * s * s * dist.values, dist.weights)
+    t = np.reshape(t, np.shape(dist.values)[:-1])
+    a, b = inv.a(t), inv.b(t)
+    w = dist.weights * diffusion
+    d0, d1, d2 = (np.vecdot(dist.values, w * dist.x ** k) for k in range(3))
+    return 2.0 * (4.0 * a * a * d2 + 4.0 * a * b * d1 + b * b * d0)
 
 
 def interior_minimum(block: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -237,7 +256,7 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
 
     Both integrators share one grid rule, one stepper and one loop; RK4
     keeps the conserved <J> flat to rounding. `drift` and `diffusion` are
-    K and D sampled on `dist.x`; every stage of every step uses them.
+    K and D sampled on `dist.x`, turned into one step map by `rk4_step_map`.
     Guards and diagnostics run once per block of nodes, and the run
     aborts at the earliest node where the density stops being finite,
     reaches the boundary or goes negative, or (at a node that starts a
@@ -259,13 +278,13 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
             f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit:.3e}"))
 
         blk = replace(dist, values=block)
-        cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t[:, None])
-        cols["growth_formula"][span] = classical_growth_rate(inv, blk, coeffs[1], t[:, None])
+        cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t)
+        cols["growth_formula"][span] = classical_growth_rate(inv, blk, coeffs[1], t)
         cols["trace_err"][span] = blk.mass - mass0
         cols["min_eig"][span] = pmin
 
-    rows = np.broadcast_to(np.stack(coeffs), (2 * times.size - 1, 2, x.size))
-    march(times, dist.values, rows, list,
-          lambda c, p: rk4_step(lambda k, v: fp_rhs(v, h, *k), c, p, dt), observe)
+    step = rk4_step_map(h, *coeffs, dt, x.shape)    # constant: the steps need no rows
+    march(times, dist.values, np.empty((2 * times.size - 1, 0)), list,
+          lambda _, p: step(p), observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

@@ -14,12 +14,15 @@ from weakinv.fokker_planck import (
     PolyInvariant,
     classical_growth_rate,
     evolve,
+    explicit_step_limit,
     fp_rhs,
     gaussian_profile,
     invariant_moments,
     ou_invariant_coeffs,
+    rk4_step_map,
     space_grid,
 )
+from weakinv.lindblad import rk4_step
 
 
 def _grid(x_min=-8.0, x_max=8.0, h=0.02):
@@ -86,7 +89,7 @@ def test_integrals_match_numpy_trapezoid_on_an_asymmetric_grid():
     inv = ou_invariant_coeffs(0.8, 0.6, a0=0.9, b0=-0.4, e0=0.3)
     diff = 0.5 + 0.1 * x * x
     t = 0.37
-    j, s = inv.values(x, t), inv.slope(x, t)
+    j, s = inv.a(t) * x * x + inv.b(t) * x + inv.e(t), 2.0 * inv.a(t) * x + inv.b(t)
     mean = np.trapezoid(j * p, x)
     want = {
         "mass": np.trapezoid(p, x),
@@ -128,6 +131,26 @@ def test_rhs_annihilates_stationary_profile():
     rhs = fp_rhs(p.values, p.h, -1.0 * x, np.full_like(x, 1.0))
     # O(h^2) truncation floor; a transported profile gives |rhs| ~ 0.4
     assert np.abs(rhs).max() < 5e-4
+
+
+def test_rk4_step_map_matches_the_stage_by_stage_step():
+    # an asymmetric grid with position-dependent K and D, near the explicit budget
+    x = space_grid(-3.5, 6.25, 0.0625)
+    drift, diff = np.sin(x), 0.5 + 0.1 * x * x
+    h, dt = 0.0625, 0.8 * explicit_step_limit(0.0625, diff)
+    stack = np.random.default_rng(11).random((5, x.size))
+
+    rhs = fp_rhs(stack, h, drift, diff)
+    for row, want in zip(stack, rhs):
+        assert fp_rhs(row, h, drift, diff).tobytes() == want.tobytes()
+
+    want = rk4_step(lambda k, v: fp_rhs(v, h, *k), [(drift, diff)] * 3, stack, dt)
+    scale = np.abs(want).max()
+    got = rk4_step_map(h, drift, diff, dt, stack.shape)(stack)
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    assert got[:, [0, -1]].tobytes() == stack[:, [0, -1]].tobytes()
+    one = rk4_step_map(h, drift, diff, dt, x.shape)(stack[0])
+    assert np.abs(one - want[0]).max() <= 1e-14 * scale
 
 
 def test_mean_invariant_conserved_along_flow():
