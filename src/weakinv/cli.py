@@ -26,17 +26,13 @@ from .scenarios import CSV_HEADER, SCENARIO_SUMMARIES, ScenarioResult, run_scena
 log = logging.getLogger(__name__)
 
 
-def format_series(columns: dict) -> str:
-    """Render the standard table, 512 rows at a time; 17 digits round-trip floats."""
+def format_series(columns: dict, out) -> None:
+    """Write the standard table to `out`, 512 rows at a time; 17 digits round-trip floats."""
     row = ",".join(["%.17g"] * len(CSV_HEADER)) + "\n"
-    lines = [",".join(CSV_HEADER) + "\n"]
+    out.write(",".join(CSV_HEADER) + "\n")
     for i in range(0, len(columns["t"]), 512):
-        lines += [row % r for r in zip(*(columns[k][i:i + 512].tolist() for k in CSV_HEADER))]
-    return "".join(lines)
-
-
-def emit_series(result: ScenarioResult, path: Path) -> None:
-    path.write_text(format_series(result.columns))
+        chunk = zip(*(columns[k][i:i + 512].tolist() for k in CSV_HEADER))
+        out.write("".join(row % r for r in chunk))
 
 
 def emit_verdict(result: ScenarioResult, path: Path) -> None:
@@ -81,7 +77,8 @@ def _cmd_run(args) -> int:
 
     out_dir = Path(args.output_dir if args.output_dir else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emit_series(result, out_dir / "series.csv")
+    with open(out_dir / "series.csv", "w") as out:
+        format_series(result.columns, out)
     emit_verdict(result, out_dir / "verdict.json")
 
     for c in result.checks:

@@ -102,19 +102,17 @@ def gaussian_profile(x, mean: float, var: float) -> GridDistribution:
 
 @dataclass(frozen=True)
 class PolyInvariant:
-    """J = a(t) x^2 + b(t) x + e(t) with optional analytic coefficient rates."""
+    """J = a(t) x^2 + b(t) x + e(t) with the analytic coefficient rates da, db, de."""
 
     a: Callable[[float], float]
     b: Callable[[float], float]
     e: Callable[[float], float]
-    da: Callable[[float], float] | None = None
-    db: Callable[[float], float] | None = None
-    de: Callable[[float], float] | None = None
+    da: Callable[[float], float]
+    db: Callable[[float], float]
+    de: Callable[[float], float]
 
     def residual(self, x, drift, diffusion, t: float) -> float:
-        """Max-abs defect of the invariant equation, K and D on the grid x; needs the rates."""
-        if self.da is None or self.db is None or self.de is None:
-            raise ValidationError("residual needs analytic coefficient rates")
+        """Max-abs defect of the invariant equation, K and D on the grid x."""
         xv = np.asarray(x, dtype=float)
         drift, diffusion = _on_grid(xv, drift, diffusion)
         dj_dt = self.da(t) * xv * xv + self.db(t) * xv + self.de(t)
@@ -254,9 +252,9 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
            t0: float, t1: float, dt: float) -> ClassicalTrajectory:
     """Fixed-step RK4 integration on `lindblad.march`, with safety monitors.
 
-    Both integrators share one grid rule, one stepper and one loop; RK4
+    Both integrators share one grid rule, one RK4 step and one loop; RK4
     keeps the conserved <J> flat to rounding. `drift` and `diffusion` are
-    K and D sampled on `dist.x`, turned into one step map by `rk4_step_map`.
+    K and D sampled on `dist.x`, turned into `march`'s step by `rk4_step_map`.
     Guards and diagnostics run once per block of nodes, and the run
     aborts at the earliest node where the density stops being finite,
     reaches the boundary or goes negative, or (at a node that starts a
@@ -270,7 +268,7 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
     cols = {k: np.empty(times.size) for k in
             ("exp_I", "var_I", "growth_formula", "growth_fd", "trace_err", "min_eig")}
 
-    def observe(span, block, _):
+    def observe(span, block):
         t = times[span]
         pmin = interior_minimum(block, t)
         abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit), lambda k: (
@@ -283,8 +281,7 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
         cols["trace_err"][span] = blk.mass - mass0
         cols["min_eig"][span] = pmin
 
-    step = rk4_step_map(h, *coeffs, dt, x.shape)    # constant: the steps need no rows
-    march(times, dist.values, np.empty((2 * times.size - 1, 0)), list,
-          lambda _, p: step(p), observe)
+    step = rk4_step_map(h, *coeffs, dt, x.shape)
+    march(times, dist.values, lambda _, p: step(p), observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

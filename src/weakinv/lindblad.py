@@ -37,13 +37,13 @@ times the RK4 steps need. Both equations take the effective Hamiltonian
 H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n;
 the adjoint one swaps each for its adjoint and the sandwich sign +2 for
 -2, so the state and its invariants step as one stack through one
-right-hand side. `march`, the one stepping loop (of the classical mirror
-too), hands node blocks to stack-aware diagnostics.
+right-hand side, its kernels formed by `integrate` in runs of steps.
+`march`, the one stepping loop (of the classical mirror too), knows only
+nodes and hands node blocks to stack-aware diagnostics.
 """
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable
@@ -186,42 +186,32 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
-def march(times, x: np.ndarray, rows, prepare, step, observe) -> None:
+def march(times, x: np.ndarray, step, observe) -> None:
     """Step the state x across the nodes `times`, observing them in blocks.
 
-    `rows` holds what the steps need: node i at row 2i, the midpoint
-    after it at 2i + 1. `prepare` turns runs of rows, no longer than a
-    block, into kernel lists, and `step(kernels, x)` returns the (finite)
-    next node's state from one step's start, midpoint and end kernels.
-    Blocks go in node order to `observe(span, states, node_rows)`; states
-    are overwritten by the next block. Whatever stops the run, buffered
-    nodes are observed first. An observer raises the first guard any node
-    breaches; the block is then observed node by node, so the earliest
-    node's error wins.
+    `step(i, x)` returns node i + 1's state from node i's. Blocks go in
+    node order to `observe(span, states)`; states are overwritten by the
+    next block. A node whose state is not finite aborts the run. Whatever
+    stops the run, buffered nodes are observed first. An observer raises
+    the first guard any node breaches; the block is then observed node by
+    node, so the earliest node's error wins.
     """
     cap = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
     block = np.empty((cap,) + x.shape, dtype=x.dtype)
-    # steps per run of kernels: four x-sized stacks a row within the byte cap
-    steps = max(1, (min(cap, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
-    first = lo = hi = 0
-    kernels = []
+    first = 0
 
     def flush(stop: int) -> None:
         try:
-            observe(slice(first, stop), block[:stop - first], rows[2 * first:2 * stop:2])
+            observe(slice(first, stop), block[:stop - first])
         except NumericalError:
             for k in range(first, stop):
-                observe(slice(k, k + 1), block[k - first:k - first + 1], rows[2 * k:2 * k + 1])
+                observe(slice(k, k + 1), block[k - first:k - first + 1])
             raise
 
     for idx, t in enumerate(times):
         try:
             if idx:
-                if 2 * idx >= hi:   # a copy of the last run's end starts the next
-                    lo, kernels = max(hi - 1, 0), deepcopy(kernels[-1:])
-                    kernels += prepare(rows[hi:2 * (idx + steps) - 1])
-                    hi = lo + len(kernels)
-                x = step(kernels[2 * idx - 2 - lo:2 * idx + 1 - lo], x)
+                x = step(idx - 1, x)
             if not np.isfinite(x).all():
                 raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
         except Exception:
@@ -333,7 +323,8 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     """Fixed-step joint integration of state and invariants on `march`.
 
     One `eval` samples the generator at the 2N + 1 distinct times of N
-    steps (nodes and midpoints). Classic RK4 advances rho and `i0`, one
+    steps, node i at row 2i and the midpoint after it at 2i + 1; the steps
+    form kernels from them in runs. Classic RK4 advances rho and `i0`, one
     invariant or a (k, dim, dim) stack, as one stack. Without `i0` the
     invariant is H(t) and only rho is stepped; the conservation guard
     then checks that H(t) is a weak invariant of `gen`.
@@ -371,8 +362,16 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     notes = {"max_herm_correction": 0.0}
     exp0 = cons_scale = None
 
-    def step(kernels, x):
-        nxt = rk4_step(lindblad_rhs, kernels, x, dt)
+    # steps per run of kernels: four x-sized stacks a row within the byte cap
+    run = max(1, (min(BLOCK_NODES, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
+    kernels = None
+
+    def step(i, x):
+        nonlocal kernels
+        if i % run == 0:    # the last run is freed first; its end row is formed again
+            r, kernels = rows[2 * i:2 * (i + run) + 1], None
+            kernels = rhs_kernels(gen, r[:, :m], r[:, m:], np.arange(len(x)) > 0)
+        nxt = rk4_step(lindblad_rhs, kernels[2 * (i % run):2 * (i % run) + 3], x, dt)
         fix = float(hermiticity_defect(nxt[0]))
         notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
         return 0.5 * (nxt + dagger(nxt))
@@ -382,9 +381,10 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     # rather than trimmed from the heap and faulted in again at large d.
     jumps = sym = w = v = ir = iir = weight = weights = None
 
-    def observe(span, block, node_rows):
+    def observe(span, block):
         nonlocal exp0, cons_scale, jumps, sym, w, v, ir, iir, weight, weights
         t = times[span]
+        node_rows = rows[2 * span.start:2 * span.stop:2]
         states[span] = block[:, 0]
         inv = gen.hamiltonian(node_rows[:, :m])[:, None] if i0 is None else block[:, 1:]
         invariants[span] = inv[:, 0]
@@ -428,8 +428,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
         cols["trace_err"][span] = np.hypot(tr_err.real, tr_err.imag)
         cols["min_eig"][span] = min_eig
 
-    march(times[:(len(rows) + 1) // 2], x, rows,
-          lambda r: rhs_kernels(gen, r[:, :m], r[:, m:], np.arange(len(x)) > 0), step, observe)
+    march(times[:(len(rows) + 1) // 2], x, step, observe)
     if fault is not None:
         raise fault
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)

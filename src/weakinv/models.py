@@ -119,16 +119,16 @@ class OscillatorModel:
     def validate_schedule(self, t0: float, t1: float, samples: int = 65) -> None:
         """Reject schedules that break the weak-invariant construction (a
         pole of k reads as infinite); config validation calls this too."""
-        for t in np.linspace(t0, t1, samples):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kv, kd = float(self.k(t)), float(self.kdot(t))
-            if not 0.0 < kv < np.inf:
-                raise ValidationError(f"stiffness must stay positive and finite: "
-                                      f"k({t:.6g}) = {kv:.6g}")
-            if not kd < 0.0:
-                raise ValidationError(f"the dissipative construction needs k(t) strictly "
-                                      f"decreasing (rate c = -kdot/2 must be positive): "
-                                      f"kdot({t:.6g}) = {kd:.6g}")
+        col = np.linspace(t0, t1, samples)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kv, kd = (np.asarray(f(col), dtype=float) for f in (self.k, self.kdot))
+        reject_first([
+            (~((0.0 < kv) & (kv < np.inf)), lambda at: (
+                f"stiffness must stay positive and finite: k({col[at]:.6g}) = {kv[at]:.6g}")),
+            (~(kd < 0.0), lambda at: (
+                f"the dissipative construction needs k(t) strictly decreasing (rate c = "
+                f"-kdot/2 must be positive): kdot({col[at]:.6g}) = {kd[at]:.6g}")),
+        ])
 
 
 def rational_decay(k0: float = 1.0, decay: float = 0.5) -> OscillatorModel:

@@ -8,6 +8,7 @@ goes through the same public entry points the CLI uses.
 
 import dataclasses
 import gzip
+import io
 import json
 from pathlib import Path
 
@@ -201,7 +202,9 @@ def test_series_match_golden_baselines(spin, oscillator, fuzz, thermo, fp):
     for r in (spin, oscillator, fuzz, thermo, fp):
         path, rows = GOLDEN[r.scenario]
         want_header, want = _table(gzip.decompress(path.read_bytes()).decode(), rows)
-        got_header, got = _table(format_series(r.columns))
+        text = io.StringIO()
+        format_series(r.columns, text)
+        got_header, got = _table(text.getvalue())
         assert got_header == want_header, r.scenario
         assert got.shape == want.shape, r.scenario
         tol = np.maximum(1e-10 * np.maximum(np.abs(got), np.abs(want)), 1e-12)

@@ -107,8 +107,8 @@ def test_integrals_match_numpy_trapezoid_on_an_asymmetric_grid():
 def test_linear_invariant_growth_is_state_independent():
     # J = b0 x: the growth rate 2 <D (J')^2> = 2 D b0^2 for any profile.
     x = _grid(-6.0, 6.0, 0.02)
-    inv = PolyInvariant(
-        a=lambda t: 0.0, b=lambda t: 1.0, e=lambda t: 0.0)
+    zero = lambda t: 0.0
+    inv = PolyInvariant(a=zero, b=lambda t: 1.0, e=zero, da=zero, db=zero, de=zero)
     for mean, var in ((0.0, 0.5), (1.5, 0.2)):
         p = gaussian_profile(x, mean=mean, var=var)
         assert classical_growth_rate(inv, p, np.full_like(x, 1.0),

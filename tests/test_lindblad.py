@@ -304,13 +304,13 @@ def test_stack_guards_report_the_first_breaching_node():
     assert str(stack.value) == str(one.value)
 
 
-def _block_edge_runs(run, rows):
-    """Windows ending just before, on and after a block edge reproduce the
-    first rows of a longer run bit for bit; growth_fd is a gradient over
-    the whole series, so only its last row (a one-sided difference) may
-    differ."""
-    full = run(2 * rows + 5)
-    for nodes in (rows - 1, rows, rows + 1):
+def _block_edge_runs(run, *edges):
+    """Windows ending just before, on and after each edge (a node count)
+    reproduce the first rows of a longer run bit for bit; growth_fd is a
+    gradient over the whole series, so only its last row (a one-sided
+    difference) may differ."""
+    full = run(2 * max(edges) + 5)
+    for nodes in (n + d for n in edges for d in (-1, 0, 1)):
         part = run(nodes)
         assert part.times.tobytes() == full.times[:nodes].tobytes()
         assert part.states.tobytes() == full.states[:nodes].tobytes()
@@ -347,6 +347,24 @@ def test_integrate_byte_cap_shortens_blocks():
         return integrate(gen, rho0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
     _block_edge_runs(run, rows)
+
+
+def test_integrate_kernel_runs_do_not_depend_on_the_window():
+    # 30 Fock levels: kernel runs of a few steps whose edges miss the block edges
+    model = replace(rational_decay(1.0, 0.5), n_fock=30)
+    gen = oscillator_generator(model)
+    k1, k2, _ = model.ops()
+    ground = np.linalg.eigh(k1 + float(model.k(0.0)) * k2)[1][:, 0]
+    rho0 = np.outer(ground, ground.conj())      # the oscillator scenario's start
+    rows = BLOCK_BYTES // (30 * 30 * 16)
+    steps = (BLOCK_BYTES // (4 * 30 * 30 * 16) - 1) // 2
+    assert 1 < steps < rows < BLOCK_NODES and rows % steps
+
+    def run(nodes):
+        return integrate(gen, rho0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
+
+    # the first block edge, and the first run edge inside the second block
+    _block_edge_runs(run, rows, steps * (rows // steps + 1) + 1)
 
 
 def test_closed_form_invariant_is_the_generator_hamiltonian():

@@ -86,7 +86,7 @@ def test_schedule_validation_rejects_growing_stiffness():
     model = rational_decay(1.0, -0.5)
     with pytest.raises(ValidationError):
         model.validate_schedule(0.0, 0.5)
-    flat = OscillatorModel(n_fock=8, k=lambda t: 1.0, kdot=lambda t: 0.0)
+    flat = OscillatorModel(n_fock=8, k=np.ones_like, kdot=np.zeros_like)
     with pytest.raises(ValidationError):
         flat.validate_schedule(0.0, 0.5)
 
