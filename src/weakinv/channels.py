@@ -164,9 +164,12 @@ def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:
     if seeds.ndim > 1:
         raise ValidationError(f"seed must be an integer or a 1-d array, got shape {seeds.shape}")
     shape = (n_kraus * dim, dim)
-    rngs = [np.random.default_rng(int(s)) for s in seeds.reshape(-1)]
-    g = np.stack([r.normal(size=shape) + 1j * r.normal(size=shape) for r in rngs])
-    q, r = np.linalg.qr(g.reshape(seeds.shape + shape))
+    # one draw per seed, real parts then imaginary, stored as (re, im) pairs
+    # so that the buffer is the complex stack itself
+    z = np.empty((seeds.size,) + shape + (2,))
+    for j, s in enumerate(seeds.reshape(-1)):
+        z[j] = np.moveaxis(np.random.default_rng(int(s)).normal(size=(2,) + shape), 0, -1)
+    q, r = np.linalg.qr(z.view(complex).reshape(seeds.shape + shape))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d.conj() / np.abs(d))[..., None, :]
     return QuantumChannel.from_kraus(

@@ -38,6 +38,9 @@ H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n;
 the adjoint one swaps each for its adjoint and the sandwich sign +2 for
 -2, so the state and its invariants step as one stack through one
 right-hand side, its kernels formed by `integrate` in runs of steps.
+That right-hand side is linear in the stack and in the sampled row, so
+for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
+superoperators and steps each run by RK4 step maps, one matvec a step.
 `march`, the one stepping loop (of the classical mirror too), knows only
 nodes and hands node blocks to stack-aware diagnostics.
 """
@@ -143,11 +146,23 @@ def rhs_kernels(gen: LindbladGenerator, coeffs: np.ndarray, rates: np.ndarray,
 
 
 def lindblad_rhs(kernel, m: np.ndarray) -> np.ndarray:
-    """-i (A m - m A^dag) + s sum_n J_n m J_n^dag on a stack m (k, d, d),
+    """-i (A m - m A^dag) + s sum_n J_n m J_n^dag on a stack m (..., k, d, d),
     with A, J and s per member from `rhs_kernels`: H_eff, L~ and +2 for the
     state, H_eff^dag, L~^dag and -2 for an invariant."""
     a, a_dag, ls, ls_dag, sign = kernel
-    return -1j * (a @ m - m @ a_dag) + sign * (ls @ m[:, None] @ ls_dag).sum(axis=1)
+    return -1j * (a @ m - m @ a_dag) + sign * (ls @ m[..., None, :, :] @ ls_dag).sum(axis=-3)
+
+
+def superoperators(gen: LindbladGenerator, adjoint) -> np.ndarray:
+    """(m + n, k, d^2, d^2): per unit row of (coeffs, rates) and per member,
+    `lindblad_rhs` on its `rhs_kernels` as a matrix on row-major vec(m).
+    The RHS is linear in the stack and in the row (the rates enter as
+    c L^dag L and c L . L^dag), so a sampled row's map is its dot with these."""
+    d, m = gen.terms.shape[-1], len(gen.terms)
+    unit = np.eye(m + len(gen.jumps))
+    basis = np.stack([lindblad_rhs(kernel, np.eye(d * d).reshape(d * d, 1, d, d))
+                      for kernel in rhs_kernels(gen, unit[:, :m], unit[:, m:], adjoint)])
+    return basis.reshape(len(unit), d * d, len(adjoint), d * d).transpose(0, 2, 3, 1)
 
 
 def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
@@ -172,6 +187,12 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
 # (8 nodes at 60 levels, 2 at 120).
 BLOCK_NODES = 64
 BLOCK_BYTES = 480 * 1024
+
+# The largest d^2 that `integrate` steps with RK4 step maps, one (d^2, d^2)
+# matrix per member and step, rather than with four `lindblad_rhs` calls a
+# step. Forming a map costs O(d^6): timed per `integrate` call, the maps are
+# faster up to d = 4 and slower from d = 5 on (CHANGES.md has the timings).
+MAP_MAX_D2 = 16
 
 
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
@@ -238,9 +259,9 @@ def entropies(w: np.ndarray, alpha: float):
     of state eigenvalues. The von Neumann sum skips eigenvalues <=
     EVAL_FLOOR (0 ln 0 = 0), each spectrum summed alone over those it
     keeps; the Renyi sum clips roundoff below 0; alpha = 1 is von Neumann."""
-    rows = np.reshape(w, (-1, np.shape(w)[-1]))
-    vn = np.reshape([-np.sum(p * np.log(p)) for p in (r[r > EVAL_FLOOR] for r in rows)],
-                    np.shape(w)[:-1])[()]
+    keep = w > EVAL_FLOOR
+    p = np.where(keep, w, 1.0)
+    vn = -np.sum(np.where(keep, p * np.log(p), 0.0), axis=-1)[()]
     if alpha == 1.0:
         return vn, vn
     return vn, (np.log(np.sum(np.clip(w, 0.0, None) ** alpha, axis=-1)) / (1.0 - alpha))[()]
@@ -324,8 +345,11 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
 
     One `eval` samples the generator at the 2N + 1 distinct times of N
     steps, node i at row 2i and the midpoint after it at 2i + 1; the steps
-    form kernels from them in runs. Classic RK4 advances rho and `i0`, one
-    invariant or a (k, dim, dim) stack, as one stack. Without `i0` the
+    use them in runs. Classic RK4 advances rho and `i0`, one invariant or
+    a (k, dim, dim) stack, as one stack: for dim^2 <= MAP_MAX_D2 by the
+    RK4 step maps of each run, formed from `superoperators`, otherwise by
+    `lindblad_rhs` on each run's kernels, the row two runs share formed
+    once and carried over. Without `i0` the
     invariant is H(t) and only rho is stepped; the conservation guard
     then checks that H(t) is a weak invariant of `gen`.
 
@@ -364,14 +388,25 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
 
     # steps per run of kernels: four x-sized stacks a row within the byte cap
     run = max(1, (min(BLOCK_NODES, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
-    kernels = None
+    adjoint, d2, kernels = np.arange(len(x)) > 0, rho.size, None
+    basis = superoperators(gen, adjoint) if d2 <= MAP_MAX_D2 else None
 
     def step(i, x):
         nonlocal kernels
-        if i % run == 0:    # the last run is freed first; its end row is formed again
+        j = i % run
+        if j == 0 and basis is not None:    # the run's RK4 step maps
             r, kernels = rows[2 * i:2 * (i + run) + 1], None
-            kernels = rhs_kernels(gen, r[:, :m], r[:, m:], np.arange(len(x)) > 0)
-        nxt = rk4_step(lindblad_rhs, kernels[2 * (i % run):2 * (i % run) + 3], x, dt)
+            s = (len(r) - 1) // 2           # a sampling error may leave the run ragged
+            sup = np.tensordot(r[:2 * s + 1], basis, axes=1)
+            kernels = rk4_step(np.matmul, (sup[0:-1:2], sup[1::2], sup[2::2]), np.eye(d2), dt)
+        elif j == 0:    # the end row two runs share is carried over as its own copy
+            edge = [tuple(map(np.copy, kernels[-1]))] if i else []
+            r, kernels = rows[2 * i + (i > 0):2 * (i + run) + 1], None
+            kernels = edge + rhs_kernels(gen, r[:, :m], r[:, m:], adjoint)
+        if basis is not None:
+            nxt = (kernels[j] @ x.reshape(len(x), d2, 1)).reshape(x.shape)
+        else:
+            nxt = rk4_step(lindblad_rhs, kernels[2 * j:2 * j + 3], x, dt)
         fix = float(hermiticity_defect(nxt[0]))
         notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
         return 0.5 * (nxt + dagger(nxt))

@@ -332,13 +332,14 @@ def _fuzz_group(dim: int, n_kraus: int, seeds: np.ndarray,
     eigenvalue, each computed from that case's own draws.
     """
     ch = random_channel(dim, n_kraus, seeds[:, 0])
-    g = np.empty((len(seeds), dim, dim), dtype=complex)
-    r = np.empty_like(g)
+    # one draw per case: real and imaginary parts of g, then of r, stored as
+    # (re, im) pairs so that the buffer is the complex stack itself
+    z = np.empty((len(seeds), 2, dim, dim, 2))
     for j, obs_seed in enumerate(seeds[:, 1]):
         rng = np.random.default_rng(obs_seed)
         _fuzz_shape(rng, max_dim, max_kraus)      # replay the draws that chose the group
-        g[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        r[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        z[j] = np.moveaxis(rng.standard_normal((2, 2, dim, dim)), 1, -1)
+    g, r = np.moveaxis(z.view(complex)[..., 0], 1, 0)
 
     i_op = 0.5 * (g + dagger(g))
     i_op /= np.maximum(np.abs(np.linalg.eigvalsh(i_op)).max(axis=-1), 1e-12)[:, None, None]

@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakinv import lindblad
 from weakinv.errors import NumericalError, SamplingError, ValidationError
 from weakinv.lindblad import (
     BLOCK_BYTES,
     BLOCK_NODES,
+    EVAL_FLOOR,
+    MAP_MAX_D2,
     LindbladGenerator,
     entropies,
     entropy_bound,
@@ -19,6 +22,8 @@ from weakinv.lindblad import (
     integrate,
     lindblad_rhs,
     rhs_kernels,
+    rk4_step,
+    superoperators,
 )
 from weakinv.fokker_planck import (
     evolve,
@@ -123,6 +128,19 @@ def test_entropies_on_known_spectra():
     vn, renyi = entropies(pure, 2.0)
     assert vn == pytest.approx(0.0, abs=1e-12)
     assert renyi == pytest.approx(0.0, abs=1e-12)
+
+    # zeros, roundoff below zero and values at or just below the floor add
+    # nothing to the von Neumann sum; the Renyi sum clips only below zero
+    below = np.nextafter(EVAL_FLOOR, 0.0)
+    spectra = np.array([[0.0, 0.25, 0.75], [-1e-17, 0.25, 0.75], [below, 0.25, 0.75],
+                        [EVAL_FLOOR, 0.25, 0.75], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+    vn, renyi = entropies(spectra, 2.0)
+    for k, w in enumerate(spectra):
+        kept = w[w > EVAL_FLOOR]
+        assert vn[k] == pytest.approx(-np.sum(kept * np.log(kept)), rel=1e-15, abs=0.0)
+        assert renyi[k] == pytest.approx(-np.log(np.sum(np.clip(w, 0.0, None) ** 2)), rel=1e-15)
+    assert vn[0] == vn[1] == vn[2] == vn[3] and vn[4] == 0.0
+    assert entropies(spectra[None], 2.0)[0].shape == (1, len(spectra))
 
 
 def test_renyi_approaches_vn_near_alpha_one():
@@ -599,3 +617,109 @@ def test_kernel_guards_growth_sign_and_bound_residue():
         entropy_bound(jumps, 1j * rho)
     bound = entropy_bound(jumps, rho)
     assert type(bound) is np.float64 and bound == pytest.approx(0.5)
+
+
+def _two_level_pair(rates=lambda t: np.column_stack([0.4 + t, 0.1 * np.cos(3.0 * t)])):
+    """A dim-2 generator with a non-normal jump (SIGMA_MINUS) and a Hermitian
+    one at time-dependent rates, a state and two invariants."""
+    gen = LindbladGenerator(
+        terms=[SIGMA_Z, SIGMA_X],
+        jumps=[SIGMA_MINUS, SIGMA_Z],
+        coeffs=lambda t: np.column_stack([1.0 + t, np.sin(5.0 * t)]),
+        rates=rates,
+    )
+    rho0 = np.array([[0.8, 0.1 - 0.2j], [0.1 + 0.2j, 0.2]])
+    i0 = np.stack([np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, -0.5]]), SIGMA_X + 0.5 * SIGMA_Z])
+    return gen, rho0, i0
+
+
+def _stepped_alone(gen, x0, n_steps, dt):
+    """Node states from kernels formed in one call and one `rk4_step` of
+    `lindblad_rhs` per step, re-Hermitized as `integrate` does."""
+    nodes = dt * np.arange(n_steps + 1)
+    column = np.insert(nodes, np.arange(1, nodes.size), nodes[:-1] + 0.5 * dt)
+    kernels = rhs_kernels(gen, *gen.eval(column), np.arange(len(x0)) > 0)
+    xs = [x0]
+    for i in range(n_steps):
+        nxt = rk4_step(lindblad_rhs, kernels[2 * i:2 * i + 3], xs[-1], dt)
+        xs.append(0.5 * (nxt + nxt.conj().swapaxes(-1, -2)))
+    return np.stack(xs)
+
+
+def test_superoperators_act_as_the_rhs_of_each_row():
+    rng = np.random.default_rng(5)
+    gen = LindbladGenerator(
+        terms=[SIGMA_Z, SIGMA_X, np.array([[0.5, 1j], [-1j, -0.2]])],
+        jumps=rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)),
+        coeffs=None, rates=None,
+    )
+    adjoint = np.array([False, True, True])
+    basis = superoperators(gen, adjoint)
+    assert basis.shape == (5, 3, 4, 4)
+    for _ in range(5):
+        coeffs, rates = rng.standard_normal(3), rng.uniform(0.0, 2.0, 2)
+        m = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+        direct = lindblad_rhs(rhs_kernels(gen, coeffs[None], rates[None], adjoint)[0], m)
+        mapped = np.tensordot(np.concatenate([coeffs, rates]), basis, axes=1) @ m.reshape(3, 4, 1)
+        assert np.abs(mapped.reshape(m.shape) - direct).max() < 1e-14 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n_steps", [31, 45])
+def test_step_maps_agree_with_the_kernel_steps(monkeypatch, n_steps):
+    # 31 steps fill the first run; 45 cross its edge into a ragged last run
+    gen, rho0, i0 = _two_level_pair()
+    assert rho0.size <= MAP_MAX_D2
+    window = dict(t0=0.0, t1=n_steps * 1e-3, dt=1e-3)
+    mapped = integrate(gen, rho0, i0=i0, **window)
+    monkeypatch.setattr(lindblad, "MAP_MAX_D2", 0)
+    stepped = integrate(gen, rho0, i0=i0, **window)
+    alone = _stepped_alone(gen, np.concatenate([rho0[None], i0]), n_steps, 1e-3)
+    assert stepped.states.tobytes() == alone[:, 0].tobytes()
+    assert stepped.invariants.tobytes() == alone[:, 1].tobytes()
+    assert np.abs(mapped.states - stepped.states).max() < 1e-13
+    assert np.abs(mapped.invariants - stepped.invariants).max() < 1e-13
+    assert np.abs(mapped.variances - stepped.variances).max() < 1e-13
+    assert abs(mapped.notes["max_herm_correction"]
+               - stepped.notes["max_herm_correction"]) < 1e-15
+
+
+@pytest.mark.parametrize("bad_row", [79, 80], ids=["midpoint", "node"])
+def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):
+    # the rates turn NaN at a midpoint or at a node of the second run, which
+    # then ends ragged; the sampling error is raised once its nodes are
+    # observed, and a guard breach before it wins on either path
+    bad_t = bad_row * 0.5e-3
+    gen, rho0, i0 = _two_level_pair(lambda t: np.where(
+        t[:, None] < bad_t - 1e-9, [[0.4, 0.1]], np.nan))
+    breached = replace(gen, coeffs=lambda t: np.column_stack([1.0 + t, 1.0 + 0 * t]))
+    for cut in (MAP_MAX_D2, 0):
+        monkeypatch.setattr(lindblad, "MAP_MAX_D2", cut)
+        with pytest.raises(SamplingError, match=rf"^rates\({bad_t}\) = ") as info:
+            integrate(gen, rho0, i0=i0, t0=0.0, t1=0.1, dt=1e-3)
+        assert info.value.at == bad_row
+        # without i0 the invariant is H(t), which this generator does not conserve
+        with pytest.raises(NumericalError, match=r"^conservation breach at t = 0.001: "):
+            integrate(breached, rho0, t0=0.0, t1=0.1, dt=1e-3)
+
+
+@pytest.mark.parametrize("n_fock, n_steps", [(30, 10), (60, 4)])
+def test_kernel_runs_form_each_sampled_row_once(monkeypatch, n_fock, n_steps):
+    # above the map cut-off, runs of 3 steps (30 levels, the last one ragged)
+    # or of 1 (60 levels) carry their shared end row into the next run
+    model = replace(rational_decay(1.0, 0.5), n_fock=n_fock)
+    gen = oscillator_generator(model)
+    assert n_fock ** 2 > MAP_MAX_D2
+    k1, k2, _ = model.ops()
+    ground = np.linalg.eigh(k1 + float(model.k(0.0)) * k2)[1][:, 0]
+    rho0 = np.outer(ground, ground.conj())
+    formed = []
+
+    def counting(gen, coeffs, rates, adjoint):
+        formed.append(len(coeffs))
+        return rhs_kernels(gen, coeffs, rates, adjoint)
+
+    monkeypatch.setattr(lindblad, "rhs_kernels", counting)
+    traj = integrate(gen, rho0, t0=0.0, t1=n_steps * 1e-3, dt=1e-3)
+    assert sum(formed) == 2 * n_steps + 1 and len(formed) > 1
+    alone = _stepped_alone(gen, rho0[None], n_steps, 1e-3)
+    assert traj.states.tobytes() == alone[:, 0].tobytes()
