@@ -18,10 +18,16 @@ stack of channels sharing dim and n_kraus is the same object with
 leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`
 and `kadison_gap` broadcast over those axes, so many small channels
 cost one numpy call each instead of one per channel.
+
+Random channels draw each seed's stream from `seeded_generators`, which
+gives the streams of `default_rng(seed)` bit for bit: it runs NumPy's
+SeedSequence (NEP 19) for all seeds at once on uint32 arrays, then seeds
+PCG64's 128-bit state per seed on one reused generator.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +44,15 @@ from .operators import (
 )
 
 CPTP_TOL = 1e-9
+
+# NumPy's SeedSequence: hash constants and pool size (NEP 19), and the
+# 128-bit LCG multiplier of PCG64 (O'Neill, HMC-CS-2014-0905).
+POOL_SIZE = 4
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -147,28 +162,103 @@ def lindblad_step_channel(gen, coeffs, rates, dt: float) -> QuantumChannel:
                                      tp_tol=max(CPTP_TOL, budget))
 
 
+def _seed_array(seed) -> np.ndarray:
+    """seed as uint64, after checking that every member is an integer in [0, 2**64)."""
+    seeds = np.asarray(seed)
+    if seeds.dtype == object:       # ints beyond int64 and uint64, or non-numbers
+        integral = np.reshape([isinstance(s, (int, np.integer)) for s in seeds.flat],
+                              seeds.shape)
+    else:
+        integral = np.full(seeds.shape, seeds.dtype.kind in "iu")
+    at = _breach(~integral)
+    if at is not None:
+        raise ValidationError(f"{_member(at)}seed {seeds[at]} is not an integer")
+    at = _breach((seeds < 0) | (seeds >= 2**64))
+    if at is not None:
+        raise ValidationError(f"{_member(at)}seed {seeds[at]} is outside [0, 2**64)")
+    return seeds.astype(np.uint64)
+
+
+def _hash(words, const: int, mult: int):
+    """One SeedSequence hash round of uint32 words: (hashed words, next const)."""
+    nxt = const * mult & MASK32
+    words = (words ^ np.uint32(const)) * np.uint32(nxt)
+    return words ^ (words >> np.uint32(16)), nxt
+
+
+def _state_words(seeds: np.ndarray) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, uint64) for each s of a 1-d uint64 array, (n, 4).
+
+    A seed has the 32-bit entropy words (lo, hi); one below 2**32 has
+    (lo,) alone, and the pool then hashes 0 into slot 1, as hi = 0 gives.
+    """
+    lo = (seeds & np.uint64(MASK32)).astype(np.uint32)
+    pool, const = [], INIT_A
+    for words in (lo, (seeds >> np.uint64(32)).astype(np.uint32), 0 * lo, 0 * lo):
+        words, const = _hash(words, const, MULT_A)
+        pool.append(words)
+    for src in range(POOL_SIZE):
+        for dst in range(POOL_SIZE):
+            if dst != src:
+                hashed, const = _hash(pool[src], const, MULT_A)
+                mixed = np.uint32(MIX_MULT_L) * pool[dst] - np.uint32(MIX_MULT_R) * hashed
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    # state word k is the uint32 words 2k (low half) and 2k + 1 (high half)
+    out, const = np.zeros((len(seeds), POOL_SIZE), np.uint64), INIT_B
+    for i in range(2 * POOL_SIZE):
+        words, const = _hash(pool[i % POOL_SIZE], const, MULT_B)
+        out[:, i // 2] |= words.astype(np.uint64) << np.uint64(32 * (i % 2))
+    return out
+
+
+def seeded_generators(seed) -> Iterator[np.random.Generator]:
+    """A generator in the state of default_rng(s) for each seed s, in order.
+
+    seed is an integer or an array of them, each in [0, 2**64); it is
+    checked here, before the first yield. The seed sequences of all seeds
+    are formed in one vectorised pass; each yield then runs PCG64's
+    128-bit seeding for one seed and sets it on a single reused
+    Generator, so a yielded generator is only valid until the next one.
+    """
+    words = _state_words(_seed_array(seed).reshape(-1))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+
+    def streams():
+        for row in words:           # row by row: a whole-array tolist() holds every word at once
+            s_hi, s_lo, i_hi, i_lo = row.tolist()
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT + inc) & MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+    return streams()
+
+
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:
     """Seeded Haar-style random CPTP map, or a stack of them.
 
     For each seed a complex Gaussian (n_kraus*dim, dim) matrix is drawn
-    from its own default_rng(seed) and QR-orthonormalised into an
-    isometry; its dim x dim row blocks are the Kraus operators, so
+    from a stream equal to default_rng(seed)'s (see `seeded_generators`,
+    which seeds them all in one vectorised pass) and QR-orthonormalised
+    into an isometry; its dim x dim row blocks are the Kraus operators, so
     completeness holds to machine precision by construction. The R
     phases are fixed to make the draw unambiguous for a given seed. A
     1-d array of seeds gives a stack whose member j equals the channel
-    drawn for seed[j] alone.
+    drawn for seed[j] alone. Seeds must be integers in [0, 2**64).
     """
     if dim < 1 or n_kraus < 1:
         raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
-    seeds = np.asarray(seed)
+    seeds = _seed_array(seed)
     if seeds.ndim > 1:
         raise ValidationError(f"seed must be an integer or a 1-d array, got shape {seeds.shape}")
     shape = (n_kraus * dim, dim)
     # one draw per seed, real parts then imaginary, stored as (re, im) pairs
     # so that the buffer is the complex stack itself
     z = np.empty((seeds.size,) + shape + (2,))
-    for j, s in enumerate(seeds.reshape(-1)):
-        z[j] = np.moveaxis(np.random.default_rng(int(s)).normal(size=(2,) + shape), 0, -1)
+    for j, rng in enumerate(seeded_generators(seeds)):
+        z[j] = rng.normal(size=(2,) + shape).transpose(1, 2, 0)
     q, r = np.linalg.qr(z.view(complex).reshape(seeds.shape + shape))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d.conj() / np.abs(d))[..., None, :]

@@ -54,7 +54,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, SamplingError, ValidationError
-from .operators import DensityMatrix, _breach, dagger, hermiticity_defect, require_hermitian
+from .operators import DensityMatrix, _breach, dagger, require_hermitian
 
 EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
 C_TOL = 1e-12            # how negative a rate may be before it is an input error
@@ -407,9 +407,10 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
             nxt = (kernels[j] @ x.reshape(len(x), d2, 1)).reshape(x.shape)
         else:
             nxt = rk4_step(lindblad_rhs, kernels[2 * j:2 * j + 3], x, dt)
-        fix = float(hermiticity_defect(nxt[0]))
+        dag = dagger(nxt)
+        fix = float(np.abs(nxt[0] - dag[0]).max())
         notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
-        return 0.5 * (nxt + dagger(nxt))
+        return 0.5 * (nxt + dag)
 
     # The block's arrays outlive each call, as loop variables would: each is
     # freed only when the next block rebinds it, so its memory is reused

@@ -28,6 +28,7 @@ from .channels import (
     lindblad_step_channel,
     random_channel,
     sandwich,
+    seeded_generators,
 )
 from .config import ExperimentConfig
 from .errors import NumericalError
@@ -335,10 +336,9 @@ def _fuzz_group(dim: int, n_kraus: int, seeds: np.ndarray,
     # one draw per case: real and imaginary parts of g, then of r, stored as
     # (re, im) pairs so that the buffer is the complex stack itself
     z = np.empty((len(seeds), 2, dim, dim, 2))
-    for j, obs_seed in enumerate(seeds[:, 1]):
-        rng = np.random.default_rng(obs_seed)
+    for j, rng in enumerate(seeded_generators(seeds[:, 1])):
         _fuzz_shape(rng, max_dim, max_kraus)      # replay the draws that chose the group
-        z[j] = np.moveaxis(rng.standard_normal((2, 2, dim, dim)), 1, -1)
+        z[j] = rng.standard_normal((2, 2, dim, dim)).transpose(0, 2, 3, 1)
     g, r = np.moveaxis(z.view(complex)[..., 0], 1, 0)
 
     i_op = 0.5 * (g + dagger(g))
@@ -361,8 +361,8 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     # Per-case seeds are drawn up front and a row depends only on its own
     # pair, so grouping cases by (dim, n_kraus) cannot change any result.
     seeds = master.integers(0, 2**63 - 1, size=(n, 2))
-    shapes = np.array([_fuzz_shape(np.random.default_rng(s), p["max_dim"], p["max_kraus"])
-                       for s in seeds[:, 1]])
+    shapes = np.array([_fuzz_shape(rng, p["max_dim"], p["max_kraus"])
+                       for rng in seeded_generators(seeds[:, 1])])
     rows = np.empty((n, 5))
     for dim, n_kraus in np.unique(shapes, axis=0):
         members = np.flatnonzero((shapes == (dim, n_kraus)).all(axis=1))

@@ -12,6 +12,7 @@ from weakinv.channels import (
     kadison_gap,
     lindblad_step_channel,
     random_channel,
+    seeded_generators,
 )
 from weakinv.errors import ValidationError
 from weakinv.lindblad import LindbladGenerator
@@ -120,6 +121,58 @@ def test_duality_of_expectations(dim, n_kraus, seeds):
         assert lhs == pytest.approx(rhs, abs=1e-10)
         assert lhs_stack[j] == pytest.approx(lhs, abs=1e-13)
         assert rhs_stack[j] == pytest.approx(rhs, abs=1e-13)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(2, 6))
+@settings(max_examples=100, deadline=None)
+def test_seeded_generators_replay_default_rng(seeds, dim):
+    # each yielded stream is default_rng(seed)'s, bit for bit, through the
+    # draws channel fuzz makes: shape, observable and channel draws
+    seeds = seeds + EDGE_SEEDS
+    streams = seeded_generators(np.array(seeds, dtype=np.uint64))
+    for seed, rng in zip(seeds, streams, strict=True):
+        ref = np.random.default_rng(seed)
+        assert rng.integers(2, 7) == ref.integers(2, 7)
+        assert rng.integers(1, 5) == ref.integers(1, 5)
+        assert np.array_equal(rng.standard_normal((2, 2, dim, dim)),
+                              ref.standard_normal((2, 2, dim, dim)))
+        assert np.array_equal(rng.normal(size=(2, 3 * dim, dim)),
+                              ref.normal(size=(2, 3 * dim, dim)))
+
+
+def _per_seed_channel(dim, n_kraus, seed):
+    """random_channel's draw for one seed, from its own default_rng."""
+    z = np.random.default_rng(seed).normal(size=(2, n_kraus * dim, dim))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    d = np.diagonal(r)
+    return (q * (d.conj() / np.abs(d))).reshape(n_kraus, dim, dim)
+
+
+@given(st.integers(2, 6), st.integers(1, 5),
+       st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_random_channel_members_equal_per_seed_draws(dim, n_kraus, seeds):
+    stack = random_channel(dim, n_kraus, np.array(seeds, dtype=np.uint64))
+    for j, seed in enumerate(seeds):
+        assert np.array_equal(stack.kraus[j], _per_seed_channel(dim, n_kraus, seed))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed -1 is outside"),
+    ([3, -1], "stack member 1: seed -1 is outside"),
+    ([0, 2**64], "stack member 1: seed 18446744073709551616 is outside"),
+    (2.5, "seed 2.5 is not an integer"),
+    ([1.0, 2.0], "stack member 0: seed 1.0 is not an integer"),
+    ([True], "stack member 0: seed True is not an integer"),
+    ([2**64, "7"], "stack member 1: seed 7 is not an integer"),
+])
+def test_seed_domain_is_guarded(seed, message):
+    for call in (lambda: random_channel(2, 1, seed), lambda: seeded_generators(seed)):
+        with pytest.raises(ValidationError, match=message):
+            call()
 
 
 def _static_spin_generator(c):
