@@ -282,6 +282,6 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
         cols["min_eig"][span] = pmin
 
     step = rk4_step_map(h, *coeffs, dt, x.shape)
-    march(times, dist.values, lambda _, p: step(p), observe)
+    march(times, dist.values, lambda _, p: step(p)[None], observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

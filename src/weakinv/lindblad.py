@@ -40,9 +40,10 @@ the adjoint one swaps each for its adjoint and the sandwich sign +2 for
 right-hand side, its kernels formed by `integrate` in runs of steps.
 That right-hand side is linear in the stack and in the sampled row, so
 for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
-superoperators and steps each run by RK4 step maps, one matvec a step.
-`march`, the one stepping loop (of the classical mirror too), knows only
-nodes and hands node blocks to stack-aware diagnostics.
+superoperators and steps each run in one call, by prefix products of its
+re-Hermitizing RK4 step maps. `march`, the one stepping loop (of the
+classical mirror too), knows only nodes and hands node blocks to
+stack-aware diagnostics.
 """
 
 from __future__ import annotations
@@ -182,16 +183,16 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
 
 # -- the stepping loop -------------------------------------------------------
 
-# The most nodes, and bytes of node states, in one observed block: 64 rows
-# of fp_ou's default grid fit, larger oscillator states get shorter blocks
-# (8 nodes at 60 levels, 2 at 120).
-BLOCK_NODES = 64
+# The most nodes, and bytes of node states, in one observed block: 256 spin
+# nodes (in 127-step runs of step maps), 74 of fp_ou's default grid, fewer
+# of larger oscillator states (8 nodes at 60 levels, 2 at 120).
+BLOCK_NODES = 256
 BLOCK_BYTES = 480 * 1024
 
 # The largest d^2 that `integrate` steps with RK4 step maps, one (d^2, d^2)
 # matrix per member and step, rather than with four `lindblad_rhs` calls a
-# step. Forming a map costs O(d^6): timed per `integrate` call, the maps are
-# faster up to d = 4 and slower from d = 5 on (CHANGES.md has the timings).
+# step. Forming and multiplying maps costs O(d^6): timed per `integrate`
+# call, they are faster up to d = 4 and slower from d = 5 on (CHANGES.md).
 MAP_MAX_D2 = 16
 
 
@@ -210,39 +211,51 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
 def march(times, x: np.ndarray, step, observe) -> None:
     """Step the state x across the nodes `times`, observing them in blocks.
 
-    `step(i, x)` returns node i + 1's state from node i's. Blocks go in
-    node order to `observe(span, states)`; states are overwritten by the
-    next block. A node whose state is not finite aborts the run. Whatever
-    stops the run, buffered nodes are observed first. An observer raises
-    the first guard any node breaches; the block is then observed node by
-    node, so the earliest node's error wins.
+    `step(i, x)` returns a stack of the next k >= 1 node states (nodes
+    i + 1 ... i + k, none past the last) from node i's. They are copied
+    into blocks, which go in node order to `observe(span, states)`;
+    states are overwritten by the next block. Each block is checked for
+    finiteness once: its nodes before the first non-finite one are
+    observed, then the run aborts naming that node. Whatever stops the
+    run, buffered nodes are observed first. An observer raises the first
+    guard any node breaches; the block is then observed node by node, so
+    the earliest node's error wins, over a later non-finite node too.
     """
     cap = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
     block = np.empty((cap,) + x.shape, dtype=x.dtype)
-    first = 0
+    first = filled = 0      # the block holds nodes first ... first + filled - 1
 
-    def flush(stop: int) -> None:
+    def flush() -> None:
+        nonlocal first, filled
+        hot = ~np.isfinite(block[:filled].reshape(filled, -1)).all(axis=1)
+        good = int(hot.argmax()) if hot.any() else filled
         try:
-            observe(slice(first, stop), block[:stop - first])
+            if good:
+                observe(slice(first, first + good), block[:good])
         except NumericalError:
-            for k in range(first, stop):
-                observe(slice(k, k + 1), block[k - first:k - first + 1])
+            for k in range(good):
+                observe(slice(first + k, first + k + 1), block[k:k + 1])
             raise
+        if good < filled:
+            raise NumericalError(f"state is not finite at t = {times[first + good]:.6g}; "
+                                 "reduce dt")
+        first, filled = first + filled, 0
 
-    for idx, t in enumerate(times):
+    nodes = x[None][:times.size]
+    while len(nodes):
+        x, pos = nodes[-1], 0
+        while pos < len(nodes):    # across block edges
+            take = min(cap - filled, len(nodes) - pos)
+            block[filled:filled + take] = nodes[pos:pos + take]
+            pos, filled = pos + take, filled + take
+            if filled == cap or first + filled == times.size:
+                flush()
         try:
-            if idx:
-                x = step(idx - 1, x)
-            if not np.isfinite(x).all():
-                raise NumericalError(f"state is not finite at t = {t:.6g}; reduce dt")
+            nodes = step(first + filled - 1, x) if first + filled < times.size else nodes[:0]
         except Exception:
-            if idx > first:
-                flush(idx)
+            if filled:
+                flush()
             raise
-        block[idx - first] = x
-        if idx + 1 - first == cap or idx == times.size - 1:
-            flush(idx + 1)
-            first = idx + 1
 
 
 def abort_at(bad, message) -> None:
@@ -286,10 +299,8 @@ def growth_rate(jumps: np.ndarray, inv: np.ndarray, rho: np.ndarray):
     inv = inv[..., None, :, :]
     comm = jumps @ inv - inv @ jumps
     moved = comm @ rho[..., None, :, :]
-    nodes = (-1,) + comm.shape[-3:]
-    rate = np.reshape([2.0 * np.vdot(c, m).real
-                       for c, m in zip(comm.reshape(nodes), moved.reshape(nodes))],
-                      comm.shape[:-3])
+    nodes = comm.shape[:-3] + (-1,)
+    rate = 2.0 * np.vecdot(comm.reshape(nodes), moved.reshape(nodes)).real
     abort_at(rate < -1e-12,
              lambda at: f"growth rate {rate[at]:.3e} is negative; inputs inconsistent")
     return rate[()]
@@ -346,12 +357,13 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     One `eval` samples the generator at the 2N + 1 distinct times of N
     steps, node i at row 2i and the midpoint after it at 2i + 1; the steps
     use them in runs. Classic RK4 advances rho and `i0`, one invariant or
-    a (k, dim, dim) stack, as one stack: for dim^2 <= MAP_MAX_D2 by the
-    RK4 step maps of each run, formed from `superoperators`, otherwise by
-    `lindblad_rhs` on each run's kernels, the row two runs share formed
-    once and carried over. Without `i0` the
-    invariant is H(t) and only rho is stepped; the conservation guard
-    then checks that H(t) is a weak invariant of `gen`.
+    a (k, dim, dim) stack, as one stack: for dim^2 <= MAP_MAX_D2 a run a
+    `march` step, by prefix products of its RK4 step maps (formed from
+    `superoperators`, made real maps on (Re, Im) vec that re-Hermitize),
+    otherwise a node a step, by `lindblad_rhs` on each run's kernels, the
+    row two runs share formed once and carried over. Without `i0` the
+    invariant is H(t) and only rho is stepped; the conservation guard then
+    checks that H(t) is a weak invariant of `gen`.
 
     The state is re-Hermitized once per step (the correction is tracked
     in notes); trace and positivity are monitored, never enforced. The
@@ -389,28 +401,54 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     # steps per run of kernels: four x-sized stacks a row within the byte cap
     run = max(1, (min(BLOCK_NODES, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
     adjoint, d2, kernels = np.arange(len(x)) > 0, rho.size, None
-    basis = superoperators(gen, adjoint) if d2 <= MAP_MAX_D2 else None
 
-    def step(i, x):
-        nonlocal kernels
-        j = i % run
-        if j == 0 and basis is not None:    # the run's RK4 step maps
-            r, kernels = rows[2 * i:2 * (i + run) + 1], None
+    def note(pre):    # the re-Hermitization's correction of the state member
+        notes["max_herm_correction"] = max(notes["max_herm_correction"],
+                                           float(np.abs(pre - dagger(pre)).max()))
+
+    if d2 > MAP_MAX_D2:
+        def step(i, x):    # one node: RK4 on the run's kernels
+            nonlocal kernels
+            j = i % run
+            if j == 0:    # the end row two runs share is carried over as its own copy
+                edge = [tuple(map(np.copy, kernels[-1]))] if i else []
+                r, kernels = rows[2 * i + (i > 0):2 * (i + run) + 1], None
+                kernels = edge + rhs_kernels(gen, r[:, :m], r[:, m:], adjoint)
+            nxt = rk4_step(lindblad_rhs, kernels[2 * j:2 * j + 3], x, dt)
+            note(nxt[0])
+            return (0.5 * (nxt + dagger(nxt)))[None]
+    else:
+        basis = superoperators(gen, adjoint)
+        flip = np.arange(d2).reshape(rho.shape).T.ravel()    # vec(m) to vec(m^T)
+
+        def step(i, x):    # the run's nodes: prefix products of its step maps
+            r = rows[2 * i:2 * (i + run) + 1]
             s = (len(r) - 1) // 2           # a sampling error may leave the run ragged
             sup = np.tensordot(r[:2 * s + 1], basis, axes=1)
-            kernels = rk4_step(np.matmul, (sup[0:-1:2], sup[1::2], sup[2::2]), np.eye(d2), dt)
-        elif j == 0:    # the end row two runs share is carried over as its own copy
-            edge = [tuple(map(np.copy, kernels[-1]))] if i else []
-            r, kernels = rows[2 * i + (i > 0):2 * (i + run) + 1], None
-            kernels = edge + rhs_kernels(gen, r[:, :m], r[:, m:], adjoint)
-        if basis is not None:
-            nxt = (kernels[j] @ x.reshape(len(x), d2, 1)).reshape(x.shape)
-        else:
-            nxt = rk4_step(lindblad_rhs, kernels[2 * j:2 * j + 3], x, dt)
-        dag = dagger(nxt)
-        fix = float(np.abs(nxt[0] - dag[0]).max())
-        notes["max_herm_correction"] = max(notes["max_herm_correction"], fix)
-        return 0.5 * (nxt + dag)
+            maps = rk4_step(np.matmul, (sup[0:-1:2], sup[1::2], sup[2::2]), np.eye(d2), dt)
+            # G_j, the projector onto Hermitian matrices after map j, as a real map
+            # on interleaved (Re, Im) vec(m), so that a complex stack is its own
+            # float view: rows (p, q) and (q, p) averaged for Re, differenced for Im
+            even, odd = 0.5 * (maps + maps[..., flip, :]), 0.5 * (maps - maps[..., flip, :])
+            prod = np.stack([np.stack([even.real, -even.imag], -1),
+                             np.stack([odd.imag, odd.real], -1)], -3).reshape(
+                maps.shape[:-2] + (2 * d2, 2 * d2))
+            # Blelloch's up- and down-sweep make prod[j] = G_j ... G_0, in about
+            # 2s batched matmuls over 2 log2(s) rounds
+            shift = 1
+            while shift < s:
+                hi = prod[2 * shift - 1::2 * shift]
+                hi[...] = hi @ prod[shift - 1::2 * shift][:len(hi)]
+                shift *= 2
+            while shift > 1:
+                shift //= 2
+                lo = prod[3 * shift - 1::2 * shift]
+                lo[...] = lo @ prod[2 * shift - 1::2 * shift][:len(lo)]
+            ys = (prod @ x.view(float).reshape(len(x), 2 * d2, 1)).reshape(
+                (s,) + x.shape[:-1] + (-1,)).view(complex)
+            starts = np.concatenate([x[None, 0], ys[:-1, 0]]).reshape(s, d2, 1)
+            note((maps[:, 0] @ starts).reshape((s,) + rho.shape))
+            return ys
 
     # The block's arrays outlive each call, as loop variables would: each is
     # freed only when the next block rebinds it, so its memory is reused

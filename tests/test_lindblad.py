@@ -21,6 +21,7 @@ from weakinv.lindblad import (
     growth_rate,
     integrate,
     lindblad_rhs,
+    march,
     rhs_kernels,
     rk4_step,
     superoperators,
@@ -296,6 +297,9 @@ def test_stack_diagnostics_equal_single_node_calls(dim):
         }
         for key, value in single.items():
             assert np.ndim(value) == 0 and value == stacked[key][k], key
+        comm = jumps[k] @ inv[k] - inv[k] @ jumps[k]    # one vdot a node, as a reference
+        assert single["growth"] == pytest.approx(2.0 * np.vdot(comm, comm @ rho[k]).real,
+                                                 rel=1e-13)
         assert np.array_equal(escort(w[k], v[k], 2.0), weight[k])
         assert both[1, k] == entropy_bound(jumps[k], weight[k])
 
@@ -383,6 +387,73 @@ def test_integrate_kernel_runs_do_not_depend_on_the_window():
 
     # the first block edge, and the first run edge inside the second block
     _block_edge_runs(run, rows, steps * (rows // steps + 1) + 1)
+
+
+def _fake_march(monkeypatch, n_nodes, nan_at=None, breach_at=None):
+    """A `march` over nodes whose state is their index, in blocks of 4
+    nodes, with a step that returns the next 3 nodes (node nan_at NaN) and
+    an observer that breaches a guard at node breach_at. Returns the run
+    and the lists it fills: the nodes observed, in order, the spans and
+    the nodes stepped from."""
+    monkeypatch.setattr(lindblad, "BLOCK_NODES", 4)
+    seen, spans, stepped = [], [], []
+
+    def step(i, x):
+        stepped.append(i)
+        nodes = np.arange(i + 1, min(i + 4, n_nodes), dtype=float)[:, None]
+        nodes[nodes == nan_at] = np.nan
+        return nodes
+
+    def observe(span, states):
+        assert states[:, 0].tolist() == list(range(span.start, span.stop))
+        if breach_at is not None and span.start <= breach_at < span.stop:
+            raise NumericalError(f"guard breached at node {breach_at}")
+        spans.append((span.start, span.stop))
+        seen.extend(range(span.start, span.stop))
+
+    def run():
+        march(0.5 * np.arange(n_nodes), np.zeros(1), step, observe)
+
+    return run, seen, spans, stepped
+
+
+def test_march_observes_multi_node_steps_in_order_across_block_edges(monkeypatch):
+    # steps from nodes 3 and 6 cross the edges after nodes 3 and 7; the last
+    # step is cut at the last node and the last block is short
+    run, seen, spans, stepped = _fake_march(monkeypatch, 11)
+    run()
+    assert seen == list(range(11))
+    assert spans == [(0, 4), (4, 8), (8, 11)]
+    assert stepped == [0, 3, 6, 9]
+
+
+@pytest.mark.parametrize("nan_at", [5, 8], ids=["mid_block", "block_start"])
+def test_march_aborts_at_a_non_finite_mid_run_node(monkeypatch, nan_at):
+    # node nan_at sits inside the 3 nodes of one step; every node before it
+    # is observed once, in order, and the abort names its t
+    run, seen, _, _ = _fake_march(monkeypatch, 20, nan_at=nan_at)
+    with pytest.raises(NumericalError) as info:
+        run()
+    assert str(info.value) == f"state is not finite at t = {0.5 * nan_at:g}; reduce dt"
+    assert seen == list(range(nan_at))
+
+
+def test_march_guard_breach_at_an_earlier_node_wins_over_a_non_finite_one(monkeypatch):
+    # nodes 4 ... 7 share a block; the observer breaches at node 5, before the NaN
+    run, seen, _, _ = _fake_march(monkeypatch, 20, nan_at=7, breach_at=5)
+    with pytest.raises(NumericalError, match="^guard breached at node 5$"):
+        run()
+    assert seen == [0, 1, 2, 3, 4]     # the first block, then node 4 alone
+
+
+def test_march_window_of_zero_or_one_node():
+    calls = []
+    step = lambda i, x: calls.append(("step", i))
+    observe = lambda span, states: calls.append((span.start, span.stop, states.tolist()))
+    march(np.array([]), np.ones(1), step, observe)
+    assert calls == []
+    march(np.array([0.0]), np.ones(1), step, observe)
+    assert calls == [(0, 1, [[1.0]])]
 
 
 def test_closed_form_invariant_is_the_generator_hamiltonian():
@@ -664,16 +735,18 @@ def test_superoperators_act_as_the_rhs_of_each_row():
         assert np.abs(mapped.reshape(m.shape) - direct).max() < 1e-14 * np.abs(direct).max()
 
 
-@pytest.mark.parametrize("n_steps", [31, 45])
+@pytest.mark.parametrize("n_steps", [31, 45, 700])
 def test_step_maps_agree_with_the_kernel_steps(monkeypatch, n_steps):
-    # 31 steps fill the first run; 45 cross its edge into a ragged last run
+    # 31 and 45 steps end inside the first run of 127; 700 cross two block
+    # edges (256 nodes) and end in a ragged run of 65 (at dt = 5e-4 the
+    # rates stay positive)
     gen, rho0, i0 = _two_level_pair()
     assert rho0.size <= MAP_MAX_D2
-    window = dict(t0=0.0, t1=n_steps * 1e-3, dt=1e-3)
+    window = dict(t0=0.0, t1=n_steps * 5e-4, dt=5e-4)
     mapped = integrate(gen, rho0, i0=i0, **window)
     monkeypatch.setattr(lindblad, "MAP_MAX_D2", 0)
     stepped = integrate(gen, rho0, i0=i0, **window)
-    alone = _stepped_alone(gen, np.concatenate([rho0[None], i0]), n_steps, 1e-3)
+    alone = _stepped_alone(gen, np.concatenate([rho0[None], i0]), n_steps, 5e-4)
     assert stepped.states.tobytes() == alone[:, 0].tobytes()
     assert stepped.invariants.tobytes() == alone[:, 1].tobytes()
     assert np.abs(mapped.states - stepped.states).max() < 1e-13
@@ -683,11 +756,28 @@ def test_step_maps_agree_with_the_kernel_steps(monkeypatch, n_steps):
                - stepped.notes["max_herm_correction"]) < 1e-15
 
 
-@pytest.mark.parametrize("bad_row", [79, 80], ids=["midpoint", "node"])
+@pytest.mark.parametrize("cut", [MAP_MAX_D2, 0], ids=["maps", "kernels"])
+def test_every_step_re_hermitizes_the_stack(monkeypatch, cut):
+    # a state and an invariant off Hermitian by 4e-11 (within the input
+    # tolerance) are Hermitian from node 1 on, the step maps carrying the
+    # projection themselves; the first step's correction is the note
+    gen, rho0, i0 = _two_level_pair()
+    skew = 2e-11 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    monkeypatch.setattr(lindblad, "MAP_MAX_D2", cut)
+    traj = integrate(gen, rho0 + skew, i0=i0 + 1j * abs(skew), t0=0.0, t1=0.35, dt=5e-4)
+    for nodes in (traj.states, traj.invariants):
+        defect = np.abs(nodes - nodes.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+        assert defect[0] > 3e-11 and defect[1:].max() < 1e-15
+    assert traj.notes["max_herm_correction"] == pytest.approx(4e-11, rel=1e-3)
+
+
+@pytest.mark.parametrize("bad_row", [79, 80, 279, 280], ids=[
+    "midpoint", "node", "second_run_midpoint", "second_run_node"])
 def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):
-    # the rates turn NaN at a midpoint or at a node of the second run, which
-    # then ends ragged; the sampling error is raised once its nodes are
-    # observed, and a guard breach before it wins on either path
+    # the rates turn NaN at a midpoint or at a node of the first or the
+    # second run of 127 steps, which then ends ragged; the sampling error is
+    # raised once its nodes are observed, and a guard breach before it wins
+    # on either path
     bad_t = bad_row * 0.5e-3
     gen, rho0, i0 = _two_level_pair(lambda t: np.where(
         t[:, None] < bad_t - 1e-9, [[0.4, 0.1]], np.nan))
@@ -695,11 +785,11 @@ def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):
     for cut in (MAP_MAX_D2, 0):
         monkeypatch.setattr(lindblad, "MAP_MAX_D2", cut)
         with pytest.raises(SamplingError, match=rf"^rates\({bad_t}\) = ") as info:
-            integrate(gen, rho0, i0=i0, t0=0.0, t1=0.1, dt=1e-3)
+            integrate(gen, rho0, i0=i0, t0=0.0, t1=0.2, dt=1e-3)
         assert info.value.at == bad_row
         # without i0 the invariant is H(t), which this generator does not conserve
         with pytest.raises(NumericalError, match=r"^conservation breach at t = 0.001: "):
-            integrate(breached, rho0, t0=0.0, t1=0.1, dt=1e-3)
+            integrate(breached, rho0, t0=0.0, t1=0.2, dt=1e-3)
 
 
 @pytest.mark.parametrize("n_fock, n_steps", [(30, 10), (60, 4)])
