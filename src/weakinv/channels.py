@@ -19,10 +19,15 @@ leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`
 and `kadison_gap` broadcast over those axes, so many small channels
 cost one numpy call each instead of one per channel.
 
-Random channels draw each seed's stream from `seeded_generators`, which
-gives the streams of `default_rng(seed)` bit for bit: it runs NumPy's
-SeedSequence (NEP 19) for all seeds at once on uint32 arrays, then seeds
-PCG64's 128-bit state per seed on one reused generator.
+Random draws follow `default_rng(seed)`'s stream bit for bit, for many
+seeds at once. `pcg64_states` runs NumPy's SeedSequence (NEP 19) and
+PCG64's 128-bit seeding for all seeds on uint32 and uint64 limb arrays.
+`bounded_draws` makes `Generator.integers` draws for all seeds the same
+way, from PCG64's LCG step, its XSL-RR output and Lemire's bounded draw,
+replays on numpy only the rare lanes a rejection could touch, and
+returns the states the draws leave. `generators` sets such states one
+by one on a single reused generator for the normal draws, which stay
+numpy's own.
 """
 
 from __future__ import annotations
@@ -52,7 +57,11 @@ INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
 INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-MASK32, MASK128 = (1 << 32) - 1, (1 << 128) - 1
+MASK32, MASK64 = (1 << 32) - 1, (1 << 64) - 1
+# The widest range `bounded_draws` covers: numpy draws wider ones from 64-bit words.
+DRAW_RANGE_MAX = 1 << 32
+_M32, _S32 = np.uint64(MASK32), np.uint64(32)
+_MULT_HI, _MULT_LO = np.uint64(PCG_MULT >> 64), np.uint64(PCG_MULT & MASK64)
 
 
 @dataclass(frozen=True)
@@ -97,8 +106,16 @@ class QuantumChannel:
 
 
 def sandwich(left, m, right) -> np.ndarray:
-    """sum_k left_k m right_k over the Kraus axis -3, broadcast over stacks."""
-    return (left @ m[..., None, :, :] @ right).sum(axis=-3)
+    """sum_k left_k m right_k over the Kraus axis -3, broadcast over stacks.
+
+    The sum is one product of the concatenated Kraus blocks,
+    [left_1 ... left_K] @ vstack(m right_k), so the Kraus axis folds into
+    the matmul's inner dimension instead of a separate reduction.
+    """
+    k, d = left.shape[-3], left.shape[-2]
+    row = np.swapaxes(left, -3, -2).reshape(left.shape[:-3] + (d, -1))
+    col = m[..., None, :, :] @ right
+    return row @ col.reshape(col.shape[:-3] + (k * col.shape[-2], col.shape[-1]))
 
 
 def apply(ch: QuantumChannel, rho) -> DensityMatrix:
@@ -124,16 +141,17 @@ def adjoint_apply(ch: QuantumChannel, x) -> np.ndarray:
     return sandwich(dagger(ch.kraus), m, ch.kraus)
 
 
-def kadison_gap(ch: QuantumChannel, i_op) -> np.ndarray:
-    """adjoint(I^2) - adjoint(I)^2 for Hermitian I.
+def kadison_gap(ch: QuantumChannel, i_op) -> tuple[np.ndarray, np.ndarray]:
+    """(adjoint(I^2) - adjoint(I)^2, adjoint(I)) for Hermitian I.
 
-    Positive semidefinite for every channel with a unital adjoint; its
-    expectation in the pre-step state is exactly the one-step variance
-    growth of the invariant pair.
+    The gap is positive semidefinite for every channel with a unital
+    adjoint; its expectation in the pre-step state is exactly the
+    one-step variance growth of the invariant pair. The pulled-back
+    adjoint(I) it is formed from comes along for callers that need it.
     """
     m = require_hermitian(i_op, name="invariant")
     fwd = adjoint_apply(ch, m)
-    return adjoint_apply(ch, m @ m) - fwd @ fwd
+    return adjoint_apply(ch, m @ m) - fwd @ fwd, fwd
 
 
 def lindblad_step_channel(gen, coeffs, rates, dt: float) -> QuantumChannel:
@@ -211,29 +229,139 @@ def _state_words(seeds: np.ndarray) -> np.ndarray:
     return out
 
 
-def seeded_generators(seed) -> Iterator[np.random.Generator]:
-    """A generator in the state of default_rng(s) for each seed s, in order.
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products a * b of uint64 arrays, by 32-bit halves."""
+    a0, a1, b0, b1 = a & _M32, a >> _S32, b & _M32, b >> _S32
+    cross0, cross1 = a1 * b0, a0 * b1
+    mid = (a0 * b0 >> _S32) + (cross0 & _M32) + (cross1 & _M32)
+    return a1 * b1 + (cross0 >> _S32) + (cross1 >> _S32) + (mid >> _S32)
 
-    seed is an integer or an array of them, each in [0, 2**64); it is
-    checked here, before the first yield. The seed sequences of all seeds
-    are formed in one vectorised pass; each yield then runs PCG64's
-    128-bit seeding for one seed and sets it on a single reused
-    Generator, so a yielded generator is only valid until the next one.
+
+def _add(a_hi, a_lo, b_hi, b_lo):
+    """128-bit sums of uint64 limb arrays, mod 2**128."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
+
+
+def _lcg(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * PCG_MULT + inc mod 2**128, on uint64 limb arrays."""
+    mul_hi = _mulhi(lo, _MULT_LO) + lo * _MULT_HI + hi * _MULT_LO
+    return _add(mul_hi, lo * _MULT_LO, inc_hi, inc_lo)
+
+
+def _xsl_rr(hi, lo):
+    """PCG64's 64-bit output of a stepped state: (hi ^ lo) rotated right by hi's top 6 bits."""
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    return (x >> rot) | (x << (-rot & np.uint64(63)))
+
+
+def pcg64_states(seed) -> np.ndarray:
+    """The PCG64 state of default_rng(s) for each seed s, as (n, 6) uint64 rows.
+
+    A row is (state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger),
+    the fields of `PCG64.state`. PCG64 seeds from the four state words
+    (init_hi, init_lo, seq_hi, seq_lo) as inc = 2 seq + 1 and
+    state = (inc + init) * PCG_MULT + inc, here for all seeds at once.
+    seed is an integer or an array of them, each in [0, 2**64).
     """
     words = _state_words(_seed_array(seed).reshape(-1))
+    out = np.zeros((len(words), 6), np.uint64)
+    seq_hi, seq_lo = words[:, 2], words[:, 3]
+    one = np.uint64(1)
+    out[:, 2], out[:, 3] = seq_hi << one | seq_lo >> np.uint64(63), seq_lo << one | one
+    out[:, 0], out[:, 1] = _lcg(*_add(out[:, 2], out[:, 3], words[:, 0], words[:, 1]),
+                                out[:, 2], out[:, 3])
+    return out
+
+
+def check_draw_bounds(bounds) -> None:
+    """Raise ValidationError unless every (lo, hi) takes numpy's 32-bit bounded draw.
+
+    `bounded_draws` models `Generator.integers(lo, hi)` for 1 <= hi - lo
+    <= DRAW_RANGE_MAX only; a wider range draws 64-bit words instead.
+    """
+    for lo, hi in bounds:
+        if not 1 <= hi - lo <= DRAW_RANGE_MAX:
+            raise ValidationError(f"draw range [{lo}, {hi}) must hold between 1 and "
+                                  f"2**32 = {DRAW_RANGE_MAX} integers, got {hi - lo}")
+
+
+def bounded_draws(seed, bounds) -> tuple[np.ndarray, np.ndarray]:
+    """default_rng(s).integers(lo, hi) for each (lo, hi) of bounds in turn, per seed s.
+
+    Returns the draws (n, len(bounds)) as int64 and each stream's state
+    after them as `pcg64_states` rows. numpy draws from a range of
+    m <= 2**32 integers with one 32-bit word u as lo + (u * m >> 32)
+    (Lemire 2019), drawing u again while (u * m) mod 2**32 falls below
+    (2**32 - m) mod m; m = 1 takes no word and m = 2**32 takes u as it
+    is. The words come from `next_uint32`: a new LCG step's XSL-RR
+    output gives its low half and buffers its high half for the next
+    word. Every lane is computed that way on uint64 arrays; a lane where
+    the leftover (u * m) mod 2**32 is below m, so that a rejection could
+    act, is replayed on numpy's own generator.
+    """
+    bounds = [(int(lo), int(hi)) for lo, hi in bounds]
+    check_draw_bounds(bounds)
+    seeds = _seed_array(seed).reshape(-1)
+    states = pcg64_states(seeds)
+    draws = np.empty((len(seeds), len(bounds)), np.int64)
+    replay = np.zeros(len(seeds), bool)
+    buffered = False
+    for k, (lo, hi) in enumerate(bounds):
+        m = np.uint64(hi - lo)
+        if m == 1:
+            draws[:, k] = lo
+            continue
+        if buffered:
+            word = states[:, 5]
+        else:
+            states[:, 0], states[:, 1] = _lcg(*states[:, :4].T)
+            out = _xsl_rr(states[:, 0], states[:, 1])
+            word, states[:, 5] = out & _M32, out >> _S32
+        buffered = not buffered
+        scaled = word * m
+        draws[:, k] = lo + (scaled >> _S32).astype(np.int64)
+        if m < DRAW_RANGE_MAX:
+            replay |= (scaled & _M32) < m
+    states[:, 4] = buffered
+    for j in np.flatnonzero(replay):
+        rng = np.random.default_rng(int(seeds[j]))
+        draws[j] = [rng.integers(lo, hi) for lo, hi in bounds]
+        st = rng.bit_generator.state
+        s, inc = st["state"]["state"], st["state"]["inc"]
+        states[j] = (s >> 64, s & MASK64, inc >> 64, inc & MASK64,
+                     st["has_uint32"], st["uinteger"])
+    return draws, states
+
+
+def generators(states) -> Iterator[np.random.Generator]:
+    """A generator in each PCG64 state of `pcg64_states` rows, in order.
+
+    The states are set one by one on a single reused Generator, so a
+    yielded generator is only valid until the next one.
+    """
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
 
     def streams():
-        for row in words:           # row by row: a whole-array tolist() holds every word at once
-            s_hi, s_lo, i_hi, i_lo = row.tolist()
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * PCG_MULT + inc) & MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
+        for row in states:          # row by row: a whole-array tolist() holds every word at once
+            s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = row.tolist()
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                          "has_uint32": has_uint32, "uinteger": uinteger}
             yield rng
 
     return streams()
+
+
+def seeded_generators(seed) -> Iterator[np.random.Generator]:
+    """A generator in the state of default_rng(s) for each seed s, in order.
+
+    seed is an integer or an array of them, each in [0, 2**64); it is
+    checked and every stream seeded (`pcg64_states`) before the first
+    yield. A yielded generator is only valid until the next one.
+    """
+    return generators(pcg64_states(seed))
 
 
 def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:

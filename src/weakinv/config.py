@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .channels import check_draw_bounds
 from .errors import NumericalError, ValidationError
 from .fokker_planck import explicit_step_limit, gaussian_profile, interior_minimum, space_grid
 from .lindblad import time_grid
@@ -97,6 +98,14 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
         "init_var": (0.5, "pos_float"),
     },
 }
+
+
+def fuzz_shape_bounds(max_dim: int, max_kraus: int) -> list[tuple[int, int]]:
+    """`Generator.integers` bounds of a fuzz case's dim and n_kraus.
+
+    dim is drawn from [2, max_dim] and n_kraus from [1, max_kraus].
+    """
+    return [(2, max_dim + 1), (1, max_kraus + 1)]
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
     params = {}
     for name, (default, kind) in schema.items():
         params[name] = _check_number(f"params.{name}", raw_params.get(name, default), kind)
+
+    if scenario == "channel_fuzz":
+        # the fuzz draws each case's shape by numpy's 32-bit bounded draw alone
+        bounds = fuzz_shape_bounds(params["max_dim"], params["max_kraus"])
+        for name, bound in zip(("max_dim", "max_kraus"), bounds):
+            try:
+                check_draw_bounds([bound])
+            except ValidationError as exc:
+                raise ConfigError(f"params.{name}: {exc}") from exc
 
     # Grids the config alone makes unrunnable, by the engine's own rules.
     try:

@@ -166,15 +166,17 @@ def superoperators(gen: LindbladGenerator, adjoint) -> np.ndarray:
     return basis.reshape(len(unit), d * d, len(adjoint), d * d).transpose(0, 2, 3, 1)
 
 
-def rk4_step(rhs, kernels, m: np.ndarray, dt: float) -> np.ndarray:
+def rk4_step(rhs, kernels, m: np.ndarray, dt: float, k1=None) -> np.ndarray:
     """One classic RK4 step of dm/dt = rhs(kernel, m).
 
     `kernels` holds whatever `rhs` needs at the step's start, midpoint
     (both middle stages) and end: `rhs_kernels` rows for the Lindblad
-    equations, the drift and diffusion for the classical grid.
+    equations, the drift and diffusion for the classical grid. A caller
+    that already holds the first stage rhs(k_start, m) passes it as k1.
     """
     k_start, k_mid, k_end = kernels
-    k1 = rhs(k_start, m)
+    if k1 is None:
+        k1 = rhs(k_start, m)
     k2 = rhs(k_mid, m + 0.5 * dt * k1)
     k3 = rhs(k_mid, m + 0.5 * dt * k2)
     k4 = rhs(k_end, m + dt * k3)
@@ -425,7 +427,9 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
             r = rows[2 * i:2 * (i + run) + 1]
             s = (len(r) - 1) // 2           # a sampling error may leave the run ragged
             sup = np.tensordot(r[:2 * s + 1], basis, axes=1)
-            maps = rk4_step(np.matmul, (sup[0:-1:2], sup[1::2], sup[2::2]), np.eye(d2), dt)
+            # the maps step the identity, so the first stage is the start superoperator
+            start = sup[0:-1:2]
+            maps = rk4_step(np.matmul, (start, sup[1::2], sup[2::2]), np.eye(d2), dt, k1=start)
             # G_j, the projector onto Hermitian matrices after map j, as a real map
             # on interleaved (Re, Im) vec(m), so that a complex stack is its own
             # float view: rows (p, q) and (q, p) averaged for Re, differenced for Im

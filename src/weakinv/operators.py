@@ -155,7 +155,7 @@ def expectation(a, rho):
     _require_square(ma, "operator")
     if ma.shape[-2:] != mr.shape[-2:]:
         raise ValidationError(f"dimension mismatch: operator {ma.shape}, state {mr.shape}")
-    val = np.trace(ma @ mr, axis1=-2, axis2=-1)
+    val = np.einsum("...ij,...ji->...", ma, mr)
     residue = abs(val.imag)
     # residue > IMAG_TOL * max(|val|, 1), without a ufunc call per scalar
     at = _breach((residue > IMAG_TOL) & (residue > IMAG_TOL * abs(val)))

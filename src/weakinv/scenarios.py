@@ -22,15 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (
-    adjoint_apply,
     apply,
+    bounded_draws,
+    generators,
     kadison_gap,
     lindblad_step_channel,
     random_channel,
     sandwich,
-    seeded_generators,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, fuzz_shape_bounds
 from .errors import NumericalError
 from .fokker_planck import (
     classical_growth_rate,
@@ -318,37 +318,40 @@ def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
 
 # -- channel fuzz ------------------------------------------------------------
 
-def _fuzz_shape(rng, max_dim: int, max_kraus: int) -> tuple[int, int]:
-    """(dim, n_kraus) of one case: the first two draws of its observable rng."""
-    return int(rng.integers(2, max_dim + 1)), int(rng.integers(1, max_kraus + 1))
+def _fuzz_observables(dim: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each case's normalised observable I and input state rho, from its observable stream.
 
-
-def _fuzz_group(dim: int, n_kraus: int, seeds: np.ndarray,
-                max_dim: int, max_kraus: int) -> np.ndarray:
-    """Rows for the cases sharing (dim, n_kraus), one helper call per stack.
-
-    seeds holds each case's (channel seed, observable seed). A row is the
-    duality defect, the paired moment growth, the Kadison gap's smallest
-    eigenvalue, the completeness defect and the output state's smallest
-    eigenvalue, each computed from that case's own draws.
+    states holds the `pcg64_states` row each stream is in after its case's
+    shape draws; the draw buffer is freed on return, before the channels act.
     """
-    ch = random_channel(dim, n_kraus, seeds[:, 0])
     # one draw per case: real and imaginary parts of g, then of r, stored as
     # (re, im) pairs so that the buffer is the complex stack itself
-    z = np.empty((len(seeds), 2, dim, dim, 2))
-    for j, rng in enumerate(seeded_generators(seeds[:, 1])):
-        _fuzz_shape(rng, max_dim, max_kraus)      # replay the draws that chose the group
+    z = np.empty((len(states), 2, dim, dim, 2))
+    for j, rng in enumerate(generators(states)):
         z[j] = rng.standard_normal((2, 2, dim, dim)).transpose(0, 2, 3, 1)
     g, r = np.moveaxis(z.view(complex)[..., 0], 1, 0)
-
     i_op = 0.5 * (g + dagger(g))
     i_op /= np.maximum(np.abs(np.linalg.eigvalsh(i_op)).max(axis=-1), 1e-12)[:, None, None]
     rho_m = r @ dagger(r)
     rho_m /= np.trace(rho_m, axis1=-2, axis2=-1).real[:, None, None]
+    return i_op, rho_m
 
-    gap_min = np.linalg.eigvalsh(kadison_gap(ch, i_op)).min(axis=-1)
+
+def _fuzz_group(dim: int, n_kraus: int, channel_seeds: np.ndarray,
+                observable_states: np.ndarray) -> np.ndarray:
+    """Rows for the cases sharing (dim, n_kraus), one helper call per stack.
+
+    A row is the duality defect, the paired moment growth, the Kadison
+    gap's smallest eigenvalue, the completeness defect and the output
+    state's smallest eigenvalue, each computed from that case's own
+    draws: its channel from its channel seed, its observable and state
+    from its observable stream (`_fuzz_observables`).
+    """
+    ch = random_channel(dim, n_kraus, channel_seeds)
+    i_op, rho_m = _fuzz_observables(dim, observable_states)
     rho_out = apply(ch, rho_m)
-    pulled = adjoint_apply(ch, i_op)
+    gap, pulled = kadison_gap(ch, i_op)
+    gap_min = np.linalg.eigvalsh(gap).min(axis=-1)
     cons = np.abs(expectation(pulled, rho_m) - expectation(i_op, rho_out))
     pair_growth = variance(i_op, rho_out) - variance(pulled, rho_m)
     return np.column_stack([cons, pair_growth, gap_min, ch.tp_defect, rho_out.min_eig])
@@ -360,14 +363,14 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     master = np.random.default_rng(cfg.seed)
     # Per-case seeds are drawn up front and a row depends only on its own
     # pair, so grouping cases by (dim, n_kraus) cannot change any result.
+    # A case's shape is the first two draws of its observable stream, made
+    # for every case at once; the stream resumes from the state they leave.
     seeds = master.integers(0, 2**63 - 1, size=(n, 2))
-    shapes = np.array([_fuzz_shape(rng, p["max_dim"], p["max_kraus"])
-                       for rng in seeded_generators(seeds[:, 1])])
+    shapes, after = bounded_draws(seeds[:, 1], fuzz_shape_bounds(p["max_dim"], p["max_kraus"]))
     rows = np.empty((n, 5))
     for dim, n_kraus in np.unique(shapes, axis=0):
         members = np.flatnonzero((shapes == (dim, n_kraus)).all(axis=1))
-        rows[members] = _fuzz_group(int(dim), int(n_kraus), seeds[members],
-                                    p["max_dim"], p["max_kraus"])
+        rows[members] = _fuzz_group(int(dim), int(n_kraus), seeds[members, 0], after[members])
     cons, pair, gaps, tp, out_min = rows.T
 
     checks = [

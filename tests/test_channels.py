@@ -9,14 +9,19 @@ from weakinv.channels import (
     QuantumChannel,
     adjoint_apply,
     apply,
+    bounded_draws,
     kadison_gap,
     lindblad_step_channel,
+    pcg64_states,
     random_channel,
+    sandwich,
     seeded_generators,
 )
+from weakinv.config import validate_config
 from weakinv.errors import ValidationError
 from weakinv.lindblad import LindbladGenerator
-from weakinv.operators import DensityMatrix, SIGMA_X, SIGMA_Z, expectation
+from weakinv.operators import DensityMatrix, SIGMA_X, SIGMA_Z, expectation, variance
+from weakinv.scenarios import run_scenario
 
 
 def depolarizing(p):
@@ -47,7 +52,7 @@ def test_depolarizing_adjoint_contracts_observables():
 def test_depolarizing_kadison_gap_closed_form():
     # With I = s3: adjoint(I^2) = 1, (adjoint I)^2 = 0.36 * 1, gap = 0.64 * 1
     ch = depolarizing(0.3)
-    gap = kadison_gap(ch, SIGMA_Z)
+    gap, _ = kadison_gap(ch, SIGMA_Z)
     assert np.abs(gap - 0.64 * np.eye(2)).max() < 1e-12
 
 
@@ -95,11 +100,11 @@ SEED_STACKS = st.lists(st.integers(0, 10**6), min_size=1, max_size=4)
 def test_random_channel_kadison_psd(dim, n_kraus, seeds):
     stack = random_channel(dim, n_kraus, np.array(seeds))
     i_ops = np.stack([_hermitian(np.random.default_rng(s + 13), dim) for s in seeds])
-    gaps = kadison_gap(stack, i_ops)
+    gaps, _ = kadison_gap(stack, i_ops)
     assert stack.kraus.shape == (len(seeds), n_kraus, dim, dim)
     for j, seed in enumerate(seeds):
         ch = random_channel(dim, n_kraus, seed)
-        gap = kadison_gap(ch, i_ops[j])
+        gap, _ = kadison_gap(ch, i_ops[j])
         assert np.linalg.eigvalsh(gap).min() >= -1e-9 * max(1.0, np.abs(i_ops[j]).max() ** 2)
         assert np.array_equal(stack.kraus[j], ch.kraus)
         assert np.abs(gaps[j] - gap).max() <= 1e-13 * max(1.0, np.abs(gap).max())
@@ -141,6 +146,113 @@ def test_seeded_generators_replay_default_rng(seeds, dim):
                               ref.standard_normal((2, 2, dim, dim)))
         assert np.array_equal(rng.normal(size=(2, 3 * dim, dim)),
                               ref.normal(size=(2, 3 * dim, dim)))
+
+
+def _state_row(rng):
+    """A generator's PCG64 state as a `pcg64_states` row of Python ints."""
+    st = rng.bit_generator.state
+    s, inc = st["state"]["state"], st["state"]["inc"]
+    return [s >> 64, s & (2**64 - 1), inc >> 64, inc & (2**64 - 1),
+            st["has_uint32"], st["uinteger"]]
+
+
+# ranges of 1 (no word), 2**31 + 1 (about half of all words rejected) and
+# 2**32 (the word itself) are the edges of numpy's 32-bit bounded draw
+EDGE_RANGES = [1, 2, 5, 2**31 + 1, 2**32 - 1, 2**32]
+DRAW_BOUNDS = st.tuples(st.integers(-2**40, 2**40),
+                        st.one_of(st.sampled_from(EDGE_RANGES), st.integers(1, 2**32)))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+       st.lists(DRAW_BOUNDS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_bounded_draws_equal_default_rng(seeds, lo_ranges):
+    seeds = seeds + EDGE_SEEDS
+    bounds = [(lo, lo + m) for lo, m in lo_ranges]
+    states = pcg64_states(np.array(seeds, dtype=np.uint64))
+    draws, after = bounded_draws(np.array(seeds, dtype=np.uint64), bounds)
+    assert draws.shape == (len(seeds), len(bounds)) and draws.dtype == np.int64
+    for j, seed in enumerate(seeds):
+        ref = np.random.default_rng(seed)
+        assert states[j].tolist() == _state_row(ref)
+        assert draws[j].tolist() == [ref.integers(lo, hi) for lo, hi in bounds]
+        assert after[j].tolist() == _state_row(ref)
+
+
+@pytest.mark.parametrize("m", [1, 5, 2**31 + 1, 2**32])
+def test_bounded_draws_at_range_edges(m):
+    seeds = np.arange(400, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    draws, after = bounded_draws(seeds, [(3, 3 + m), (-1, 4)])
+    extra = 0
+    for j, seed in enumerate(seeds):
+        ref = np.random.default_rng(int(seed))
+        assert draws[j].tolist() == [ref.integers(3, 3 + m), ref.integers(-1, 4)]
+        assert after[j].tolist() == _state_row(ref)
+        extra += after[j, 4] != (m == 1)    # a rejected word flips the buffered half
+    # 2**31 + 1 rejects a word with probability about 1/2, the others never here
+    assert (extra > 100) if m == 2**31 + 1 else extra == 0
+
+
+def test_bounded_draws_reject_ranges_past_32_bits():
+    for bounds in ([(0, 2**32 + 1)], [(0, 0)], [(5, 2)]):
+        with pytest.raises(ValidationError, match=r"2\*\*32 = 4294967296"):
+            bounded_draws([1, 2], bounds)
+
+
+@pytest.mark.parametrize("left_batch, m_batch", [((), ()), ((3,), ()), ((), (4,)),
+                                                 ((2, 3), (3,)), ((3,), (2, 3))])
+def test_sandwich_equals_per_kraus_sum(left_batch, m_batch):
+    rng = np.random.default_rng(17)
+    k, d = 3, 4
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    left, right = draw(left_batch + (k, d, d)), draw(left_batch + (k, d, d))
+    m = draw(m_batch + (d, d))
+    want = sum(left[..., i, :, :] @ m @ right[..., i, :, :] for i in range(k))
+    got = sandwich(left, m, right)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_kadison_gap_returns_the_pulled_back_operator():
+    stack = random_channel(3, 2, np.array([4, 5, 6]))
+    i_ops = np.stack([_hermitian(np.random.default_rng(s), 3) for s in (1, 2, 3)])
+    gap, pulled = kadison_gap(stack, i_ops)
+    assert np.array_equal(pulled, adjoint_apply(stack, i_ops))
+    assert np.array_equal(gap, adjoint_apply(stack, i_ops @ i_ops) - pulled @ pulled)
+
+
+def test_channel_fuzz_rows_equal_per_case_draws():
+    # max_kraus 1 takes the no-draw path for n_kraus: each case's stream
+    # spends one 32-bit word on dim and resumes with its high half buffered
+    n, max_dim = 60, 9
+    res = run_scenario(validate_config({"scenario": "channel_fuzz",
+                                        "params": {"n_channels": n, "max_dim": max_dim,
+                                                   "max_kraus": 1}}))
+    got = np.column_stack([res.columns[k] for k in
+                           ("exp_I", "var_I", "growth_formula", "trace_err", "min_eig")])
+    seeds = np.random.default_rng(1234).integers(0, 2**63 - 1, size=(n, 2))
+    dims = set()
+    for j, (channel_seed, observable_seed) in enumerate(seeds.tolist()):
+        rng = np.random.default_rng(observable_seed)
+        dim, n_kraus = int(rng.integers(2, max_dim + 1)), int(rng.integers(1, 2))
+        z = rng.standard_normal((2, 2, dim, dim))
+        g, r = z[:, 0] + 1j * z[:, 1]
+        i_op = 0.5 * (g + g.conj().T)
+        i_op /= max(np.abs(np.linalg.eigvalsh(i_op)).max(), 1e-12)
+        rho = r @ r.conj().T
+        rho /= np.trace(rho).real
+        ch = random_channel(dim, n_kraus, channel_seed)
+        gap, pulled = kadison_gap(ch, i_op)
+        rho_out = apply(ch, rho)
+        want = [abs(expectation(pulled, rho) - expectation(i_op, rho_out)),
+                variance(i_op, rho_out) - variance(pulled, rho),
+                np.linalg.eigvalsh(gap).min(), ch.tp_defect, rho_out.min_eig]
+        assert np.abs(got[j] - want).max() <= 1e-12, j
+        dims.add(dim)
+    assert len(dims) > 4
 
 
 def _per_seed_channel(dim, n_kraus, seed):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from weakinv.cli import main
 from weakinv.config import (
     SCENARIOS,
     ConfigError,
@@ -94,6 +95,22 @@ def test_param_kind_enforcement():
         validate_config({"scenario": "oscillator", "params": {"decay": -0.5}})
     cfg = validate_config({"scenario": "oscillator", "params": {"decay": 0.25}})
     assert cfg.params["decay"] == 0.25
+
+
+def test_fuzz_shape_ranges_past_32_bits_are_config_errors(tmp_path, capsys):
+    # a case's (dim, n_kraus) is drawn as numpy's 32-bit bounded draw, so
+    # dim's range max_dim - 1 and n_kraus's range max_kraus stop at 2**32
+    for name, value in (("max_dim", 2**32 + 2), ("max_kraus", 2**32 + 1)):
+        with pytest.raises(ConfigError, match=rf"params\.{name}: .* 2\*\*32 = 4294967296"):
+            validate_config({"scenario": "channel_fuzz", "params": {name: value}})
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"scenario": "channel_fuzz", "params": {name: value}}))
+        assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 2
+        assert "2**32" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+    widest = validate_config({"scenario": "channel_fuzz",
+                              "params": {"max_dim": 2**32 + 1, "max_kraus": 2**32}})
+    assert (widest.params["max_dim"], widest.params["max_kraus"]) == (2**32 + 1, 2**32)
 
 
 def test_scenario_specific_window_defaults():
