@@ -27,9 +27,9 @@ spread, `trace_err` the mass defect and `min_eig` the smallest density.
 The grid operator uses centered second-order differences in flux form;
 degree <= 2 polynomials differentiate exactly under those stencils, which
 is what makes the discrete conservation of <J> essentially exact. One
-RK4 step of the constant operator is a banded matrix, built once per run
-and applied a run of steps per call, each step an einsum written straight
-into the next row of a buffer of padded states.
+RK4 step of the constant operator is a band of 9 diagonals, built once per
+run; each step is an einsum written straight into the next padded row of
+`march`'s block.
 The two outermost nodes are held fixed; the domain must be sized so the
 density never reaches them (monitored at every node, never clamped).
 """
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .lindblad import BLOCK_BYTES, BLOCK_NODES, abort_at, march, rk4_step, time_grid
+from .lindblad import abort_at, block_for, march, rk4_step, time_grid
 
 BOUNDARY_DECAY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
@@ -179,34 +179,17 @@ def fp_rhs(
     return out
 
 
-def rk4_step_map(h: float, drift, diffusion, dt: float, shape, nodes: int = 1):
+def rk4_band(h: float, drift, diffusion, dt: float) -> np.ndarray:
     """The RK4 step of `fp_rhs`, a degree-4 polynomial in the 3-point operator, as
-    one map with 9 diagonals for states of `shape` (..., n). One `rk4_step` on the
-    9 combs (comb r sums e_j over j = r mod 9) gives every column without overlap
-    (Curtis, Powell & Reid 1974).
-
-    `step(p, k)` takes k <= `nodes` successive steps from p and returns the k
-    states as a view of the map's own buffer, valid until the next call (copy
-    what must outlive it). Row r of the buffer holds the r-th state padded by
-    4 zeros a side; each step is one einsum of a fixed sliding-window view of
-    row r with the band, written straight into row r + 1.
+    its (n, 9) band: row i weighs nodes i - 4 ... i + 4 (zero off the grid) into
+    node i. One `rk4_step` on the 9 combs (comb r sums e_j over j = r mod 9)
+    gives every column without overlap (Curtis, Powell & Reid 1974).
     """
-    n = shape[-1]
+    n = len(drift)
     combs = (np.arange(n) % 9 == np.arange(9)[:, None]).astype(float)
     cols = rk4_step(lambda k, v: fp_rhs(v, h, *k), [(drift, diffusion)] * 3, combs, dt)
     j = np.arange(n)[:, None] + np.arange(-4, 5)        # the column on each band slot
-    band = np.where((j >= 0) & (j < n), cols[j % 9, np.arange(n)[:, None]], 0.0)
-    pad = np.zeros((nodes + 1,) + tuple(shape[:-1]) + (n + 8,))
-    rows = pad[..., 4:-4]
-    steps = list(zip(np.lib.stride_tricks.sliding_window_view(pad[:-1], 9, axis=-1),
-                     rows[1:]))
-
-    def step(p: np.ndarray, k: int) -> np.ndarray:
-        rows[0] = p
-        for window, out in steps[:k]:
-            np.einsum("...ij,ij->...i", window, band, out=out)
-        return rows[1:k + 1]
-    return step
+    return np.where((j >= 0) & (j < n), cols[j % 9, np.arange(n)[:, None]], 0.0)
 
 
 def _power_moments(dist: GridDistribution, w: np.ndarray, k: int) -> np.ndarray:
@@ -277,9 +260,8 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
 
     Both integrators share one grid rule, one RK4 step and one loop; RK4
     keeps the conserved <J> flat to rounding. `drift` and `diffusion` are
-    K and D sampled on `dist.x`, turned into `march`'s step by `rk4_step_map`;
-    each call takes a run of as many steps as `march`'s block cap holds, the
-    last run cut short.
+    K and D sampled on `dist.x`, turned into one `rk4_band`; the block lent
+    to `march` is the interior of padded rows, each step written into the next.
     Guards and diagnostics run once per block of nodes, and the run
     aborts at the earliest node where the density stops being finite,
     reaches the boundary or goes negative, or (at a node that starts a
@@ -306,8 +288,18 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
         cols["trace_err"][span] = blk.mass - mass0
         cols["min_eig"][span] = pmin
 
-    run = max(1, min(BLOCK_NODES, BLOCK_BYTES // dist.values.nbytes))
-    step = rk4_step_map(h, *coeffs, dt, x.shape, run)
-    march(times, dist.values, lambda i, p: step(p, min(run, times.size - 1 - i)), observe)
+    # march's block is the interior of padded rows, so that each step is one
+    # einsum of a sliding window of padded row r with the band into row r + 1
+    pad = np.zeros((block_for(dist.values, times.size),) + dist.values.shape[:-1] + (x.size + 8,))
+    block = pad[..., 4:-4]
+    block[0] = dist.values
+    windows = np.lib.stride_tricks.sliding_window_view(pad, 9, axis=-1)
+    band = rk4_band(h, *coeffs, dt)
+
+    def step(i, k):
+        for r in range(k):
+            np.einsum("...ij,ij->...i", windows[r], band, out=block[r + 1])
+
+    march(times, block, step, observe)
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)
     return ClassicalTrajectory(times=times, series=cols, notes={"mass_initial": mass0})

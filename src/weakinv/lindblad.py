@@ -37,13 +37,13 @@ times the RK4 steps need. Both equations take the effective Hamiltonian
 H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n;
 the adjoint one swaps each for its adjoint and the sandwich sign +2 for
 -2, so the state and its invariants step as one stack through one
-right-hand side, its kernels formed by `integrate` in runs of steps.
-That right-hand side is linear in the stack and in the sampled row, so
-for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
-superoperators and steps each run in one call, by prefix products of its
-re-Hermitizing RK4 step maps. `march`, the one stepping loop (of the
-classical mirror too), knows only nodes and hands node blocks to
-stack-aware diagnostics.
+right-hand side, its kernels formed by `integrate` for each step's three
+rows. That right-hand side is linear in the stack and in the sampled row,
+so for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
+superoperators and steps a block's nodes in one call, by prefix products
+of their re-Hermitizing RK4 step maps. `march`, the one stepping loop (of
+the classical mirror too), knows only nodes: each step writes them into
+the caller's block, whose rows go to stack-aware diagnostics.
 """
 
 from __future__ import annotations
@@ -185,10 +185,10 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float, k1=None) -> np.ndarray:
 
 # -- the stepping loop -------------------------------------------------------
 
-# The most nodes, and bytes of node states, in one observed block: 256 spin
-# nodes (in 127-step runs of step maps), 74 of fp_ou's default grid, fewer
-# of larger oscillator states (8 nodes at 60 levels, 2 at 120).
-BLOCK_NODES = 256
+# The most rows, and bytes of node states, in one block of `march`: 128 spin
+# nodes (row 0 and 127-step runs of step maps), 76 of fp_ou's default grid,
+# fewer of larger oscillator states (8 at 60 levels, 2 at 120 and above).
+BLOCK_NODES = 128
 BLOCK_BYTES = 480 * 1024
 
 # The largest d^2 that `integrate` steps with RK4 step maps, one (d^2, d^2)
@@ -210,54 +210,55 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
     return t0 + dt * np.arange(n + 1)
 
 
-def march(times, x: np.ndarray, step, observe) -> None:
-    """Step the state x across the nodes `times`, observing them in blocks.
+def block_for(x: np.ndarray, n_nodes: int) -> int:
+    """Rows of a `march` block for node states like x on n_nodes nodes:
+    row 0 and at least one more, within BLOCK_NODES and BLOCK_BYTES."""
+    return max(2, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, n_nodes))
 
-    `step(i, x)` returns a stack of the next k >= 1 node states (nodes
-    i + 1 ... i + k, none past the last) from node i's. They are copied
-    into blocks, which go in node order to `observe(span, states)`;
-    states are overwritten by the next block. Each block is checked for
-    finiteness once: its nodes before the first non-finite one are
-    observed, then the run aborts naming that node. Whatever stops the
-    run, buffered nodes are observed first. An observer raises the first
-    guard any node breaches; the block is then observed node by node, so
-    the earliest node's error wins, over a later non-finite node too.
+
+def march(times, block: np.ndarray, step, observe) -> None:
+    """Step node 0's state, row 0 of the caller's `block`, across the nodes
+    `times`, observing them in blocks.
+
+    `step(i, k)` writes nodes i + 1 ... i + k into rows 1 ... k from node
+    i's state in row 0, k filling the block unless the last node comes
+    first. The rows not yet observed then go in node order to
+    `observe(span, states)`, and the last row moves to row 0. Each block is
+    checked for finiteness once: its nodes before the first non-finite one
+    are observed, then the run aborts naming that node. If a step raises,
+    node 0 is observed first unless it already was. An observer raises
+    the first guard any node breaches; the block is then observed node by
+    node, so the earliest node's error wins, over a later non-finite node too.
     """
-    cap = max(1, min(BLOCK_NODES, BLOCK_BYTES // x.nbytes, times.size))
-    block = np.empty((cap,) + x.shape, dtype=x.dtype)
-    first = filled = 0      # the block holds nodes first ... first + filled - 1
+    first = lo = 0      # row 0 holds node `first`; rows from lo on are not yet observed
 
-    def flush() -> None:
-        nonlocal first, filled
-        hot = ~np.isfinite(block[:filled].reshape(filled, -1)).all(axis=1)
-        good = int(hot.argmax()) if hot.any() else filled
+    def flush(hi: int) -> None:
+        rows, at = block[lo:hi], first + lo
+        hot = ~np.isfinite(rows).all(axis=tuple(range(1, rows.ndim)))
+        good = int(hot.argmax()) if hot.any() else len(rows)
         try:
             if good:
-                observe(slice(first, first + good), block[:good])
+                observe(slice(at, at + good), rows[:good])
         except NumericalError:
             for k in range(good):
-                observe(slice(first + k, first + k + 1), block[k:k + 1])
+                observe(slice(at + k, at + k + 1), rows[k:k + 1])
             raise
-        if good < filled:
-            raise NumericalError(f"state is not finite at t = {times[first + good]:.6g}; "
-                                 "reduce dt")
-        first, filled = first + filled, 0
+        if good < len(rows):
+            raise NumericalError(f"state is not finite at t = {times[at + good]:.6g}; reduce dt")
 
-    nodes = x[None][:times.size]
-    while len(nodes):
-        x, pos = nodes[-1], 0
-        while pos < len(nodes):    # across block edges
-            take = min(cap - filled, len(nodes) - pos)
-            block[filled:filled + take] = nodes[pos:pos + take]
-            pos, filled = pos + take, filled + take
-            if filled == cap or first + filled == times.size:
-                flush()
+    while times.size:
+        k = min(len(block) - 1, times.size - 1 - first)
         try:
-            nodes = step(first + filled - 1, x) if first + filled < times.size else nodes[:0]
+            if k:
+                step(first, k)
         except Exception:
-            if filled:
-                flush()
+            flush(1)
             raise
+        flush(k + 1)
+        if first + k == times.size - 1:
+            return
+        block[0] = block[k]
+        first, lo = first + k, 1
 
 
 def abort_at(bad, message) -> None:
@@ -358,12 +359,12 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
 
     One `eval` samples the generator at the 2N + 1 distinct times of N
     steps, node i at row 2i and the midpoint after it at 2i + 1; the steps
-    use them in runs. Classic RK4 advances rho and `i0`, one invariant or
-    a (k, dim, dim) stack, as one stack: for dim^2 <= MAP_MAX_D2 a run a
-    `march` step, by prefix products of its RK4 step maps (formed from
-    `superoperators`, made real maps on (Re, Im) vec that re-Hermitize),
-    otherwise a node a step, by `lindblad_rhs` on each run's kernels, the
-    row two runs share formed once and carried over. Without `i0` the
+    write their nodes into `march`'s block. Classic RK4 advances rho and
+    `i0`, one invariant or a (k, dim, dim) stack, as one stack: for
+    dim^2 <= MAP_MAX_D2 a block's nodes a `march` step, by prefix products
+    of their RK4 step maps (formed from `superoperators`, made real maps on
+    (Re, Im) vec that re-Hermitize), otherwise a node at a time, by
+    `lindblad_rhs` on the kernels of its three rows. Without `i0` the
     invariant is H(t) and only rho is stepped; the conservation guard then
     checks that H(t) is a weak invariant of `gen`.
 
@@ -400,33 +401,30 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     notes = {"max_herm_correction": 0.0}
     exp0 = cons_scale = None
 
-    # steps per run of kernels: four x-sized stacks a row within the byte cap
-    run = max(1, (min(BLOCK_NODES, BLOCK_BYTES // (4 * x.nbytes)) - 1) // 2)
-    adjoint, d2, kernels = np.arange(len(x)) > 0, rho.size, None
+    # march walks only the nodes whose rows were sampled, in a block led by x
+    nodes = times[:(len(rows) + 1) // 2]
+    block = np.empty((block_for(x, nodes.size),) + x.shape, dtype=x.dtype)
+    block[0] = x
+    adjoint, d2 = np.arange(len(x)) > 0, rho.size
 
     def note(pre):    # the re-Hermitization's correction of the state member
         notes["max_herm_correction"] = max(notes["max_herm_correction"],
                                            float(np.abs(pre - dagger(pre)).max()))
 
     if d2 > MAP_MAX_D2:
-        def step(i, x):    # one node: RK4 on the run's kernels
-            nonlocal kernels
-            j = i % run
-            if j == 0:    # the end row two runs share is carried over as its own copy
-                edge = [tuple(map(np.copy, kernels[-1]))] if i else []
-                r, kernels = rows[2 * i + (i > 0):2 * (i + run) + 1], None
-                kernels = edge + rhs_kernels(gen, r[:, :m], r[:, m:], adjoint)
-            nxt = rk4_step(lindblad_rhs, kernels[2 * j:2 * j + 3], x, dt)
-            note(nxt[0])
-            return (0.5 * (nxt + dagger(nxt)))[None]
+        def step(i, k):    # a node at a time: RK4 on the kernels of its three rows
+            for j in range(k):
+                r = rows[2 * (i + j):2 * (i + j) + 3]
+                nxt = rk4_step(lindblad_rhs, rhs_kernels(gen, r[:, :m], r[:, m:], adjoint),
+                               block[j], dt)
+                note(nxt[0])
+                block[j + 1] = 0.5 * (nxt + dagger(nxt))
     else:
         basis = superoperators(gen, adjoint)
         flip = np.arange(d2).reshape(rho.shape).T.ravel()    # vec(m) to vec(m^T)
 
-        def step(i, x):    # the run's nodes: prefix products of its step maps
-            r = rows[2 * i:2 * (i + run) + 1]
-            s = (len(r) - 1) // 2           # a sampling error may leave the run ragged
-            sup = np.tensordot(r[:2 * s + 1], basis, axes=1)
+        def step(i, k):    # k nodes: prefix products of their step maps
+            sup = np.tensordot(rows[2 * i:2 * (i + k) + 1], basis, axes=1)
             # the maps step the identity, so the first stage is the start superoperator
             start = sup[0:-1:2]
             maps = rk4_step(np.matmul, (start, sup[1::2], sup[2::2]), np.eye(d2), dt, k1=start)
@@ -438,9 +436,9 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
                              np.stack([odd.imag, odd.real], -1)], -3).reshape(
                 maps.shape[:-2] + (2 * d2, 2 * d2))
             # Blelloch's up- and down-sweep make prod[j] = G_j ... G_0, in about
-            # 2s batched matmuls over 2 log2(s) rounds
+            # 2k batched matmuls over 2 log2(k) rounds
             shift = 1
-            while shift < s:
+            while shift < k:
                 hi = prod[2 * shift - 1::2 * shift]
                 hi[...] = hi @ prod[shift - 1::2 * shift][:len(hi)]
                 shift *= 2
@@ -448,11 +446,10 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
                 shift //= 2
                 lo = prod[3 * shift - 1::2 * shift]
                 lo[...] = lo @ prod[2 * shift - 1::2 * shift][:len(lo)]
-            ys = (prod @ x.view(float).reshape(len(x), 2 * d2, 1)).reshape(
-                (s,) + x.shape[:-1] + (-1,)).view(complex)
-            starts = np.concatenate([x[None, 0], ys[:-1, 0]]).reshape(s, d2, 1)
-            note((maps[:, 0] @ starts).reshape((s,) + rho.shape))
-            return ys
+            vec = (len(x), 2 * d2, 1)
+            np.matmul(prod, block[0].view(float).reshape(vec),
+                      out=block[1:k + 1].view(float).reshape((k,) + vec))
+            note((maps[:, 0] @ block[:k, 0].reshape(k, d2, 1)).reshape((k,) + rho.shape))
 
     # The block's arrays outlive each call, as loop variables would: each is
     # freed only when the next block rebinds it, so its memory is reused
@@ -506,7 +503,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
         cols["trace_err"][span] = np.hypot(tr_err.real, tr_err.imag)
         cols["min_eig"][span] = min_eig
 
-    march(times[:(len(rows) + 1) // 2], x, step, observe)
+    march(nodes, block, step, observe)
     if fault is not None:
         raise fault
     cols["growth_fd"] = np.gradient(cols["var_I"], dt, edge_order=2)

@@ -20,7 +20,7 @@ from weakinv.fokker_planck import (
     gaussian_profile,
     invariant_moments,
     ou_invariant_coeffs,
-    rk4_step_map,
+    rk4_band,
     space_grid,
 )
 from weakinv.lindblad import rk4_step
@@ -134,7 +134,14 @@ def test_rhs_annihilates_stationary_profile():
     assert np.abs(rhs).max() < 5e-4
 
 
-def test_rk4_step_map_matches_the_stage_by_stage_step():
+def _band_step(band, p):
+    """One step of an (n, 9) band on p (..., n), padded by 4 zeros a side."""
+    pad = np.pad(p, [(0, 0)] * (p.ndim - 1) + [(4, 4)])
+    windows = np.lib.stride_tricks.sliding_window_view(pad, 9, axis=-1)
+    return np.einsum("...ij,ij->...i", windows, band)
+
+
+def test_rk4_band_matches_the_stage_by_stage_step():
     # an asymmetric grid with position-dependent K and D, near the explicit budget
     x = space_grid(-3.5, 6.25, 0.0625)
     drift, diff = np.sin(x), 0.5 + 0.1 * x * x
@@ -147,34 +154,12 @@ def test_rk4_step_map_matches_the_stage_by_stage_step():
 
     want = rk4_step(lambda k, v: fp_rhs(v, h, *k), [(drift, diff)] * 3, stack, dt)
     scale = np.abs(want).max()
-    got = rk4_step_map(h, drift, diff, dt, stack.shape)(stack, 1)
-    assert got.shape == (1,) + stack.shape
-    assert np.abs(got[0] - want).max() <= 1e-14 * scale
-    assert got[0][:, [0, -1]].tobytes() == stack[:, [0, -1]].tobytes()
-    one = rk4_step_map(h, drift, diff, dt, x.shape)(stack[0], 1)
-    assert np.abs(one[0] - want[0]).max() <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "stack"])
-def test_a_multi_node_step_equals_chained_single_steps(lead):
-    # k steps in one call write each state into the next padded row of the
-    # map's buffer; they must be the bytes of k calls of one step each
-    x = space_grid(-3.5, 6.25, 0.0625)
-    drift, diff = np.sin(x), 0.5 + 0.1 * x * x
-    h, dt = 0.0625, 0.8 * explicit_step_limit(0.0625, diff)
-    p = np.random.default_rng(5).random(lead + (x.size,))
-    multi = rk4_step_map(h, drift, diff, dt, p.shape, nodes=7)
-    single = rk4_step_map(h, drift, diff, dt, p.shape)
-    want, q = [], p
-    for _ in range(7):
-        q = single(q, 1)[0]
-        want.append(q.copy())
-    for k in (7, 4):                        # a full run and a ragged one
-        got = multi(p, k)
-        assert got.shape == (k,) + p.shape
-        assert got.tobytes() == np.array(want[:k]).tobytes()
-    # the next call starts from the last state of the view it overwrites
-    assert multi(multi(p, 4)[-1], 3).tobytes() == np.array(want[4:]).tobytes()
+    band = rk4_band(h, drift, diff, dt)
+    assert band.shape == (x.size, 9)
+    got = _band_step(band, stack)
+    assert np.abs(got - want).max() <= 1e-14 * scale
+    assert got[:, [0, -1]].tobytes() == stack[:, [0, -1]].tobytes()
+    assert np.abs(_band_step(band, stack[0]) - want[0]).max() <= 1e-14 * scale
 
 
 def test_mean_invariant_conserved_along_flow():
@@ -203,21 +188,20 @@ def test_cfl_violation_is_rejected():
 
 @pytest.mark.parametrize("dt, bad", [(1e-3, 132), (2e-3, 87)])
 def test_cfl_violation_is_rejected_across_multi_node_steps(dt, bad):
-    # 301 nodes in step runs and blocks of 102 (node 0 leads the first
-    # block, so runs and blocks are offset by one): the unstable states stop
-    # being finite at node `bad` inside a step call, at 2e-3 within the
-    # first block and after its nodes went negative; the budget breach at
-    # node 0 is still what is raised
+    # 301 nodes in blocks of 102 rows, the first observing nodes 0 ... 101
+    # and each later one 101 more: the unstable states stop being finite at
+    # node `bad`, written by a multi-node step, at 2e-3 within the first
+    # block and after its nodes went negative; the budget breach at node 0
+    # is still what is raised
     x = _grid(-6.0, 6.0, 0.02)
     p0 = gaussian_profile(x, mean=0.0, var=0.5)
     inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
     ones = np.full_like(x, 1.0)
-    run = min(lindblad.BLOCK_NODES, lindblad.BLOCK_BYTES // x.nbytes)
-    assert run == 102
-    step = rk4_step_map(0.02, -1.0 * x, ones, dt, x.shape, run)
+    assert lindblad.block_for(x, 301) == 102
+    band = rk4_band(0.02, -1.0 * x, ones, dt)
     states = [p0.values]
-    for _ in range(2):
-        states.extend(step(states[-1], run).copy())
+    for _ in range(300):
+        states.append(_band_step(band, states[-1]))
     assert int(np.isfinite(states).all(axis=1).argmin()) == bad
     with pytest.raises(NumericalError) as info:
         evolve(p0, -1.0 * x, ones, inv, t0=0.0, t1=0.3, dt=dt)
@@ -239,10 +223,11 @@ def test_boundary_leak_aborts():
 
 
 def test_block_diagnostics_do_not_depend_on_the_window():
-    # Diagnostics are reduced in blocks of `cap` nodes, and the states come
-    # in step runs of `cap` nodes from node 1; windows ending just before,
-    # on and after the first block edge must reproduce the first rows of a
-    # run past the second edge bit for bit. growth_fd is a gradient over the
+    # The states are written, and the diagnostics reduced, in blocks of
+    # `cap` rows: the first holds nodes 0 ... cap - 1, each later one the
+    # cap - 1 nodes a step writes after the row carried over. Windows ending
+    # just before, on and after the first two block edges must reproduce the
+    # first rows of a longer run bit for bit. growth_fd is a gradient over the
     # whole series, so only its last row (a one-sided difference) may differ.
     x = _grid(-8.0, 8.0, 0.1)
     cap = min(lindblad.BLOCK_NODES, lindblad.BLOCK_BYTES // x.nbytes)
@@ -254,7 +239,7 @@ def test_block_diagnostics_do_not_depend_on_the_window():
                       t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
     full = run(2 * cap + 3)
-    for nodes in (cap - 1, cap, cap + 1):
+    for nodes in (cap - 1, cap, cap + 1, 2 * cap - 2, 2 * cap - 1, 2 * cap):
         part = run(nodes)
         assert part.times.tobytes() == full.times[:nodes].tobytes()
         for key, col in part.series.items():

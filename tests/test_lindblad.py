@@ -343,7 +343,8 @@ def _block_edge_runs(run, *edges):
 
 
 def test_integrate_blocks_do_not_depend_on_the_window():
-    # dim 2 with an integrated invariant: full blocks of BLOCK_NODES nodes
+    # dim 2 with an integrated invariant: the first block holds BLOCK_NODES
+    # nodes and each later one BLOCK_NODES - 1, after the row carried over
     model = exponential_field(B0, 0.1)
     gen = spin_generator(model)
     h0 = spin_hamiltonian(model, 0.0)
@@ -353,7 +354,7 @@ def test_integrate_blocks_do_not_depend_on_the_window():
     def run(nodes):
         return integrate(gen, rho0, i0=h0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
-    _block_edge_runs(run, BLOCK_NODES)
+    _block_edge_runs(run, BLOCK_NODES, 2 * BLOCK_NODES - 1)
 
 
 def test_integrate_byte_cap_shortens_blocks():
@@ -372,37 +373,41 @@ def test_integrate_byte_cap_shortens_blocks():
 
 
 def test_integrate_kernel_runs_do_not_depend_on_the_window():
-    # 30 Fock levels: kernel runs of a few steps whose edges miss the block edges
+    # 30 Fock levels step a node at a time from the oscillator scenario's
+    # start, in blocks of 34 rows: the first edge after node 33, the second
+    # after node 66, once the last row has been carried over to row 0
     model = replace(rational_decay(1.0, 0.5), n_fock=30)
     gen = oscillator_generator(model)
     k1, k2, _ = model.ops()
     ground = np.linalg.eigh(k1 + float(model.k(0.0)) * k2)[1][:, 0]
-    rho0 = np.outer(ground, ground.conj())      # the oscillator scenario's start
+    rho0 = np.outer(ground, ground.conj())
+    assert 30 * 30 > MAP_MAX_D2
     rows = BLOCK_BYTES // (30 * 30 * 16)
-    steps = (BLOCK_BYTES // (4 * 30 * 30 * 16) - 1) // 2
-    assert 1 < steps < rows < BLOCK_NODES and rows % steps
+    assert rows == 34
 
     def run(nodes):
         return integrate(gen, rho0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
-    # the first block edge, and the first run edge inside the second block
-    _block_edge_runs(run, rows, steps * (rows // steps + 1) + 1)
+    _block_edge_runs(run, rows, 2 * rows - 1)
 
 
-def _fake_march(monkeypatch, n_nodes, nan_at=None, breach_at=None):
-    """A `march` over nodes whose state is their index, in blocks of 4
-    nodes, with a step that returns the next 3 nodes (node nan_at NaN) and
-    an observer that breaches a guard at node breach_at. Returns the run
-    and the lists it fills: the nodes observed, in order, the spans and
-    the nodes stepped from."""
-    monkeypatch.setattr(lindblad, "BLOCK_NODES", 4)
+def _fake_march(rows, n_nodes, nan_at=None, breach_at=None, fail=(None, None)):
+    """A `march` over nodes whose state is their index, in a block of
+    `rows` rows, with a step that writes each node from the row before it
+    (node nan_at NaN; from node fail[0] it writes one node and raises
+    fail[1]) and an observer that breaches a guard at node breach_at.
+    Returns the run and the lists it fills: the nodes observed, in order,
+    the spans and the (i, k) of each step."""
+    block = np.zeros((rows, 1))
     seen, spans, stepped = [], [], []
 
-    def step(i, x):
-        stepped.append(i)
-        nodes = np.arange(i + 1, min(i + 4, n_nodes), dtype=float)[:, None]
-        nodes[nodes == nan_at] = np.nan
-        return nodes
+    def step(i, k):
+        assert block[0, 0] == i
+        stepped.append((i, k))
+        for j in range(k):
+            block[j + 1] = np.nan if i + j + 1 == nan_at else block[j] + 1.0
+            if i == fail[0]:
+                raise fail[1]
 
     def observe(span, states):
         assert states[:, 0].tolist() == list(range(span.start, span.stop))
@@ -412,47 +417,71 @@ def _fake_march(monkeypatch, n_nodes, nan_at=None, breach_at=None):
         seen.extend(range(span.start, span.stop))
 
     def run():
-        march(0.5 * np.arange(n_nodes), np.zeros(1), step, observe)
+        march(0.5 * np.arange(n_nodes), block, step, observe)
 
     return run, seen, spans, stepped
 
 
-def test_march_observes_multi_node_steps_in_order_across_block_edges(monkeypatch):
-    # steps from nodes 3 and 6 cross the edges after nodes 3 and 7; the last
-    # step is cut at the last node and the last block is short
-    run, seen, spans, stepped = _fake_march(monkeypatch, 11)
-    run()
-    assert seen == list(range(11))
-    assert spans == [(0, 4), (4, 8), (8, 11)]
-    assert stepped == [0, 3, 6, 9]
-
-
-@pytest.mark.parametrize("nan_at", [5, 8], ids=["mid_block", "block_start"])
-def test_march_aborts_at_a_non_finite_mid_run_node(monkeypatch, nan_at):
-    # node nan_at sits inside the 3 nodes of one step; every node before it
-    # is observed once, in order, and the abort names its t
-    run, seen, _, _ = _fake_march(monkeypatch, 20, nan_at=nan_at)
-    with pytest.raises(NumericalError) as info:
+def test_march_observes_multi_node_steps_in_order_across_block_edges():
+    # with 4 rows the first block observes nodes 0 ... 3 and each later one
+    # the 3 rows after the carried one, the last cut at the last node; with
+    # 2 rows (the layout of 120 Fock levels and more) each step is one node
+    for rows, want_spans, want_steps in [
+        (4, [(0, 4), (4, 7), (7, 10), (10, 11)], [(0, 3), (3, 3), (6, 3), (9, 1)]),
+        (2, [(0, 2)] + [(n, n + 1) for n in range(2, 11)], [(i, 1) for i in range(10)]),
+    ]:
+        run, seen, spans, stepped = _fake_march(rows, 11)
         run()
-    assert str(info.value) == f"state is not finite at t = {0.5 * nan_at:g}; reduce dt"
-    assert seen == list(range(nan_at))
+        assert seen == list(range(11))
+        assert spans == want_spans
+        assert stepped == want_steps
 
 
-def test_march_guard_breach_at_an_earlier_node_wins_over_a_non_finite_one(monkeypatch):
-    # nodes 4 ... 7 share a block; the observer breaches at node 5, before the NaN
-    run, seen, _, _ = _fake_march(monkeypatch, 20, nan_at=7, breach_at=5)
-    with pytest.raises(NumericalError, match="^guard breached at node 5$"):
-        run()
-    assert seen == [0, 1, 2, 3, 4]     # the first block, then node 4 alone
+@pytest.mark.parametrize("nan_at", [5, 7], ids=["mid_block", "block_start"])
+def test_march_aborts_at_a_non_finite_mid_run_node(nan_at):
+    # node nan_at is written by a step of 3 nodes (4 rows: inside the block
+    # of nodes 4 ... 6, or first in that of 7 ... 9) or of one (2 rows);
+    # every node before it is observed once, in order, and the abort names its t
+    for rows in (2, 4):
+        run, seen, _, _ = _fake_march(rows, 20, nan_at=nan_at)
+        with pytest.raises(NumericalError) as info:
+            run()
+        assert str(info.value) == f"state is not finite at t = {0.5 * nan_at:g}; reduce dt"
+        assert seen == list(range(nan_at))
+
+
+def test_march_guard_breach_at_an_earlier_node_wins_over_a_non_finite_one():
+    # with 4 rows nodes 4 ... 6 share a block; the observer breaches at
+    # node 5, before the NaN at node 6
+    for rows in (2, 4):
+        run, seen, _, _ = _fake_march(rows, 20, nan_at=6, breach_at=5)
+        with pytest.raises(NumericalError, match="^guard breached at node 5$"):
+            run()
+        assert seen == [0, 1, 2, 3, 4]     # node 4 alone after the earlier blocks
+
+
+@pytest.mark.parametrize("fail_at", [0, 6])
+def test_march_observes_the_stepped_nodes_before_a_step_error_propagates(fail_at):
+    # a step from node fail_at writes one node and raises: node 0, still
+    # pending in the first block, is observed first; the node the failed
+    # step wrote is not, and the step's own error propagates
+    for rows in (2, 4):
+        error = ValueError("step failed")
+        run, seen, _, stepped = _fake_march(rows, 20, fail=(fail_at, error))
+        with pytest.raises(ValueError) as info:
+            run()
+        assert info.value is error
+        assert stepped[-1][0] == fail_at
+        assert seen == list(range(fail_at + 1))
 
 
 def test_march_window_of_zero_or_one_node():
     calls = []
-    step = lambda i, x: calls.append(("step", i))
+    step = lambda i, k: calls.append(("step", i, k))
     observe = lambda span, states: calls.append((span.start, span.stop, states.tolist()))
-    march(np.array([]), np.ones(1), step, observe)
+    march(np.array([]), np.ones((2, 1)), step, observe)
     assert calls == []
-    march(np.array([0.0]), np.ones(1), step, observe)
+    march(np.array([0.0]), np.ones((2, 1)), step, observe)
     assert calls == [(0, 1, [[1.0]])]
 
 
@@ -737,9 +766,9 @@ def test_superoperators_act_as_the_rhs_of_each_row():
 
 @pytest.mark.parametrize("n_steps", [31, 45, 700])
 def test_step_maps_agree_with_the_kernel_steps(monkeypatch, n_steps):
-    # 31 and 45 steps end inside the first run of 127; 700 cross two block
-    # edges (256 nodes) and end in a ragged run of 65 (at dt = 5e-4 the
-    # rates stay positive)
+    # 31 and 45 steps end inside the first block of 127; 700 cross five
+    # block edges (128 rows, each later block after the row carried over)
+    # and end in a short block of 65 (at dt = 5e-4 the rates stay positive)
     gen, rho0, i0 = _two_level_pair()
     assert rho0.size <= MAP_MAX_D2
     window = dict(t0=0.0, t1=n_steps * 5e-4, dt=5e-4)
@@ -775,9 +804,9 @@ def test_every_step_re_hermitizes_the_stack(monkeypatch, cut):
     "midpoint", "node", "second_run_midpoint", "second_run_node"])
 def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):
     # the rates turn NaN at a midpoint or at a node of the first or the
-    # second run of 127 steps, which then ends ragged; the sampling error is
-    # raised once its nodes are observed, and a guard breach before it wins
-    # on either path
+    # second block of 127 steps, and `march` walks only the nodes sampled
+    # before it; the sampling error is raised once they are observed, and a
+    # guard breach before it wins on either path
     bad_t = bad_row * 0.5e-3
     gen, rho0, i0 = _two_level_pair(lambda t: np.where(
         t[:, None] < bad_t - 1e-9, [[0.4, 0.1]], np.nan))
@@ -792,10 +821,11 @@ def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):
             integrate(breached, rho0, t0=0.0, t1=0.2, dt=1e-3)
 
 
-@pytest.mark.parametrize("n_fock, n_steps", [(30, 10), (60, 4)])
-def test_kernel_runs_form_each_sampled_row_once(monkeypatch, n_fock, n_steps):
-    # above the map cut-off, runs of 3 steps (30 levels, the last one ragged)
-    # or of 1 (60 levels) carry their shared end row into the next run
+@pytest.mark.parametrize("n_fock, n_steps", [(30, 10), (60, 10)])
+def test_kernel_steps_form_their_own_three_rows(monkeypatch, n_fock, n_steps):
+    # above the map cut-off each step forms the kernels of its start,
+    # midpoint and end rows in one call, the shared end row again as the
+    # next step's start; at 60 levels the steps cross a block edge (8 rows)
     model = replace(rational_decay(1.0, 0.5), n_fock=n_fock)
     gen = oscillator_generator(model)
     assert n_fock ** 2 > MAP_MAX_D2
@@ -805,11 +835,15 @@ def test_kernel_runs_form_each_sampled_row_once(monkeypatch, n_fock, n_steps):
     formed = []
 
     def counting(gen, coeffs, rates, adjoint):
-        formed.append(len(coeffs))
+        formed.append(np.hstack([coeffs, rates]))
         return rhs_kernels(gen, coeffs, rates, adjoint)
 
     monkeypatch.setattr(lindblad, "rhs_kernels", counting)
     traj = integrate(gen, rho0, t0=0.0, t1=n_steps * 1e-3, dt=1e-3)
-    assert sum(formed) == 2 * n_steps + 1 and len(formed) > 1
+    nodes = 1e-3 * np.arange(n_steps + 1)
+    rows = np.hstack(gen.eval(np.insert(nodes, np.arange(1, nodes.size), nodes[:-1] + 5e-4)))
+    assert len(formed) == n_steps
+    for i, got in enumerate(formed):
+        assert got.tobytes() == rows[2 * i:2 * i + 3].tobytes()
     alone = _stepped_alone(gen, rho0[None], n_steps, 1e-3)
     assert traj.states.tobytes() == alone[:, 0].tobytes()
