@@ -42,8 +42,8 @@ from .operators import (
     TRACE_TOL,
     DensityMatrix,
     _as_matrix,
-    _breach,
     _member,
+    abort_at,
     dagger,
     require_hermitian,
 )
@@ -92,12 +92,9 @@ class QuantumChannel:
             )
         acc = (dagger(mats) @ mats).sum(axis=-3)
         defect = np.abs(acc - np.eye(mats.shape[-1])).max(axis=(-2, -1))
-        at = _breach(defect > tp_tol)
-        if at is not None:
-            raise ValidationError(
-                f"{_member(at)}Kraus completeness residual {defect[at]:.3e} "
-                f"exceeds tol {tp_tol:.1e}"
-            )
+        abort_at(defect > tp_tol, ValidationError, lambda at: (
+            f"{_member(at)}Kraus completeness residual {defect[at]:.3e} "
+            f"exceeds tol {tp_tol:.1e}"))
         return cls(kraus=mats, tp_defect=defect, tp_tol=float(tp_tol))
 
     @property
@@ -188,12 +185,10 @@ def _seed_array(seed) -> np.ndarray:
                               seeds.shape)
     else:
         integral = np.full(seeds.shape, seeds.dtype.kind in "iu")
-    at = _breach(~integral)
-    if at is not None:
-        raise ValidationError(f"{_member(at)}seed {seeds[at]} is not an integer")
-    at = _breach((seeds < 0) | (seeds >= 2**64))
-    if at is not None:
-        raise ValidationError(f"{_member(at)}seed {seeds[at]} is outside [0, 2**64)")
+    abort_at(~integral, ValidationError,
+             lambda at: f"{_member(at)}seed {seeds[at]} is not an integer")
+    abort_at((seeds < 0) | (seeds >= 2**64), ValidationError,
+             lambda at: f"{_member(at)}seed {seeds[at]} is outside [0, 2**64)")
     return seeds.astype(np.uint64)
 
 

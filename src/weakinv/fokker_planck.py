@@ -41,8 +41,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
-from .lindblad import abort_at, block_for, march, rk4_step, time_grid
+from .errors import NumericalError, ValidationError
+from .lindblad import block_for, march, rk4_step, time_grid
+from .operators import abort_at
 
 BOUNDARY_DECAY_TOL = 1e-10
 NEGATIVITY_TOL = 1e-10
@@ -238,11 +239,11 @@ def interior_minimum(block: np.ndarray, t: np.ndarray) -> np.ndarray:
     row whose four edge nodes exceed BOUNDARY_DECAY_TOL of its peak, or that goes negative."""
     peak = block.max(axis=1)
     bmax = np.abs(block[:, [0, 1, -2, -1]]).max(axis=1)
-    abort_at(bmax > BOUNDARY_DECAY_TOL * peak, lambda k: (
+    abort_at(bmax > BOUNDARY_DECAY_TOL * peak, NumericalError, lambda k: (
         f"density reached the boundary at t = {t[k]:.6g} (edge value "
         f"{bmax[k]:.3e} vs peak {peak[k]:.3e}); enlarge the domain"))
     pmin = block.min(axis=1)
-    abort_at(pmin < -NEGATIVITY_TOL * peak,
+    abort_at(pmin < -NEGATIVITY_TOL * peak, NumericalError,
              lambda k: f"density went negative at t = {t[k]:.6g}: min {pmin[k]:.3e}")
     return pmin
 
@@ -278,9 +279,9 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
     def observe(span, block):
         t = times[span]
         pmin = interior_minimum(block, t)
-        abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit), lambda k: (
-            f"explicit-step budget violated at t = {t[k]:.6g}: "
-            f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit:.3e}"))
+        abort_at((np.arange(span.start, span.stop) < times.size - 1) & (dt > limit),
+                 NumericalError, lambda k: (f"explicit-step budget violated at t = {t[k]:.6g}: "
+                                            f"dt = {dt:.3e} exceeds h^2/(2 max D) = {limit:.3e}"))
 
         blk = replace(dist, values=block)
         cols["exp_I"][span], cols["var_I"][span] = invariant_moments(inv, blk, t)

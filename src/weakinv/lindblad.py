@@ -20,7 +20,7 @@ at the rate
 and the entropy production is bounded below by 2 sum_n c_n <[L_n^dag, L_n]>
 (with the alpha-escort average for the Renyi family). The integrator
 checks all of this on the fly: conservation and positivity breaches abort
-the run rather than producing quietly wrong series.
+the run by `operators.abort_at` rather than producing quietly wrong series.
 
 A caution on the invariant equation: integrated forward it is the inverse
 of a contractive (unital, completely positive) flow, so components of I
@@ -55,21 +55,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, SamplingError, ValidationError
-from .operators import DensityMatrix, _breach, dagger, require_hermitian
+from .operators import (IMAG_TOL, VARIANCE_CLIP, DensityMatrix, abort_at, dagger,
+                        hermiticity_defect, reject_first, require_hermitian)
 
 EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
 C_TOL = 1e-12            # how negative a rate may be before it is an input error
 CONSERVATION_TOL = 1e-7
 POSITIVITY_FLOOR = -1e-8
-
-
-def reject_first(checks) -> None:
-    """Raise SamplingError at the earliest row (first axis) that a (mask,
-    message(index)) check flags; at one row the earlier check wins."""
-    found = [(at, message) for bad, message in checks if (at := _breach(bad)) is not None]
-    if found:
-        at, message = min(found, key=lambda f: f[0][0])     # the first of equal rows
-        raise SamplingError(message(at), at[0])
 
 
 @dataclass(frozen=True)
@@ -261,13 +253,6 @@ def march(times, block: np.ndarray, step, observe) -> None:
         first, lo = first + k, 1
 
 
-def abort_at(bad, message) -> None:
-    """Raise NumericalError(message(at)) at the first index where mask `bad` holds."""
-    at = _breach(bad)
-    if at is not None:
-        raise NumericalError(message(at))
-
-
 # -- node diagnostics: stacks of any leading shape in, one value per node out
 
 def entropies(w: np.ndarray, alpha: float):
@@ -288,7 +273,8 @@ def escort(w: np.ndarray, v: np.ndarray, alpha: float) -> np.ndarray:
     per eigendecomposition (w (..., d), v (..., d, d)) of a stack of states."""
     p = np.clip(w, 0.0, None) ** alpha
     z = np.sum(p, axis=-1, keepdims=True)
-    abort_at(z <= 0.0, lambda at: "escort normalisation vanished; state is numerically zero")
+    abort_at(z <= 0.0, NumericalError,
+             lambda at: "escort normalisation vanished; state is numerically zero")
     return v @ ((p / z)[..., :, None] * dagger(v))
 
 
@@ -304,7 +290,7 @@ def growth_rate(jumps: np.ndarray, inv: np.ndarray, rho: np.ndarray):
     moved = comm @ rho[..., None, :, :]
     nodes = comm.shape[:-3] + (-1,)
     rate = 2.0 * np.vecdot(comm.reshape(nodes), moved.reshape(nodes)).real
-    abort_at(rate < -1e-12,
+    abort_at(rate < -1e-12, NumericalError,
              lambda at: f"growth rate {rate[at]:.3e} is negative; inputs inconsistent")
     return rate[()]
 
@@ -323,8 +309,8 @@ def entropy_bound(jumps: np.ndarray, weight: np.ndarray):
     if live.any():
         val = np.where(live, 2.0 * np.sum(comm * np.swapaxes(weight, -1, -2), axis=(-2, -1)), 0.0)
     # np.hypot, unlike np.abs, matches the scalar abs() of a complex bit for bit
-    abort_at(np.abs(val.imag) > 1e-9 * np.maximum(np.hypot(val.real, val.imag), 1.0),
-             lambda at: f"entropy bound has imaginary residue {val[at].imag:.3e}")
+    abort_at(np.abs(val.imag) > IMAG_TOL * np.maximum(np.hypot(val.real, val.imag), 1.0),
+             NumericalError, lambda at: f"entropy bound has imaginary residue {val[at].imag:.3e}")
     return val.real[()]
 
 
@@ -409,7 +395,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
 
     def note(pre):    # the re-Hermitization's correction of the state member
         notes["max_herm_correction"] = max(notes["max_herm_correction"],
-                                           float(np.abs(pre - dagger(pre)).max()))
+                                           float(hermiticity_defect(pre).max()))
 
     if d2 > MAP_MAX_D2:
         def step(i, k):    # a node at a time: RK4 on the kernels of its three rows
@@ -468,7 +454,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
         sym = 0.5 * (rho + dagger(rho))
         w, v = np.linalg.eigh(sym)
         min_eig = w[:, 0]
-        abort_at(min_eig < POSITIVITY_FLOOR, lambda k: (
+        abort_at(min_eig < POSITIVITY_FLOOR, NumericalError, lambda k: (
             f"state lost positivity at t = {t[k]:.6g}: min eigenvalue {min_eig[k]:.3e} "
             f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is monitored, "
             "not enforced)"))
@@ -476,18 +462,19 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
         iir = inv @ inv @ rho[:, None]
         e_val = np.trace(ir, axis1=-2, axis2=-1)
         e2_val = np.trace(iir, axis1=-2, axis2=-1)
-        abort_at(np.abs(e_val.imag) > 1e-9 * np.maximum(np.hypot(e_val.real, e_val.imag), 1.0),
+        abort_at(np.abs(e_val.imag) > IMAG_TOL * np.maximum(np.hypot(e_val.real, e_val.imag), 1.0),
+                 NumericalError,
                  lambda k: f"<I> at t = {t[k[0]]:.6g} has imaginary residue {e_val[k].imag:.3e}")
         exp_i = e_val.real
         var_i = e2_val.real - exp_i * exp_i
-        abort_at(var_i < -1e-10,
+        abort_at(var_i < -VARIANCE_CLIP, NumericalError,
                  lambda k: f"variance {var_i[k]:.3e} negative at t = {t[k[0]]:.6g}")
         var_i = np.where(var_i < 0.0, 0.0, var_i)
         if span.start == 0:
             exp0 = exp_i[0]
             cons_scale = np.where(np.abs(exp0) > 1e-12, np.abs(exp0), 1.0)
         drift = np.abs(exp_i - exp0)
-        abort_at(drift > CONSERVATION_TOL * cons_scale, lambda k: (
+        abort_at(drift > CONSERVATION_TOL * cons_scale, NumericalError, lambda k: (
             f"conservation breach at t = {t[k[0]]:.6g}: <I> drifted by {drift[k]:.3e} "
             f"(allowed {CONSERVATION_TOL * cons_scale[k[1]]:.3e}); the pair no longer "
             "solves the two evolution equations consistently"))

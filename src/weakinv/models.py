@@ -51,8 +51,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .lindblad import LindbladGenerator, lindblad_rhs, reject_first, rhs_kernels
-from .operators import PAULIS, _as_matrix, expectation
+from .lindblad import LindbladGenerator, lindblad_rhs, rhs_kernels
+from .operators import PAULIS, _as_matrix, expectation, reject_first
 
 EDGE_OCCUPATION_TOL = 1e-8
 

@@ -5,7 +5,8 @@ properties the physics relies on (Hermiticity, unit trace, positivity) and
 report the measured residual instead of a bare pass/fail. Everything is
 dense and eigh-based on purpose: the target systems are small (dim <= 128)
 and a single well-tested Hermitian eigensolver is easier to trust than a
-zoo of specialised routines.
+zoo of specialised routines. The package's earliest-breach guards raise
+through `abort_at` or `reject_first`, at the first index their mask holds.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, SamplingError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +73,22 @@ def _member(at: tuple) -> str:
     return f"stack member {at[0] if len(at) == 1 else at}: "
 
 
+def abort_at(bad, error, message) -> None:
+    """Raise error(message(at)) at the first index where mask `bad` holds."""
+    at = _breach(bad)
+    if at is not None:
+        raise error(message(at))
+
+
+def reject_first(checks) -> None:
+    """Raise SamplingError at the earliest row (first axis) that a (mask,
+    message(index)) check flags; at one row the earlier check wins."""
+    found = [(at, message) for bad, message in checks if (at := _breach(bad)) is not None]
+    if found:
+        at, message = min(found, key=lambda f: f[0][0])     # the first of equal rows
+        raise SamplingError(message(at), at[0])
+
+
 def hermiticity_defect(a):
     """Max-abs deviation of a from its conjugate transpose, per matrix of a stack."""
     m = _require_square(_as_matrix(a), "operator")
@@ -82,10 +99,9 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Return a as an ndarray after certifying every matrix Hermitian within HERM_TOL."""
     m = _as_matrix(a)
     defect = hermiticity_defect(m)
-    at = _breach(defect > HERM_TOL)
-    if at is not None:
-        raise ValidationError(f"{_member(at)}{name} is not Hermitian: defect "
-                              f"{defect[at]:.3e} exceeds tol {HERM_TOL:.1e}")
+    abort_at(defect > HERM_TOL, ValidationError, lambda at: (
+        f"{_member(at)}{name} is not Hermitian: defect {defect[at]:.3e} "
+        f"exceeds tol {HERM_TOL:.1e}"))
     return m
 
 
@@ -114,27 +130,18 @@ class DensityMatrix:
     def from_matrix(cls, mat, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
         m = _require_square(_as_matrix(mat), "state")
         herm = hermiticity_defect(m)
-        at = _breach(herm > HERM_TOL)
-        if at is not None:
-            raise ValidationError(
-                f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
-                f"exceeds tol {HERM_TOL:.1e}"
-            )
+        abort_at(herm > HERM_TOL, ValidationError, lambda at: (
+            f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
+            f"exceeds tol {HERM_TOL:.1e}"))
         tr = np.trace(m, axis1=-2, axis2=-1)
         trace_defect = abs(tr - 1.0)
-        at = _breach(trace_defect > trace_tol)
-        if at is not None:
-            raise ValidationError(
-                f"{_member(at)}state trace {tr[at]:.12g} misses 1 by "
-                f"{trace_defect[at]:.3e} (tol {trace_tol:.1e})"
-            )
+        abort_at(trace_defect > trace_tol, ValidationError, lambda at: (
+            f"{_member(at)}state trace {tr[at]:.12g} misses 1 by "
+            f"{trace_defect[at]:.3e} (tol {trace_tol:.1e})"))
         min_eig = np.linalg.eigvalsh(0.5 * (m + dagger(m)))[..., 0]
-        at = _breach(min_eig < -PSD_TOL)
-        if at is not None:
-            raise ValidationError(
-                f"{_member(at)}state has negative eigenvalue {min_eig[at]:.3e} "
-                f"below -{PSD_TOL:.1e}"
-            )
+        abort_at(min_eig < -PSD_TOL, ValidationError, lambda at: (
+            f"{_member(at)}state has negative eigenvalue {min_eig[at]:.3e} "
+            f"below -{PSD_TOL:.1e}"))
         return cls(mat=m, herm_defect=herm, trace_defect=trace_defect, min_eig=min_eig)
 
     @property
@@ -158,12 +165,9 @@ def expectation(a, rho):
     val = np.einsum("...ij,...ji->...", ma, mr)
     residue = abs(val.imag)
     # residue > IMAG_TOL * max(|val|, 1), without a ufunc call per scalar
-    at = _breach((residue > IMAG_TOL) & (residue > IMAG_TOL * abs(val)))
-    if at is not None:
-        raise ValidationError(
-            f"{_member(at)}expectation has imaginary residue {val[at].imag:.3e} "
-            f"(tol {IMAG_TOL:.1e}); operator or state is not Hermitian enough"
-        )
+    abort_at((residue > IMAG_TOL) & (residue > IMAG_TOL * abs(val)), ValidationError,
+             lambda at: (f"{_member(at)}expectation has imaginary residue {val[at].imag:.3e} "
+                         f"(tol {IMAG_TOL:.1e}); operator or state is not Hermitian enough"))
     return val.real
 
 
@@ -179,13 +183,10 @@ def variance(a, rho):
     second = expectation(ma @ ma, rho)
     var = second - mean * mean
     neg = var < 0.0
-    if _breach(neg) is not None:
-        at = _breach(var < -VARIANCE_CLIP)
-        if at is not None:
-            raise NumericalError(
-                f"{_member(at)}variance {var[at]:.3e} is negative beyond the clip "
-                f"threshold {VARIANCE_CLIP:.1e}"
-            )
+    if neg.any():
+        abort_at(var < -VARIANCE_CLIP, NumericalError, lambda at: (
+            f"{_member(at)}variance {var[at]:.3e} is negative beyond the clip "
+            f"threshold {VARIANCE_CLIP:.1e}"))
         log.debug("clipped %d tiny negative variance(s), down to %.3e, to 0",
                   np.count_nonzero(neg), var.min())
         var = np.where(neg, 0.0, var)[()]

@@ -59,7 +59,7 @@ from .models import (
     spin_hamiltonian,
     spin_predicted_growth,
 )
-from .operators import DensityMatrix, _breach, dagger, expectation, variance
+from .operators import DensityMatrix, abort_at, dagger, expectation, variance
 from .thermo import (
     build_isoenergetic_path,
     canonical_state,
@@ -544,10 +544,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     result.columns = {k: result.columns[k] if k in result.columns else np.zeros(n)
                       for k in CSV_HEADER}
     table = np.column_stack(list(result.columns.values()))
-    at = _breach(~np.isfinite(table))
-    if at is not None:
-        raise NumericalError(f"series column {CSV_HEADER[at[1]]} is not finite at row "
-                             f"{at[0]} (t = {table[at[0], 0]:.6g})")
+    abort_at(~np.isfinite(table), NumericalError, lambda at: (
+        f"series column {CSV_HEADER[at[1]]} is not finite at row {at[0]} "
+        f"(t = {table[at[0], 0]:.6g})"))
     for c in result.checks:
         if not np.isfinite([c.measured, c.bound_or_target, c.tolerance]).all():
             raise NumericalError(f"check {c.name} is not finite: measured {c.measured:.6g}, "

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import (DensityMatrix, _as_matrix, _breach, _member, _require_square, dagger,
-                        hermiticity_defect, require_hermitian, variance)
+from .operators import (DensityMatrix, _as_matrix, _breach, _member, _require_square, abort_at,
+                        dagger, hermiticity_defect, require_hermitian, variance)
 
 ROOT_TOL_REL = 1e-10
 T_BRACKET = (1e-6, 1e6)   # relative to the spectral scale of H
@@ -37,9 +37,8 @@ def _hamiltonian(h) -> np.ndarray:
 
 def _temperatures(temperature) -> np.ndarray:
     temps = np.asarray(temperature)
-    at = _breach(temps <= 0.0)
-    if at is not None:
-        raise ValidationError(f"{_member(at)}temperature must be positive, got {temps[at]}")
+    abort_at(temps <= 0.0, ValidationError,
+             lambda at: f"{_member(at)}temperature must be positive, got {temps[at]}")
     return temps
 
 

@@ -173,6 +173,22 @@ def test_mean_invariant_conserved_along_flow():
     assert np.all(np.diff(traj.series["var_I"]) > -1e-9)
 
 
+def test_growth_equality_defect_converges_at_second_order():
+    # max|growth_fd - growth_formula| relative to the formula over interior
+    # nodes, with dt proportional to h^2 inside the explicit budget: each
+    # halving of h cuts the defect 4-fold
+    inv = ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.0, e0=0.0)
+    defects = []
+    for h, dt in ((0.16, 4e-3), (0.08, 1e-3), (0.04, 2.5e-4), (0.02, 6.25e-5)):
+        x = _grid(-8.0, 8.0, h)
+        traj = evolve(gaussian_profile(x, mean=0.5, var=0.5), -1.0 * x, np.full_like(x, 1.0),
+                      inv, t0=0.0, t1=0.2, dt=dt)
+        f, g = traj.series["growth_formula"][1:-1], traj.series["growth_fd"][1:-1]
+        defects.append(np.abs(g - f).max() / np.abs(f).max())
+    ratios = np.array(defects[:-1]) / defects[1:]
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
 def test_cfl_violation_is_rejected():
     x = _grid(-6.0, 6.0, 0.02)     # stability needs dt <= 2e-4
     p0 = gaussian_profile(x, mean=0.0, var=0.5)

@@ -800,6 +800,23 @@ def test_every_step_re_hermitizes_the_stack(monkeypatch, cut):
     assert traj.notes["max_herm_correction"] == pytest.approx(4e-11, rel=1e-3)
 
 
+@pytest.mark.parametrize("cut", [MAP_MAX_D2, 0], ids=["maps", "kernels"])
+def test_fluctuation_increment_converges_at_fourth_order(monkeypatch, cut):
+    # the var_I increment of H(t) from a Gibbs start against its closed form
+    # |B(t1)|^2 - |B(t0)|^2: each halving of dt cuts the error 16-fold
+    model = exponential_field(B0, 0.1)
+    gen, h0 = spin_generator(model), spin_hamiltonian(model, 0.0)
+    rho0 = canonical_state(h0, 1.0)
+    b_lo, b_hi = model.b(np.array([0.0, 0.5]))
+    monkeypatch.setattr(lindblad, "MAP_MAX_D2", cut)
+    errors = []
+    for dt in (0.1, 0.05, 0.025, 0.0125, 0.00625):
+        var = integrate(gen, rho0, i0=h0, t0=0.0, t1=0.5, dt=dt).series["var_I"]
+        errors.append(abs(var[-1] - var[0] - (b_hi @ b_hi - b_lo @ b_lo)))
+    ratios = np.array(errors[:-1]) / errors[1:]
+    assert np.all((14.0 <= ratios) & (ratios <= 18.0)), ratios
+
+
 @pytest.mark.parametrize("bad_row", [79, 80, 279, 280], ids=[
     "midpoint", "node", "second_run_midpoint", "second_run_node"])
 def test_step_maps_stop_at_the_earliest_bad_sample(monkeypatch, bad_row):

@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakinv.channels import QuantumChannel
 from weakinv.errors import NumericalError, ValidationError
+from weakinv.fokker_planck import interior_minimum
+from weakinv.lindblad import entropy_bound, escort
 from weakinv.operators import (
     DensityMatrix,
+    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -103,6 +109,30 @@ def test_expectation_rejects_large_imaginary_part():
     rho = 0.5 * (np.eye(2) + SIGMA_Y).astype(complex)
     with pytest.raises(ValidationError):
         expectation(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), rho)
+
+
+@pytest.mark.parametrize("trip, error, message", [
+    (lambda: DensityMatrix.from_matrix(np.stack([np.eye(2) / 2, np.eye(2)])), ValidationError,
+     "stack member 1: state trace 2+0j misses 1 by 1.000e+00 (tol 1.0e-09)"),
+    (lambda: expectation(1j * np.eye(2), np.eye(2) / 2), ValidationError,
+     "expectation has imaginary residue 1.000e+00 (tol 1.0e-09); "
+     "operator or state is not Hermitian enough"),
+    (lambda: variance(np.diag([1.0, 0.0]), np.diag([1.5, -0.5])), NumericalError,
+     "variance -7.500e-01 is negative beyond the clip threshold 1.0e-10"),
+    (lambda: QuantumChannel.from_kraus([2.0 * np.eye(2)]), ValidationError,
+     "Kraus completeness residual 3.000e+00 exceeds tol 1.0e-09"),
+    (lambda: escort(np.zeros(2), np.eye(2), 2.0), NumericalError,
+     "escort normalisation vanished; state is numerically zero"),
+    (lambda: entropy_bound(SIGMA_MINUS[None], np.diag([1j, 0.0])), NumericalError,
+     "entropy bound has imaginary residue 2.000e+00"),
+    (lambda: interior_minimum(np.array([[0.0, 0, 0, 1, -0.5, 0, 0, 0, 0]]), np.array([0.25])),
+     NumericalError, "density went negative at t = 0.25: min -5.000e-01"),
+], ids=["trace", "expectation", "variance", "completeness", "escort", "entropy_bound",
+        "interior_minimum"])
+def test_guards_raise_their_class_and_whole_message(trip, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        trip()
+    assert type(exc.value) is error
 
 
 @pytest.mark.parametrize("entry", [lambda h: canonical_state(h, 1.0),
