@@ -213,6 +213,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     try:
         if scenario in _STEPS_ON_DT:
             times = time_grid(common["t0"], common["t1"], common["dt"])
+        if scenario == "thermo_spin":
+            time_grid(common["t0"], common["t1"],
+                      (common["t1"] - common["t0"]) / (params["n_times"] - 1))
         if scenario == "fp_ou":
             x = space_grid(params["x_min"], params["x_max"], params["h"])
             # the spacing the engine steps on, which may sit a hair off h

@@ -83,14 +83,19 @@ class GridDistribution:
 
 
 def space_grid(x_min: float, x_max: float, h: float) -> np.ndarray:
-    """Nodes x_min, x_min + h, ..., x_max; h must tile the domain in at least 8 cells."""
+    """Nodes x_min, x_min + h, ..., x_max; h must tile the domain in at least 8
+    cells, into no more nodes than numpy can build."""
     width = x_max - x_min
     if width <= 0.0:
         raise ValidationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
-    n_cells = int(round(width / h))
-    if n_cells < 8 or abs(x_min + n_cells * h - x_max) > 1e-9 * width:
+    n_cells = np.rint(width / h)    # inf where the domain overflows or h underflows
+    if not 8 <= n_cells < np.inf or abs(x_min + n_cells * h - x_max) > 1e-9 * width:
         raise ValidationError(f"h {h} does not tile [{x_min}, {x_max}]")
-    return x_min + h * np.arange(n_cells + 1)
+    try:
+        return x_min + h * np.arange(int(n_cells) + 1)
+    except ValueError as exc:
+        raise ValidationError(f"h {h} makes {n_cells + 1:.6g} nodes of [{x_min}, {x_max}], "
+                              "more than numpy can build") from exc
 
 
 def gaussian_profile(x, mean: float, var: float) -> GridDistribution:

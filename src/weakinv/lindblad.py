@@ -40,8 +40,9 @@ the adjoint one swaps each for its adjoint and the sandwich sign +2 for
 right-hand side, its kernels formed by `integrate` for each step's three
 rows. That right-hand side is linear in the stack and in the sampled row,
 so for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
-superoperators and steps a block's nodes in one call, by prefix products
-of their re-Hermitizing RK4 step maps. `march`, the one stepping loop (of
+superoperators and forms a block's re-Hermitizing RK4 step maps in one
+call. Either way each node is written from the one before it, so no
+value depends on where a block starts. `march`, the one stepping loop (of
 the classical mirror too), knows only nodes: each step writes them into
 the caller's block, whose rows go to stack-aware diagnostics.
 """
@@ -178,28 +179,34 @@ def rk4_step(rhs, kernels, m: np.ndarray, dt: float, k1=None) -> np.ndarray:
 # -- the stepping loop -------------------------------------------------------
 
 # The most rows, and bytes of node states, in one block of `march`: 128 spin
-# nodes (row 0 and 127-step runs of step maps), 76 of fp_ou's default grid,
-# fewer of larger oscillator states (8 at 60 levels, 2 at 120 and above).
+# nodes, 76 of fp_ou's default grid, fewer of larger oscillator states (8 at
+# 60 levels, 2 at 120 and above). They set memory and the observer calls only.
 BLOCK_NODES = 128
 BLOCK_BYTES = 480 * 1024
 
 # The largest d^2 that `integrate` steps with RK4 step maps, one (d^2, d^2)
 # matrix per member and step, rather than with four `lindblad_rhs` calls a
-# step. Forming and multiplying maps costs O(d^6): timed per `integrate`
-# call, they are faster up to d = 4 and slower from d = 5 on (CHANGES.md).
+# step. Forming maps costs O(d^6) a step: timed per `integrate` call (500
+# steps, state and one invariant), they take 0.12-0.13 of the other path's
+# time at d = 2, 0.25 at d = 3, 0.55-0.66 at d = 4 and 0.97-1.44 at d = 5.
 MAP_MAX_D2 = 16
 
 
 def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole steps."""
+    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole
+    steps, into no more nodes than numpy can build."""
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if t1 <= t0:
         raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = int(round((t1 - t0) / dt))
-    if n < 2 or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
+    n = np.rint((t1 - t0) / dt)     # inf where the window overflows or dt underflows
+    if not 2 <= n < np.inf or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
         raise ValidationError(f"dt {dt} does not tile [{t0}, {t1}] into at least two whole steps")
-    return t0 + dt * np.arange(n + 1)
+    try:
+        return t0 + dt * np.arange(int(n) + 1)
+    except ValueError as exc:
+        raise ValidationError(f"dt {dt} makes {n + 1:.6g} nodes of [{t0}, {t1}], "
+                              "more than numpy can build") from exc
 
 
 def block_for(x: np.ndarray, n_nodes: int) -> int:
@@ -346,13 +353,13 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     One `eval` samples the generator at the 2N + 1 distinct times of N
     steps, node i at row 2i and the midpoint after it at 2i + 1; the steps
     write their nodes into `march`'s block. Classic RK4 advances rho and
-    `i0`, one invariant or a (k, dim, dim) stack, as one stack: for
-    dim^2 <= MAP_MAX_D2 a block's nodes a `march` step, by prefix products
-    of their RK4 step maps (formed from `superoperators`, made real maps on
-    (Re, Im) vec that re-Hermitize), otherwise a node at a time, by
-    `lindblad_rhs` on the kernels of its three rows. Without `i0` the
-    invariant is H(t) and only rho is stepped; the conservation guard then
-    checks that H(t) is a weak invariant of `gen`.
+    `i0`, one invariant or a (k, dim, dim) stack, as one stack, each node
+    from the one before: for dim^2 <= MAP_MAX_D2 by its RK4 step map (a
+    block's maps formed in one call from `superoperators`, made real maps
+    on (Re, Im) vec that re-Hermitize), otherwise by `lindblad_rhs` on the
+    kernels of its three rows. Without `i0` the invariant is H(t) and only
+    rho is stepped; the conservation guard then checks that H(t) is a weak
+    invariant of `gen`.
 
     The state is re-Hermitized once per step (the correction is tracked
     in notes); trace and positivity are monitored, never enforced. The
@@ -409,32 +416,22 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
         basis = superoperators(gen, adjoint)
         flip = np.arange(d2).reshape(rho.shape).T.ravel()    # vec(m) to vec(m^T)
 
-        def step(i, k):    # k nodes: prefix products of their step maps
+        # the block as interleaved (Re, Im) row-major vec(m), one column per member
+        vecs = block.view(float).reshape((len(block), len(x), 2 * d2, 1))
+
+        def step(i, k):    # k nodes, each from the one before by its step map
             sup = np.tensordot(rows[2 * i:2 * (i + k) + 1], basis, axes=1)
             # the maps step the identity, so the first stage is the start superoperator
             start = sup[0:-1:2]
             maps = rk4_step(np.matmul, (start, sup[1::2], sup[2::2]), np.eye(d2), dt, k1=start)
-            # G_j, the projector onto Hermitian matrices after map j, as a real map
-            # on interleaved (Re, Im) vec(m), so that a complex stack is its own
-            # float view: rows (p, q) and (q, p) averaged for Re, differenced for Im
+            # each map, then the projector onto Hermitian matrices, as a real map on
+            # the vecs: rows (p, q) and (q, p) averaged for Re, differenced for Im
             even, odd = 0.5 * (maps + maps[..., flip, :]), 0.5 * (maps - maps[..., flip, :])
-            prod = np.stack([np.stack([even.real, -even.imag], -1),
+            real = np.stack([np.stack([even.real, -even.imag], -1),
                              np.stack([odd.imag, odd.real], -1)], -3).reshape(
                 maps.shape[:-2] + (2 * d2, 2 * d2))
-            # Blelloch's up- and down-sweep make prod[j] = G_j ... G_0, in about
-            # 2k batched matmuls over 2 log2(k) rounds
-            shift = 1
-            while shift < k:
-                hi = prod[2 * shift - 1::2 * shift]
-                hi[...] = hi @ prod[shift - 1::2 * shift][:len(hi)]
-                shift *= 2
-            while shift > 1:
-                shift //= 2
-                lo = prod[3 * shift - 1::2 * shift]
-                lo[...] = lo @ prod[2 * shift - 1::2 * shift][:len(lo)]
-            vec = (len(x), 2 * d2, 1)
-            np.matmul(prod, block[0].view(float).reshape(vec),
-                      out=block[1:k + 1].view(float).reshape((k,) + vec))
+            for j in range(k):
+                np.matmul(real[j], vecs[j], out=vecs[j + 1])
             note((maps[:, 0] @ block[:k, 0].reshape(k, d2, 1)).reshape((k,) + rho.shape))
 
     # The block's arrays outlive each call, as loop variables would: each is

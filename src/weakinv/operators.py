@@ -112,18 +112,15 @@ def dagger(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A certified density matrix with its measured residuals.
+    """A certified density matrix with its smallest eigenvalue.
 
     Validation clips nothing: the stored matrix is exactly what was passed
-    in, and the residual fields record by how much it misses the ideal
-    (Hermitian, unit trace, positive) properties. A stack (..., d, d) of
-    states is certified member by member; the residual fields then carry
-    the stack's leading shape.
+    in, certified Hermitian, of unit trace and positive within tolerance.
+    A stack (..., d, d) of states is certified member by member; `min_eig`
+    then carries the stack's leading shape.
     """
 
     mat: np.ndarray
-    herm_defect: float
-    trace_defect: float
     min_eig: float
 
     @classmethod
@@ -142,11 +139,7 @@ class DensityMatrix:
         abort_at(min_eig < -PSD_TOL, ValidationError, lambda at: (
             f"{_member(at)}state has negative eigenvalue {min_eig[at]:.3e} "
             f"below -{PSD_TOL:.1e}"))
-        return cls(mat=m, herm_defect=herm, trace_defect=trace_defect, min_eig=min_eig)
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[-1]
+        return cls(mat=m, min_eig=min_eig)
 
 
 def expectation(a, rho):

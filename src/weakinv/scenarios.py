@@ -47,6 +47,7 @@ from .lindblad import (
     lindblad_rhs,
     rhs_kernels,
     rk4_step,
+    time_grid,
 )
 from .models import (
     edge_occupation,
@@ -398,7 +399,7 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
     step = (cfg.t1 - cfg.t0) / (p["n_times"] - 1)
-    times = cfg.t0 + step * np.arange(p["n_times"])
+    times = time_grid(cfg.t0, cfg.t1, step)
 
     hs = spin_hamiltonian(model, times)
     u = internal_energy(hs[0], p["t_init"])

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .operators import (DensityMatrix, _as_matrix, _breach, _member, _require_square, abort_at,
-                        dagger, hermiticity_defect, require_hermitian, variance)
+                        dagger, require_hermitian, variance)
 
 ROOT_TOL_REL = 1e-10
 T_BRACKET = (1e-6, 1e6)   # relative to the spectral scale of H
@@ -54,9 +54,7 @@ def canonical_state(h, temperature) -> DensityMatrix:
     w, v = np.linalg.eigh(_hamiltonian(h))
     p = _gibbs_weights(w, temps)
     out = v @ (p[..., :, None] * dagger(v))
-    return DensityMatrix(mat=out, herm_defect=hermiticity_defect(out),
-                         trace_defect=abs(np.trace(out, axis1=-2, axis2=-1) - 1.0),
-                         min_eig=p.min(axis=-1))
+    return DensityMatrix(mat=out, min_eig=p.min(axis=-1))
 
 
 def internal_energy(h, temperature):
@@ -139,7 +137,6 @@ class IsoenergeticPath:
     """Per-node canonical description of a fixed-energy process."""
 
     times: np.ndarray
-    u: float
     temperature: np.ndarray
     heat_capacity: np.ndarray
     var_h: np.ndarray
@@ -167,7 +164,7 @@ def build_isoenergetic_path(h, times, u: float) -> IsoenergeticPath:
     heats, dt = var_h / temps**2, float(ts[1] - ts[0])
     heating = (2.0 * heats * np.gradient(temps, dt, edge_order=2)
                + temps * np.gradient(heats, dt, edge_order=2))
-    return IsoenergeticPath(times=ts, u=float(u), temperature=temps, heat_capacity=heats,
+    return IsoenergeticPath(times=ts, temperature=temps, heat_capacity=heats,
                             var_h=var_h, states=states, heating=heating)
 
 

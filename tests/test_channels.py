@@ -70,7 +70,7 @@ def test_apply_preserves_trace_and_positivity():
     rho /= np.trace(rho).real
     out = apply(ch, rho)
     assert isinstance(out, DensityMatrix)
-    assert out.trace_defect < 1e-9
+    assert abs(np.trace(out.mat) - 1.0) < 1e-9
     assert out.min_eig > -1e-10
 
 

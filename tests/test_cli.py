@@ -126,6 +126,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("wide_start", '{"scenario": "fp_ou", "params": {"init_var": 50.0}}'),
     ("negative_seed",
      '{"scenario": "channel_fuzz", "seed": -1, "params": {"n_channels": 4}}'),
+    # grids with more nodes than numpy can build
+    ("tiny_dt", '{"scenario": "spin", "dt": 1e-300}'),
+    ("huge_t1", '{"scenario": "spin", "t1": 1e300}'),
+    ("tiny_h", '{"scenario": "fp_ou", "params": {"h": 1e-300}}'),
+    ("huge_n_times", '{"scenario": "thermo_spin", "params": {"n_times": 100000000000000000000}}'),
 ])
 def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
     cfg = tmp_path / f"{name}.json"

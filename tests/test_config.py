@@ -58,12 +58,33 @@ def test_grids_that_do_not_tile_are_config_errors():
             validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3})
     with pytest.raises(ConfigError, match="h 0.03 does not tile"):
         validate_config({"scenario": "fp_ou", "params": {"h": 0.03}})
+    # step counts that overflow to inf do not tile either
+    with pytest.raises(ConfigError, match="dt 1e-320 does not tile"):
+        validate_config({"scenario": "spin", "dt": 1e-320})
+    for params in ({"h": 1e-320}, {"x_min": -1e308, "x_max": 1e308}):
+        with pytest.raises(ConfigError, match="does not tile"):
+            validate_config({"scenario": "fp_ou", "params": params})
     with pytest.raises(ConfigError, match="need x_max > x_min"):
         validate_config({"scenario": "fp_ou", "params": {"x_max": -9.0}})
     # channel_fuzz and thermo_spin never step on dt
     for scenario in ("channel_fuzz", "thermo_spin"):
         cfg = validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3})
         assert cfg.t1 == 0.0105
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"scenario": "spin", "dt": 1e-300}, "dt 1e-300 makes 5e+299 nodes of [0.0, 0.5]"),
+    ({"scenario": "spin", "t1": 1e300}, "dt 0.001 makes 1e+303 nodes of [0.0, 1e+300]"),
+    ({"scenario": "fp_ou", "params": {"h": 1e-300}}, "h 1e-300 makes 1.6e+301 nodes of [-8.0, 8.0]"),
+    # thermo_spin's path steps (t1 - t0) / (n_times - 1)
+    ({"scenario": "thermo_spin", "params": {"n_times": 10 ** 20}},
+     "dt 5e-21 makes 1e+20 nodes of [0.0, 0.5]"),
+])
+def test_grids_numpy_cannot_build_are_config_errors(doc, message):
+    # each step tiles its window, into more nodes than numpy can build
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    assert str(info.value) == message + ", more than numpy can build"
 
 
 def test_explicit_step_budget_is_a_config_error():

@@ -206,7 +206,10 @@ def _fokker_planck_window(t0, t1, dt):
     (0.1, 0.0, 1e-3),
     (0.0, 0.1, 0.1),
     (0.0, 0.1, 0.03),
-], ids=["dt_zero", "dt_negative", "empty", "reversed", "single_step", "no_tiling"])
+    (0.0, 0.1, 1e-300),
+    (0.0, 0.1, 1e-320),
+], ids=["dt_zero", "dt_negative", "empty", "reversed", "single_step", "no_tiling",
+        "more_nodes_than_numpy_builds", "uncountable_steps"])
 def test_both_integrators_reject_the_same_windows(run, t0, t1, dt):
     with pytest.raises(ValidationError):
         run(t0, t1, dt)
@@ -389,6 +392,46 @@ def test_integrate_kernel_runs_do_not_depend_on_the_window():
         return integrate(gen, rho0, t0=0.0, t1=(nodes - 1) * 1e-3, dt=1e-3)
 
     _block_edge_runs(run, rows, 2 * rows - 1)
+
+
+def _block_layouts(monkeypatch, run):
+    """What `run()` returns, as bytes, with BLOCK_NODES at 128, 37 and 2."""
+    outs = []
+    for rows in (128, 37, 2):
+        monkeypatch.setattr(lindblad, "BLOCK_NODES", rows)
+        out = run()
+        outs.append([out.times.tobytes(), repr(out.notes)]
+                    + [col.tobytes() for col in out.series.values()]
+                    + [getattr(out, key).tobytes() for key in ("states", "invariants", "variances")
+                       if hasattr(out, key)])
+    return outs
+
+
+def test_no_output_depends_on_the_block_layout(monkeypatch):
+    # BLOCK_NODES decides only how many nodes a step writes and a block
+    # observes: each node is written from the one before it, and every
+    # diagnostic is reduced per node, so series, notes, states and
+    # invariants keep their bytes whatever the layout
+    model = exponential_field(B0, 0.1)
+    h0 = spin_hamiltonian(model, 0.0)
+    pair = _block_layouts(monkeypatch, lambda: integrate(
+        spin_generator(model), canonical_state(h0, 1.0), i0=np.stack([h0, SIGMA_X]),
+        t0=0.0, t1=0.3, dt=1e-3))
+    assert pair[0] == pair[1] == pair[2]
+
+    # 30 Fock levels step a node at a time, in blocks of 34 rows or of 2
+    osc = replace(rational_decay(1.0, 0.5), n_fock=30)
+    k1, k2, _ = osc.ops()
+    ground = np.linalg.eigh(k1 + float(osc.k(0.0)) * k2)[1][:, 0]
+    fock = _block_layouts(monkeypatch, lambda: integrate(
+        oscillator_generator(osc), np.outer(ground, ground.conj()), t0=0.0, t1=0.04, dt=1e-3))
+    assert fock[0] == fock[1] == fock[2]
+
+    x = np.linspace(-8.0, 8.0, 161)
+    classical = _block_layouts(monkeypatch, lambda: evolve(
+        gaussian_profile(x, mean=0.4, var=0.3), -1.0 * x, np.full_like(x, 1.0),
+        ou_invariant_coeffs(1.0, 1.0, a0=1.0, b0=0.3, e0=0.1), t0=0.0, t1=0.1, dt=1e-3))
+    assert classical[0] == classical[1] == classical[2]
 
 
 def _fake_march(rows, n_nodes, nan_at=None, breach_at=None, fail=(None, None)):

@@ -59,7 +59,7 @@ def test_hermitian_operator_rejects_nonhermitian():
 
 def test_density_matrix_validation():
     rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]).astype(complex))
-    assert rho.trace_defect == pytest.approx(0.0, abs=1e-15)
+    assert np.trace(rho.mat) == pytest.approx(1.0, abs=1e-15)
     assert rho.min_eig == pytest.approx(0.25)
 
     with pytest.raises(ValidationError):
@@ -76,7 +76,7 @@ def test_density_matrix_validation():
 def test_density_matrix_stack_names_breaching_member(bad, message):
     stack = np.stack([random_density(2, s) for s in range(4)])
     ok = DensityMatrix.from_matrix(stack)
-    assert ok.min_eig.shape == ok.trace_defect.shape == (4,)
+    assert ok.min_eig.shape == (4,)
     stack[2] = bad
     with pytest.raises(ValidationError, match=f"stack member 2: .*{message}"):
         DensityMatrix.from_matrix(stack)
