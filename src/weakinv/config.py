@@ -201,6 +201,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         params[name] = _check_number(f"params.{name}", raw_params.get(name, default), kind)
 
     if scenario == "channel_fuzz":
+        # 2**57 cases of at most 48 bytes an array stay within numpy's 2**63 - 1 bytes
+        if params["n_channels"] > 2**57:
+            raise ConfigError(f"params.n_channels: must be at most 2**57, "
+                              f"got {params['n_channels']}")
         # the fuzz draws each case's shape by numpy's 32-bit bounded draw alone
         bounds = fuzz_shape_bounds(params["max_dim"], params["max_kraus"])
         for name, bound in zip(("max_dim", "max_kraus"), bounds):

@@ -40,6 +40,7 @@ from .fokker_planck import (
     space_grid,
 )
 from .lindblad import (
+    BLOCK_BYTES,
     SERIES_KEYS,
     Trajectory,
     entropies,
@@ -363,15 +364,20 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     n = p["n_channels"]
     master = np.random.default_rng(cfg.seed)
     # Per-case seeds are drawn up front and a row depends only on its own
-    # pair, so grouping cases by (dim, n_kraus) cannot change any result.
+    # pair, so neither grouping nor slicing the cases can change any result.
     # A case's shape is the first two draws of its observable stream, made
     # for every case at once; the stream resumes from the state they leave.
     seeds = master.integers(0, 2**63 - 1, size=(n, 2))
     shapes, after = bounded_draws(seeds[:, 1], fuzz_shape_bounds(p["max_dim"], p["max_kraus"]))
+    # groups in ascending (dim, n_kraus), in case order, in slices of 4 Kraus stacks in BLOCK_BYTES
+    order = np.lexsort(shapes.T[::-1])
     rows = np.empty((n, 5))
-    for dim, n_kraus in np.unique(shapes, axis=0):
-        members = np.flatnonzero((shapes == (dim, n_kraus)).all(axis=1))
-        rows[members] = _fuzz_group(int(dim), int(n_kraus), seeds[members, 0], after[members])
+    for group in np.split(order, np.flatnonzero(np.diff(shapes[order], axis=0).any(axis=1)) + 1):
+        dim, n_kraus = shapes[group[0]].tolist()
+        size = max(1, BLOCK_BYTES // (64 * n_kraus * dim * dim))
+        for start in range(0, len(group), size):
+            members = group[start:start + size]
+            rows[members] = _fuzz_group(dim, n_kraus, seeds[members, 0], after[members])
     cons, pair, gaps, tp, out_min = rows.T
 
     checks = [

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import weakinv
+from weakinv import scenarios
 from weakinv.cli import main
 from weakinv.config import default_config
 from weakinv.scenarios import CSV_HEADER
@@ -95,6 +96,36 @@ def test_fuzz_rows_do_not_depend_on_grouping(tmp_path):
         assert rows(k) == full[:k + 1]
 
 
+def test_fuzz_rows_do_not_depend_on_slicing(tmp_path, monkeypatch):
+    # A group is worked in slices of which four Kraus stacks fit in
+    # BLOCK_BYTES: at the default budget the largest group of a 2000-case
+    # run (dim 6, 4 Kraus operators, 53 cases a slice) spans several.
+    # One case a slice and one slice a group must write the same bytes.
+    cfg = _write(tmp_path, "fuzz2000.json", {
+        "scenario": "channel_fuzz", "params": {"n_channels": 2000}})
+    calls = []
+    group = scenarios._fuzz_group
+
+    def counted(dim, n_kraus, *draws):
+        calls.append((dim, n_kraus))
+        return group(dim, n_kraus, *draws)
+
+    def outputs(name, budget):
+        monkeypatch.setattr(scenarios, "BLOCK_BYTES", budget)
+        calls.clear()
+        out = tmp_path / name
+        assert main(["run", "--config", cfg, "--output-dir", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("series.csv", "verdict.json")]
+
+    monkeypatch.setattr(scenarios, "_fuzz_group", counted)
+    sliced = outputs("sliced", scenarios.BLOCK_BYTES)
+    assert calls.count((6, 4)) > 1
+    assert outputs("one_case", 0) == sliced
+    assert len(calls) == 2000
+    assert outputs("unbounded", 2**62) == sliced
+    assert len(calls) == len(set(calls)) == 20
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing]) == 2
@@ -131,6 +162,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("huge_t1", '{"scenario": "spin", "t1": 1e300}'),
     ("tiny_h", '{"scenario": "fp_ou", "params": {"h": 1e-300}}'),
     ("huge_n_times", '{"scenario": "thermo_spin", "params": {"n_times": 100000000000000000000}}'),
+    ("huge_n_channels",
+     '{"scenario": "channel_fuzz", "params": {"n_channels": 100000000000000000000}}'),
 ])
 def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
     cfg = tmp_path / f"{name}.json"
@@ -328,6 +361,19 @@ def test_cli_import_loads_no_scipy():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fuzz_run_loads_no_numpy_ma(tmp_path):
+    # numpy imports numpy.ma lazily, and pytest's own process may already
+    # hold it, so the run gets a fresh interpreter
+    cfg = _write(tmp_path, "fuzz.json", {"scenario": "channel_fuzz", "params": {"n_channels": 16}})
+    code = ("import sys; from weakinv.cli import main; "
+            f"code = main(['run', '--config', {cfg!r}, '--output-dir', {str(tmp_path / 'o')!r}]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 SHORT_CONFIGS = {

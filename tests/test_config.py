@@ -134,6 +134,17 @@ def test_fuzz_shape_ranges_past_32_bits_are_config_errors(tmp_path, capsys):
     assert (widest.params["max_dim"], widest.params["max_kraus"]) == (2**32 + 1, 2**32)
 
 
+def test_fuzz_case_counts_past_numpy_arrays_are_config_errors():
+    # 2**57 cases keep every per-case array within numpy's largest array;
+    # past 2**63 numpy cannot even shape the seed array. The CLI's exit 2
+    # is checked with the other config-decided failures in test_cli.
+    for n in (2**57 + 1, 10**20):
+        with pytest.raises(ConfigError, match=r"params\.n_channels: must be at most 2\*\*57"):
+            validate_config({"scenario": "channel_fuzz", "params": {"n_channels": n}})
+    widest = validate_config({"scenario": "channel_fuzz", "params": {"n_channels": 2**57}})
+    assert widest.params["n_channels"] == 2**57
+
+
 def test_scenario_specific_window_defaults():
     assert default_config("spin").dt == pytest.approx(1e-3)
     fp = default_config("fp_ou")
