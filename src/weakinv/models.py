@@ -90,10 +90,10 @@ def build_su11_ops(n_fock: int, omega_ref: float):
     return k1, k2, k3
 
 
-def edge_occupation(rho, levels: int = 2) -> float:
-    """Total population of the top `levels` basis states."""
+def edge_occupation(rho) -> float:
+    """Total population of the top 2 basis states."""
     m = _as_matrix(rho)
-    return float(np.sum(np.diagonal(m)[-levels:]).real)
+    return float(np.sum(np.diagonal(m)[-2:]).real)
 
 
 # -- oscillator model --------------------------------------------------------
@@ -116,10 +116,10 @@ class OscillatorModel:
     def ops(self):
         return build_su11_ops(self.n_fock, self.omega_ref)
 
-    def validate_schedule(self, t0: float, t1: float, samples: int = 65) -> None:
+    def validate_schedule(self, t0: float, t1: float) -> None:
         """Reject schedules that break the weak-invariant construction (a
         pole of k reads as infinite); config validation calls this too."""
-        col = np.linspace(t0, t1, samples)
+        col = np.linspace(t0, t1, 65)
         with np.errstate(divide="ignore", invalid="ignore"):
             kv, kd = (np.asarray(f(col), dtype=float) for f in (self.k, self.kdot))
         reject_first([
@@ -155,7 +155,7 @@ def oscillator_predicted_growth(model: OscillatorModel, rho, t: float) -> float:
     which is checked here.
     """
     _, _, k3 = model.ops()
-    occ = edge_occupation(rho, 2)
+    occ = edge_occupation(rho)
     if occ > EDGE_OCCUPATION_TOL:
         raise ValidationError(
             f"top-2 Fock occupation {occ:.3e} exceeds {EDGE_OCCUPATION_TOL:.0e}; "

@@ -107,19 +107,31 @@ def _rec(name, law, measured, bound, tol, passed) -> CheckRecord:
                        passed=bool(passed))
 
 
+def _at_most(name, law, measured, tol, bound=0.0) -> CheckRecord:
+    """A ceiling: passes when measured <= bound + tol."""
+    return _rec(name, law, measured, bound, tol, measured <= bound + tol)
+
+
+def _at_least(name, law, measured, tol, bound=0.0) -> CheckRecord:
+    """A floor: passes when measured >= bound - tol."""
+    return _rec(name, law, measured, bound, tol, measured >= bound - tol)
+
+
+def _rel_dev(got, want):
+    """|got - want| / max(|want|, 1e-12), elementwise."""
+    return np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
+
+
 # -- shared trajectory checks ------------------------------------------------
 
 def _mean_conservation_check(traj: Trajectory, tol_rel: float,
                              name: str = "mean_invariant_conserved") -> CheckRecord:
     e = traj.series["exp_I"]
-    scale = max(abs(float(e[0])), 1e-12)
-    drift = float(np.abs(e - e[0]).max()) / scale
-    return _rec(name, "conserved invariant average", drift, 0.0, tol_rel, drift <= tol_rel)
+    return _at_most(name, "conserved invariant average", float(_rel_dev(e, e[0]).max()), tol_rel)
 
 
 def _monotone_check(values, name: str, law: str, slack: float) -> CheckRecord:
-    inc = float(np.diff(values).min())
-    return _rec(name, law, inc, 0.0, slack, inc >= -slack)
+    return _at_least(name, law, float(np.diff(values).min()), slack)
 
 
 def _growth_equality_check(traj: Trajectory) -> CheckRecord:
@@ -127,10 +139,9 @@ def _growth_equality_check(traj: Trajectory) -> CheckRecord:
     g = traj.series["growth_fd"]
     tol = np.maximum(GROWTH_EQ_ABS, GROWTH_EQ_REL * np.abs(f))
     ratio = np.abs(g - f)[1:-1] / tol[1:-1]
-    worst = float(ratio.max())
-    return _rec("growth_rate_equality",
-                "finite-difference fluctuation rate matches the commutator formula",
-                worst, 1.0, 0.0, worst <= 1.0)
+    return _at_most("growth_rate_equality",
+                    "finite-difference fluctuation rate matches the commutator formula",
+                    float(ratio.max()), 0.0, bound=1.0)
 
 
 def _entropy_bound_checks(traj: Trajectory, dt: float) -> list[CheckRecord]:
@@ -143,28 +154,27 @@ def _entropy_bound_checks(traj: Trajectory, dt: float) -> list[CheckRecord]:
         bound = traj.series[b_key]
         tol = np.maximum(GROWTH_EQ_ABS, GROWTH_EQ_REL * np.abs(bound))
         margin = (rate - bound)[1:-1]
-        ok = bool(np.all(margin >= -tol[1:-1]))
+        # per-node tolerance max(GROWTH_EQ_ABS, GROWTH_EQ_REL |bound|); the record keeps its floor
         out.append(_rec(name, "entropy production rate lower bound",
-                        float(margin.min()), 0.0, GROWTH_EQ_ABS, ok))
+                        float(margin.min()), 0.0, GROWTH_EQ_ABS, np.all(margin >= -tol[1:-1])))
     bmax = max(float(np.abs(traj.series["bound_vn"]).max()),
                float(np.abs(traj.series["bound_renyi"]).max()))
-    out.append(_rec("hermitian_bounds_vanish",
-                    "self-adjoint jump operators give a vanishing bound",
-                    bmax, 0.0, 1e-12, bmax <= 1e-12))
+    out.append(_at_most("hermitian_bounds_vanish",
+                        "self-adjoint jump operators give a vanishing bound", bmax, 1e-12))
     return out
 
 
 # -- spin scenario -----------------------------------------------------------
 
-def channel_step_defect(gen, rho_mat, t: float, dt: float, n_micro: int = 8) -> float:
-    """Distance between one accurate ODE step and n_micro Kraus steps.
+def channel_step_defect(gen, rho_mat, t: float, dt: float) -> float:
+    """Distance between one accurate ODE step and 8 Kraus steps of dt / 8.
 
     The factored step has an O(tau^2) local defect, so the accumulated error
-    scales as dt^2 / n_micro: halving dt must shrink this by about 4.
+    scales as dt^2 / 8: halving dt must shrink this by about 4.
     """
-    tau = dt / n_micro
+    tau = dt / 8
     # one sample: the RK4 step's start, midpoint and end, then each micro-step's start
-    coeffs, rates = gen.eval(np.append([t, t + 0.5 * dt, t + dt], t + tau * np.arange(n_micro)))
+    coeffs, rates = gen.eval(np.append([t, t + 0.5 * dt, t + dt], t + tau * np.arange(8)))
     kernels = rhs_kernels(gen, coeffs[:3], rates[:3], [False])
     ref = rk4_step(lindblad_rhs, kernels, rho_mat[None], dt)[0]
     m = rho_mat
@@ -200,28 +210,25 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
     # Closed-form cross-checks against the field schedule.
     g0 = float(traj.series["growth_formula"][0])
-    g_pred = spin_predicted_growth(model, cfg.t0)
-    dev = abs(g0 - g_pred) / max(abs(g_pred), 1e-12)
-    checks.append(_rec("growth_field_prediction",
-                       "growth rate equals the field-norm rate of change",
-                       dev, 0.0, 1e-6, dev <= 1e-6))
+    checks.append(_at_most("growth_field_prediction",
+                           "growth rate equals the field-norm rate of change",
+                           _rel_dev(g0, spin_predicted_growth(model, cfg.t0)), 1e-6))
 
     dvar = float(traj.series["var_I"][-1] - traj.series["var_I"][0])
     b_lo, b_hi = model.b(np.array([cfg.t0, cfg.t1]))
     dnorm = float(b_hi @ b_hi - b_lo @ b_lo)
-    dev = abs(dvar - dnorm) / max(abs(dnorm), 1e-12)
-    checks.append(_rec("fluctuation_field_increment",
-                       "fluctuation increment equals the field-norm increment",
-                       dev, 0.0, 1e-6, dev <= 1e-6))
+    checks.append(_at_most("fluctuation_field_increment",
+                           "fluctuation increment equals the field-norm increment",
+                           _rel_dev(dvar, dnorm), 1e-6))
 
     checks.extend(_entropy_bound_checks(traj, cfg.dt))
 
     # Shifting the initial invariant by a multiple of the identity (the
     # second one stepped) must not move the fluctuation series at all.
     sdev = float(np.abs(traj.variances[:, 1] - traj.variances[:, 0]).max())
-    checks.append(_rec("shift_covariance",
-                       "identity shifts of the invariant leave its spread alone",
-                       sdev, 0.0, MONOTONE_SLACK, sdev <= MONOTONE_SLACK))
+    checks.append(_at_most("shift_covariance",
+                           "identity shifts of the invariant leave its spread alone",
+                           sdev, MONOTONE_SLACK))
 
     # All rates zero: the invariant equation degenerates to closed unitary
     # motion and the spectrum must freeze.
@@ -230,17 +237,13 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
                        i0=spin_hamiltonian(frozen_model, cfg.t0),
                        t0=cfg.t0, t1=cfg.t1, dt=cfg.dt, alpha=cfg.alpha)
     spec = np.linalg.eigvalsh(frozen.invariants)      # ascending per node
-    spec_drift = float(np.abs(spec - spec[0]).max())
-    checks.append(_rec("strong_invariant_spectrum",
-                       "zero rates freeze the invariant spectrum",
-                       spec_drift, 0.0, MONOTONE_SLACK,
-                       spec_drift <= MONOTONE_SLACK))
-    var_drift = float(np.abs(frozen.series["var_I"]
-                             - frozen.series["var_I"][0]).max())
-    checks.append(_rec("strong_invariant_fluctuation",
-                       "zero rates freeze the invariant fluctuation",
-                       var_drift, 0.0, MONOTONE_SLACK,
-                       var_drift <= MONOTONE_SLACK))
+    checks.append(_at_most("strong_invariant_spectrum",
+                           "zero rates freeze the invariant spectrum",
+                           float(np.abs(spec - spec[0]).max()), MONOTONE_SLACK))
+    var_f = frozen.series["var_I"]
+    checks.append(_at_most("strong_invariant_fluctuation",
+                           "zero rates freeze the invariant fluctuation",
+                           float(np.abs(var_f - var_f[0]).max()), MONOTONE_SLACK))
 
     # Order-of-accuracy consistency between the ODE step and the factored
     # Kraus micro-steps.
@@ -248,9 +251,9 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
     e1 = channel_step_defect(gen, rho0.mat, cfg.t0, base_dt)
     e2 = channel_step_defect(gen, rho0.mat, cfg.t0, base_dt / 2.0)
     ratio = e1 / max(e2, 1e-300)
-    checks.append(_rec("step_map_consistency",
-                       "factored-step error contracts at second order",
-                       ratio, 3.5, 0.0, ratio >= 3.5))
+    checks.append(_at_least("step_map_consistency",
+                            "factored-step error contracts at second order",
+                            ratio, 0.0, bound=3.5))
 
     return ScenarioResult(scenario="spin", columns={"t": traj.times, **traj.series},
                           checks=checks,
@@ -288,30 +291,26 @@ def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
     # Mirror of the schedule expression so the comparison is exact, not
     # merely close.
     c_target = -0.5 * (-p["k0"] * p["decay"] / (1.0 + p["decay"] * cfg.t0) ** 2)
+    # exact equality: neither a ceiling nor a floor
     checks.append(_rec("initial_rate_value",
                        "dissipation rate follows the stiffness schedule",
                        c0, c_target, 0.0, c0 == c_target))
 
     g0 = float(traj.series["growth_formula"][0])
-    g_pred = oscillator_predicted_growth(model, rho0, cfg.t0)
-    dev = abs(g0 - g_pred) / max(abs(g_pred), 1e-12)
-    checks.append(_rec("growth_ansatz_prediction",
-                       "growth rate matches the quadratic-ansatz closed form",
-                       dev, 0.0, 1e-6, dev <= 1e-6))
+    checks.append(_at_most("growth_ansatz_prediction",
+                           "growth rate matches the quadratic-ansatz closed form",
+                           _rel_dev(g0, oscillator_predicted_growth(model, rho0, cfg.t0)), 1e-6))
 
     checks.extend(_entropy_bound_checks(traj, cfg.dt))
 
     t_mid = 0.5 * (cfg.t0 + cfg.t1)
     res = invariance_residual(gen, float(model.kdot(t_mid)) * k2, t_mid, trim=4)
     res_scale = max(1.0, float(np.abs(model.kdot(t_mid)) * np.abs(k2).max()))
-    checks.append(_rec("invariant_equation_residual",
-                       "closed-form invariant satisfies the adjoint equation",
-                       res / res_scale, 0.0, 1e-9, res / res_scale <= 1e-9))
-
-    occ = edge_occupation(traj.states[-1], 2)
-    checks.append(_rec("edge_occupation",
-                       "truncation edge stays unpopulated",
-                       occ, 0.0, 1e-8, occ <= 1e-8))
+    checks.append(_at_most("invariant_equation_residual",
+                           "closed-form invariant satisfies the adjoint equation",
+                           res / res_scale, 1e-9))
+    checks.append(_at_most("edge_occupation", "truncation edge stays unpopulated",
+                           edge_occupation(traj.states[-1]), 1e-8))
 
     return ScenarioResult(scenario="oscillator",
                           columns={"t": traj.times, **traj.series}, checks=checks,
@@ -381,17 +380,14 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     cons, pair, gaps, tp, out_min = rows.T
 
     checks = [
-        _rec("operator_jensen_floor",
-             "adjoint of a square dominates the square of the adjoint",
-             float(gaps.min()), 0.0, 1e-9, gaps.min() >= -1e-9),
-        _rec("completeness_defect", "Kraus completeness",
-             float(tp.max()), 0.0, 1e-9, tp.max() <= 1e-9),
-        _rec("adjoint_duality",
-             "pulled-back average equals pushed-forward average",
-             float(cons.max()), 0.0, 1e-10, cons.max() <= 1e-10),
-        _rec("paired_moment_growth",
-             "pull-back never shrinks the paired second moment",
-             float(pair.min()), 0.0, 1e-9, pair.min() >= -1e-9),
+        _at_least("operator_jensen_floor",
+                  "adjoint of a square dominates the square of the adjoint",
+                  float(gaps.min()), 1e-9),
+        _at_most("completeness_defect", "Kraus completeness", float(tp.max()), 1e-9),
+        _at_most("adjoint_duality", "pulled-back average equals pushed-forward average",
+                 float(cons.max()), 1e-10),
+        _at_least("paired_moment_growth", "pull-back never shrinks the paired second moment",
+                  float(pair.min()), 1e-9),
     ]
 
     columns = {"t": np.arange(n, dtype=float), "exp_I": cons, "var_I": pair,
@@ -421,28 +417,25 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     gap = trace_distance(actual.states, path.states.mat)
 
     checks = [
+        # strict > 0: a floor at 0 would also pass min_lhs == 0, which is no heating
         _rec("heating_positive",
              "isoenergetic widening forces net heating",
              rel["min_lhs"], 0.0, 0.0, rel["min_lhs"] > 0.0),
-        _rec("specific_heat_identity",
-             "heat-capacity combination equals the canonical fluctuation rate",
-             rel["max_identity_rel_err"], 0.0, 1e-6,
-             rel["max_identity_rel_err"] <= 1e-6),
+        _at_most("specific_heat_identity",
+                 "heat-capacity combination equals the canonical fluctuation rate",
+                 rel["max_identity_rel_err"], 1e-6),
     ]
 
     # Two-level closed form for the heat capacity.
     b = model.b(times)
     ratio = np.sqrt(np.vecdot(b, b)) / path.temperature
     c_closed = ratio**2 / np.cosh(ratio) ** 2
-    dev = float((np.abs(path.heat_capacity - c_closed)
-                 / np.maximum(np.abs(c_closed), 1e-12)).max())
-    checks.append(_rec("closed_form_heat",
-                       "two-level heat capacity closed form",
-                       dev, 0.0, 1e-10, dev <= 1e-10))
+    checks.append(_at_most("closed_form_heat", "two-level heat capacity closed form",
+                           float(_rel_dev(path.heat_capacity, c_closed).max()), 1e-10))
 
-    resid = np.abs(internal_energy(hs, path.temperature) - u) / max(abs(u), 1e-12)
-    checks.append(_rec("energy_residual", "energy pinned along the path",
-                       float(resid.max()), 0.0, 1e-9, resid.max() <= 1e-9))
+    resid = _rel_dev(internal_energy(hs, path.temperature), u)
+    checks.append(_at_most("energy_residual", "energy pinned along the path",
+                           float(resid.max()), 1e-9))
 
     var_rate = np.gradient(path.var_h, float(times[1] - times[0]), edge_order=2)
     rho = path.states.mat
@@ -480,10 +473,9 @@ def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     ]
 
     f, g = traj.series["growth_formula"][1:-1], traj.series["growth_fd"][1:-1]
-    rel_dev = float((np.abs(g - f) / np.maximum(np.abs(f), 1e-12)).max())
-    checks.append(_rec("classical_growth_equality",
-                       "finite-difference spread rate matches the slope formula",
-                       rel_dev, 0.0, 1e-2, rel_dev <= 1e-2))
+    checks.append(_at_most("classical_growth_equality",
+                           "finite-difference spread rate matches the slope formula",
+                           float(_rel_dev(g, f).max()), 1e-2))
 
     # The growth formula never sees the drift: recompute the initial rate
     # with a five-fold relaxation whose invariant equals `inv` at t0, and
@@ -495,20 +487,16 @@ def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
                                   inv.e(cfg.t0) + d_const * (a_t0 - a_alt) / (5.0 * gamma))
     r_base = classical_growth_rate(inv, dist, diff, cfg.t0)
     r_alt = classical_growth_rate(inv_alt, dist, diff, cfg.t0)
-    checks.append(_rec("drift_independence",
-                       "spread growth is blind to the drift",
-                       abs(r_base - r_alt), 0.0, 1e-10,
-                       abs(r_base - r_alt) <= 1e-10))
-
-    mass_dev = float(np.abs(traj.series["trace_err"]).max())
-    checks.append(_rec("mass_conserved", "probability mass conserved",
-                       mass_dev, 0.0, 1e-9, mass_dev <= 1e-9))
+    checks.append(_at_most("drift_independence", "spread growth is blind to the drift",
+                           abs(r_base - r_alt), 1e-10))
+    checks.append(_at_most("mass_conserved", "probability mass conserved",
+                           float(np.abs(traj.series["trace_err"]).max()), 1e-9))
 
     res_scale = 1.0 + abs(p["a0"]) * max(abs(p["x_min"]), abs(p["x_max"])) ** 2
     res = inv.residual(x, drift, diff, cfg.t0) / res_scale
-    checks.append(_rec("invariant_coefficient_residual",
-                       "closed-form coefficients solve the invariant equation",
-                       res, 0.0, 1e-12, res <= 1e-12))
+    checks.append(_at_most("invariant_coefficient_residual",
+                           "closed-form coefficients solve the invariant equation",
+                           res, 1e-12))
 
     return ScenarioResult(scenario="fp_ou", columns={"t": traj.times, **traj.series},
                           checks=checks, notes=traj.notes)

@@ -17,7 +17,7 @@ import pytest
 
 from weakinv.cli import emit_verdict, format_series
 from weakinv.config import default_config
-from weakinv.scenarios import run_scenario
+from weakinv.scenarios import MONOTONE_SLACK, run_scenario
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,68 @@ def test_all_default_scenarios_fully_pass(spin, oscillator, fuzz, thermo, fp):
     for r in (spin, oscillator, fuzz, thermo, fp):
         bad = [c.name for c in r.checks if not c.passed]
         assert not bad, f"{r.scenario}: failing checks {bad}"
+
+
+# Every default check as (name, bound_or_target, tolerance), in verdict
+# order; all of them pass. None marks fp_ou's monotone slack, which scales
+# with the run's own fluctuation and is derived from it below.
+PINNED_CHECKS = {
+    "spin": [
+        ("mean_invariant_conserved", 0.0, 1e-8),
+        ("fluctuation_nondecreasing", 0.0, 1e-9),
+        ("growth_rate_equality", 1.0, 0.0),
+        ("growth_field_prediction", 0.0, 1e-6),
+        ("fluctuation_field_increment", 0.0, 1e-6),
+        ("entropy_rate_vn_bound", 0.0, 1e-6),
+        ("entropy_rate_renyi_bound", 0.0, 1e-6),
+        ("hermitian_bounds_vanish", 0.0, 1e-12),
+        ("shift_covariance", 0.0, 1e-9),
+        ("strong_invariant_spectrum", 0.0, 1e-9),
+        ("strong_invariant_fluctuation", 0.0, 1e-9),
+        ("step_map_consistency", 3.5, 0.0),
+    ],
+    "oscillator": [
+        ("mean_invariant_conserved", 0.0, 1e-7),
+        ("fluctuation_nondecreasing", 0.0, 1e-9),
+        ("growth_rate_equality", 1.0, 0.0),
+        ("initial_rate_value", 0.25, 0.0),
+        ("growth_ansatz_prediction", 0.0, 1e-6),
+        ("entropy_rate_vn_bound", 0.0, 1e-6),
+        ("entropy_rate_renyi_bound", 0.0, 1e-6),
+        ("hermitian_bounds_vanish", 0.0, 1e-12),
+        ("invariant_equation_residual", 0.0, 1e-9),
+        ("edge_occupation", 0.0, 1e-8),
+    ],
+    "channel_fuzz": [
+        ("operator_jensen_floor", 0.0, 1e-9),
+        ("completeness_defect", 0.0, 1e-9),
+        ("adjoint_duality", 0.0, 1e-10),
+        ("paired_moment_growth", 0.0, 1e-9),
+    ],
+    "thermo_spin": [
+        ("heating_positive", 0.0, 0.0),
+        ("specific_heat_identity", 0.0, 1e-6),
+        ("closed_form_heat", 0.0, 1e-10),
+        ("energy_residual", 0.0, 1e-9),
+    ],
+    "fp_ou": [
+        ("classical_mean_conserved", 0.0, 1e-6),
+        ("classical_fluctuation_nondecreasing", 0.0, None),
+        ("classical_growth_equality", 0.0, 1e-2),
+        ("drift_independence", 0.0, 1e-10),
+        ("mass_conserved", 0.0, 1e-9),
+        ("invariant_coefficient_residual", 0.0, 1e-12),
+    ],
+}
+
+
+def test_default_check_thresholds_are_pinned(spin, oscillator, fuzz, thermo, fp):
+    fp_slack = MONOTONE_SLACK * max(1.0, float(np.abs(fp.columns["var_I"]).max()))
+    for r in (spin, oscillator, fuzz, thermo, fp):
+        want = [(name, bound, fp_slack if tol is None else tol, True)
+                for name, bound, tol in PINNED_CHECKS[r.scenario]]
+        got = [(c.name, c.bound_or_target, c.tolerance, c.passed) for c in r.checks]
+        assert got == want, r.scenario
 
 
 def test_verdict_carries_every_scenarios_notes(tmp_path, spin, oscillator,

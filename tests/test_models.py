@@ -148,7 +148,7 @@ def test_edge_occupation_reads_top_levels():
     rho = np.zeros((6, 6))
     rho[5, 5] = 0.25
     rho[0, 0] = 0.75
-    assert edge_occupation(rho, 2) == pytest.approx(0.25)
+    assert edge_occupation(rho) == pytest.approx(0.25)
 
 
 # -- spin --------------------------------------------------------------------
@@ -234,6 +234,6 @@ def test_oscillator_trajectory_stays_clean_at_modest_truncation():
     gen = oscillator_generator(model)
     rho0 = fock_ground(model.n_fock)
     traj = integrate(gen, rho0, t0=0.0, t1=0.1, dt=1e-3, alpha=2.0)
-    assert edge_occupation(traj.states[-1], 2) < 1e-10
+    assert edge_occupation(traj.states[-1]) < 1e-10
     e = traj.series["exp_I"]
     assert np.abs(e - e[0]).max() < 1e-9
