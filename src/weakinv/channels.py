@@ -269,18 +269,6 @@ def pcg64_states(seed) -> np.ndarray:
     return out
 
 
-def check_draw_bounds(bounds) -> None:
-    """Raise ValidationError unless every (lo, hi) takes numpy's 32-bit bounded draw.
-
-    `bounded_draws` models `Generator.integers(lo, hi)` for 1 <= hi - lo
-    <= DRAW_RANGE_MAX only; a wider range draws 64-bit words instead.
-    """
-    for lo, hi in bounds:
-        if not 1 <= hi - lo <= DRAW_RANGE_MAX:
-            raise ValidationError(f"draw range [{lo}, {hi}) must hold between 1 and "
-                                  f"2**32 = {DRAW_RANGE_MAX} integers, got {hi - lo}")
-
-
 def bounded_draws(seed, bounds) -> tuple[np.ndarray, np.ndarray]:
     """default_rng(s).integers(lo, hi) for each (lo, hi) of bounds in turn, per seed s.
 
@@ -293,10 +281,14 @@ def bounded_draws(seed, bounds) -> tuple[np.ndarray, np.ndarray]:
     output gives its low half and buffers its high half for the next
     word. Every lane is computed that way on uint64 arrays; a lane where
     the leftover (u * m) mod 2**32 is below m, so that a rejection could
-    act, is replayed on numpy's own generator.
+    act, is replayed on numpy's own generator. A wider range, which numpy
+    draws from 64-bit words instead, raises ValidationError.
     """
     bounds = [(int(lo), int(hi)) for lo, hi in bounds]
-    check_draw_bounds(bounds)
+    for lo, hi in bounds:
+        if not 1 <= hi - lo <= DRAW_RANGE_MAX:
+            raise ValidationError(f"draw range [{lo}, {hi}) must hold between 1 and "
+                                  f"2**32 = {DRAW_RANGE_MAX} integers, got {hi - lo}")
     seeds = _seed_array(seed).reshape(-1)
     states = pcg64_states(seeds)
     draws = np.empty((len(seeds), len(bounds)), np.int64)

@@ -6,6 +6,10 @@ common block (t0, t1, dt, alpha, seed) controls the integration, and
 error: silent typos in tolerance-sensitive runs are worse than a loud
 failure. All schema problems raise ConfigError, which the CLI maps to
 its own exit code, distinct from runtime numerical failures.
+
+This module is the schema alone: what the config decides only by the
+engine's rules (grids, fp_ou's step budget and start, the oscillator's
+schedule), each runner refuses as a ConfigError before it steps.
 """
 
 from __future__ import annotations
@@ -15,11 +19,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .channels import check_draw_bounds
-from .errors import NumericalError, ValidationError
-from .fokker_planck import explicit_step_limit, gaussian_profile, interior_minimum, space_grid
-from .lindblad import time_grid
-from .models import rational_decay
+from .errors import ValidationError
 
 
 class ConfigError(ValidationError):
@@ -38,19 +38,16 @@ _COMMON_DEFAULTS = {
 
 # Scenario-specific overrides of the common block. The classical run needs
 # a longer window and a step inside the explicit-diffusion budget for its
-# default grid spacing; validate_config rejects a step outside it.
+# default grid spacing; its runner rejects a step outside it.
 _SCENARIO_COMMON: dict[str, dict[str, float]] = {
     "fp_ou": {"t1": 1.0, "dt": 1e-4},
 }
 
-# Scenarios whose integrator steps on the common dt; the others take
-# their time grid from their own params and ignore dt.
-_STEPS_ON_DT = ("spin", "oscillator", "fp_ou")
-
 # Per-scenario parameter schema: name -> (default, kind).
-# kind: "float", "pos_float", "int_min:N", "nonzero_vec3" (a
-# field B0 exp(8ct) with a zero component has no finite spin rates), and
-# "choice:..." with options after the colon. Every float must be finite.
+# kind: "float", "pos_float", "int:LOW" or "int:LOW..HIGH" (HIGH a sum of
+# integers and powers), "nonzero_vec3" (a field B0 exp(8ct) with a zero
+# component has no finite spin rates), and "choice:..." with options after
+# the colon. Every float must be finite.
 _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
     "spin": {
         "b0": ((1.0, 2.0, 3.0), "nonzero_vec3"),
@@ -61,17 +58,19 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "oscillator": {
         "k0": (1.0, "pos_float"),
-        # a signed float in the schema; validate_config rejects a stiffness
+        # a signed float in the schema; the runner rejects a stiffness
         # that does not shrink on the window, by the engine's own rule.
         "decay": (0.5, "float"),
-        "n_fock": (60, "int_min:4"),
+        "n_fock": (60, "int:4"),
         "initial_state": ("ground", "choice:ground,gibbs"),
         "t_init": (1.0, "pos_float"),
     },
+    # 2**57 cases of at most 48 bytes an array fit numpy's 2**63 - 1 bytes; dim in
+    # [2, max_dim] and n_kraus in [1, max_kraus] take numpy's 32-bit bounded draw.
     "channel_fuzz": {
-        "n_channels": (200, "int_min:1"),
-        "max_dim": (6, "int_min:2"),
-        "max_kraus": (4, "int_min:1"),
+        "n_channels": (200, "int:1..2**57"),
+        "max_dim": (6, "int:2..2**32 + 1"),
+        "max_kraus": (4, "int:1..2**32"),
     },
     # The canonical-family identity is checked by central differences, so
     # the path must sit in the smooth (slow) regime: at t_init = 1 the
@@ -83,7 +82,7 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
         "b0": ((1.0, 2.0, 3.0), "nonzero_vec3"),
         "rate_c": (0.1, "pos_float"),
         "t_init": (4.0, "pos_float"),
-        "n_times": (2049, "int_min:3"),
+        "n_times": (2049, "int:3"),
     },
     "fp_ou": {
         "gamma": (1.0, "pos_float"),
@@ -98,14 +97,6 @@ _PARAM_SCHEMA: dict[str, dict[str, tuple]] = {
         "init_var": (0.5, "pos_float"),
     },
 }
-
-
-def fuzz_shape_bounds(max_dim: int, max_kraus: int) -> list[tuple[int, int]]:
-    """`Generator.integers` bounds of a fuzz case's dim and n_kraus.
-
-    dim is drawn from [2, max_dim] and n_kraus from [1, max_kraus].
-    """
-    return [(2, max_dim + 1), (1, max_kraus + 1)]
 
 
 @dataclass(frozen=True)
@@ -136,12 +127,15 @@ def _check_number(name: str, value, kind: str):
         if v <= 0.0:
             raise ConfigError(f"{name}: must be positive, got {v}")
         return v
-    if kind.startswith("int_min:"):
-        low = int(kind.split(":", 1)[1])
+    if kind.startswith("int:"):
+        low, _, high = kind.split(":", 1)[1].partition("..")
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        if value < low:
+        if value < int(low):
             raise ConfigError(f"{name}: must be at least {low}, got {value}")
+        terms = (t.partition("**") for t in high.split("+"))
+        if high and value > sum(int(b) ** int(e or 1) for b, _, e in terms):
+            raise ConfigError(f"{name}: must be at most {high}, got {value}")
         return value
     if kind == "nonzero_vec3":
         if (not isinstance(value, (list, tuple))) or len(value) != 3:
@@ -179,7 +173,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key, default in defaults.items():
         value = raw.get(key, default)
         if key == "seed":
-            common[key] = _check_number(key, value, "int_min:0")
+            common[key] = _check_number(key, value, "int:0")
         else:
             common[key] = _check_number(key, value, "float")
     if common["t1"] <= common["t0"]:
@@ -199,42 +193,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     params = {}
     for name, (default, kind) in schema.items():
         params[name] = _check_number(f"params.{name}", raw_params.get(name, default), kind)
-
-    if scenario == "channel_fuzz":
-        # 2**57 cases of at most 48 bytes an array stay within numpy's 2**63 - 1 bytes
-        if params["n_channels"] > 2**57:
-            raise ConfigError(f"params.n_channels: must be at most 2**57, "
-                              f"got {params['n_channels']}")
-        # the fuzz draws each case's shape by numpy's 32-bit bounded draw alone
-        bounds = fuzz_shape_bounds(params["max_dim"], params["max_kraus"])
-        for name, bound in zip(("max_dim", "max_kraus"), bounds):
-            try:
-                check_draw_bounds([bound])
-            except ValidationError as exc:
-                raise ConfigError(f"params.{name}: {exc}") from exc
-
-    # Grids the config alone makes unrunnable, by the engine's own rules.
-    try:
-        if scenario in _STEPS_ON_DT:
-            times = time_grid(common["t0"], common["t1"], common["dt"])
-        if scenario == "thermo_spin":
-            time_grid(common["t0"], common["t1"],
-                      (common["t1"] - common["t0"]) / (params["n_times"] - 1))
-        if scenario == "fp_ou":
-            x = space_grid(params["x_min"], params["x_max"], params["h"])
-            # the spacing the engine steps on, which may sit a hair off h
-            limit = explicit_step_limit(x[1] - x[0], params["diffusion"])
-            if common["dt"] > limit:
-                raise ValidationError(f"dt = {common['dt']:.3e} exceeds the explicit-step "
-                                      f"budget h^2/(2 max D) = {limit:.3e}")
-            # a start that vanishes on the grid or reaches its edges at the first node
-            start = gaussian_profile(x, params["init_mean"], params["init_var"])
-            interior_minimum(start.values[None], times[:1])
-        if scenario == "oscillator":
-            rational_decay(params["k0"], params["decay"]).validate_schedule(
-                common["t0"], common["t1"])
-    except (ValidationError, NumericalError) as exc:
-        raise ConfigError(str(exc)) from exc
 
     return ExperimentConfig(scenario=scenario, output_dir=output_dir,
                             params=params, **common)

@@ -118,9 +118,9 @@ class OscillatorModel:
 
     def validate_schedule(self, t0: float, t1: float) -> None:
         """Reject schedules that break the weak-invariant construction (a
-        pole of k reads as infinite); config validation calls this too."""
+        pole of k, or a square that overflows, reads as infinite)."""
         col = np.linspace(t0, t1, 65)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             kv, kd = (np.asarray(f(col), dtype=float) for f in (self.k, self.kdot))
         reject_first([
             (~((0.0 < kv) & (kv < np.inf)), lambda at: (

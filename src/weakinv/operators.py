@@ -99,7 +99,7 @@ def require_hermitian(a, name: str = "operator") -> np.ndarray:
     """Return a as an ndarray after certifying every matrix Hermitian within HERM_TOL."""
     m = _as_matrix(a)
     defect = hermiticity_defect(m)
-    abort_at(defect > HERM_TOL, ValidationError, lambda at: (
+    abort_at(~(defect <= HERM_TOL), ValidationError, lambda at: (
         f"{_member(at)}{name} is not Hermitian: defect {defect[at]:.3e} "
         f"exceeds tol {HERM_TOL:.1e}"))
     return m
@@ -127,7 +127,7 @@ class DensityMatrix:
     def from_matrix(cls, mat, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
         m = _require_square(_as_matrix(mat), "state")
         herm = hermiticity_defect(m)
-        abort_at(herm > HERM_TOL, ValidationError, lambda at: (
+        abort_at(~(herm <= HERM_TOL), ValidationError, lambda at: (
             f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
             f"exceeds tol {HERM_TOL:.1e}"))
         tr = np.trace(m, axis1=-2, axis2=-1)

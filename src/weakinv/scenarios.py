@@ -17,6 +17,7 @@ fills every slot with no analogue with 0.0.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,12 +31,14 @@ from .channels import (
     random_channel,
     sandwich,
 )
-from .config import ExperimentConfig, fuzz_shape_bounds
-from .errors import NumericalError
+from .config import ConfigError, ExperimentConfig
+from .errors import NumericalError, ValidationError
 from .fokker_planck import (
     classical_growth_rate,
     evolve,
+    explicit_step_limit,
     gaussian_profile,
+    interior_minimum,
     ou_invariant_coeffs,
     space_grid,
 )
@@ -122,6 +125,15 @@ def _rel_dev(got, want):
     return np.abs(got - want) / np.maximum(np.abs(want), 1e-12)
 
 
+@contextmanager
+def _config_decided():
+    """Raise the engine's refusal of what the config alone decides as ConfigError."""
+    try:
+        yield
+    except (ValidationError, NumericalError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 # -- shared trajectory checks ------------------------------------------------
 
 def _mean_conservation_check(traj: Trajectory, tol_rel: float,
@@ -194,6 +206,8 @@ def _spin_initial_state(h0: np.ndarray, kind: str, t_init: float) -> DensityMatr
 
 def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
+    with _config_decided():
+        time_grid(cfg.t0, cfg.t1, cfg.dt)
     model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
     gen = spin_generator(model)
     h0 = spin_hamiltonian(model, cfg.t0)
@@ -265,8 +279,10 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
 def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
-    model = replace(rational_decay(p["k0"], p["decay"]), n_fock=p["n_fock"])
-    model.validate_schedule(cfg.t0, cfg.t1)
+    with _config_decided():
+        time_grid(cfg.t0, cfg.t1, cfg.dt)
+        model = replace(rational_decay(p["k0"], p["decay"]), n_fock=p["n_fock"])
+        model.validate_schedule(cfg.t0, cfg.t1)
     gen = oscillator_generator(model)
     k1, k2, k3 = model.ops()
     h0 = k1 + float(model.k(cfg.t0)) * k2
@@ -367,7 +383,7 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
     # A case's shape is the first two draws of its observable stream, made
     # for every case at once; the stream resumes from the state they leave.
     seeds = master.integers(0, 2**63 - 1, size=(n, 2))
-    shapes, after = bounded_draws(seeds[:, 1], fuzz_shape_bounds(p["max_dim"], p["max_kraus"]))
+    shapes, after = bounded_draws(seeds[:, 1], [(2, p["max_dim"] + 1), (1, p["max_kraus"] + 1)])
     # groups in ascending (dim, n_kraus), in case order, in slices of 4 Kraus stacks in BLOCK_BYTES
     order = np.lexsort(shapes.T[::-1])
     rows = np.empty((n, 5))
@@ -399,9 +415,10 @@ def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:
 
 def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
-    model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
     step = (cfg.t1 - cfg.t0) / (p["n_times"] - 1)
-    times = time_grid(cfg.t0, cfg.t1, step)
+    with _config_decided():
+        times = time_grid(cfg.t0, cfg.t1, step)
+    model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
 
     hs = spin_hamiltonian(model, times)
     u = internal_energy(hs[0], p["t_init"])
@@ -456,8 +473,17 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
 def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
-    x = space_grid(p["x_min"], p["x_max"], p["h"])
-    dist = gaussian_profile(x, p["init_mean"], p["init_var"])
+    with _config_decided():
+        times = time_grid(cfg.t0, cfg.t1, cfg.dt)
+        x = space_grid(p["x_min"], p["x_max"], p["h"])
+        # the spacing the engine steps on, which may sit a hair off h
+        limit = explicit_step_limit(x[1] - x[0], p["diffusion"])
+        if cfg.dt > limit:
+            raise ValidationError(f"dt = {cfg.dt:.3e} exceeds the explicit-step "
+                                  f"budget h^2/(2 max D) = {limit:.3e}")
+        # a start that vanishes on the grid or reaches its edges at the first node
+        dist = gaussian_profile(x, p["init_mean"], p["init_var"])
+        interior_minimum(dist.values[None], times[:1])
 
     gamma, d_const = p["gamma"], p["diffusion"]
     inv = ou_invariant_coeffs(gamma, d_const, p["a0"], p["b0"], p["e0"])
@@ -529,7 +555,8 @@ SCENARIO_SUMMARIES = {
 def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     """Run the configured scenario and complete its columns in CSV_HEADER
     order, 0.0 in every slot the runner did not fill; a column outside the
-    layout raises KeyError. A non-finite series value or check number
+    layout raises KeyError. What the config alone makes unrunnable raises
+    ConfigError before any step; a non-finite series value or check number
     raises NumericalError naming the first one, so none is ever written."""
     result = _RUNNERS[cfg.scenario](cfg)
     extra = sorted(set(result.columns) - set(CSV_HEADER))

@@ -149,6 +149,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("one_level_fuzz", '{"scenario": "channel_fuzz", "params": {"max_dim": 1}}'),
     ("tiny_fock", '{"scenario": "oscillator", "params": {"n_fock": 3}}'),
     ("growing_stiffness", '{"scenario": "oscillator", "params": {"decay": -0.5}}'),
+    ("huge_decay", '{"scenario": "oscillator", "t1": 0.01, "params": {"decay": 1e300}}'),
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
     ("cfl_dt", '{"scenario": "fp_ou", "dt": 1e-3}'),
@@ -173,6 +174,23 @@ def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+    assert not (out / "verdict.json").exists()
+
+
+def test_config_refused_before_its_first_step_prints_one_line(tmp_path):
+    # the stiffness schedule's square overflows while the runner checks it;
+    # in a fresh interpreter no warning capture hides what reaches stderr
+    out = tmp_path / "o"
+    doc = {"scenario": "oscillator", "t1": 0.01, "params": {"decay": 1e300}}
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakinv.cli", "run",
+         "--config", _write(tmp_path, "huge_decay.json", doc), "--output-dir", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "config error: the dissipative construction needs k(t) strictly decreasing "
+        "(rate c = -kdot/2 must be positive): kdot(0.00015625) = -0\n")
     assert not (out / "verdict.json").exists()
 
 
@@ -218,7 +236,11 @@ NON_FINITE_RUNS = pytest.mark.parametrize("name, doc, message", [
     ("frozen_start", {"scenario": "thermo_spin", "params": {"t_init": 1e-3}},
      "stack member 0: target energy -3.74165738677 outside the reachable range "
      "(-3.74165738677, 0)"),
-], ids=["huge_rate", "huge_stiffness", "huge_drift", "huge_invariant", "frozen_start"])
+    # the path's field overflows after node 0, caught before any solve
+    ("huge_rate_thermo", {"scenario": "thermo_spin", "params": {"rate_c": 1e300}},
+     "stack member 1: Hamiltonian is not Hermitian: defect nan exceeds tol 1.0e-10"),
+], ids=["huge_rate", "huge_stiffness", "huge_drift", "huge_invariant", "frozen_start",
+        "huge_rate_thermo"])
 
 
 @NON_FINITE_RUNS

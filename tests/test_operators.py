@@ -57,6 +57,24 @@ def test_hermitian_operator_rejects_nonhermitian():
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hermiticity_guards_reject_non_finite_matrices(bad):
+    # a NaN defect compares False against the tolerance, so the guards
+    # test that it is within it; an infinite entry minus itself is NaN
+    m = np.diag([bad, 0.5]).astype(complex)
+    herm = re.escape("is not Hermitian: defect nan exceeds tol 1.0e-10")
+    with pytest.raises(ValidationError, match="^operator " + herm):
+        require_hermitian(m)
+    with pytest.raises(ValidationError, match="^state " + herm):
+        DensityMatrix.from_matrix(m)
+    stack = np.stack([np.eye(2) / 2, m, m])
+    with pytest.raises(ValidationError, match="^stack member 1: operator " + herm):
+        require_hermitian(stack)
+    with pytest.raises(ValidationError, match="^stack member 1: state " + herm):
+        DensityMatrix.from_matrix(stack)
+
+
 def test_density_matrix_validation():
     rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]).astype(complex))
     assert np.trace(rho.mat) == pytest.approx(1.0, abs=1e-15)
