@@ -31,20 +31,19 @@ unbounded operators the amplification is catastrophic. Both models here
 choose their rates so that H(t) itself is the weak invariant, which
 `integrate` takes in closed form when given no initial invariant.
 
-The generator is affine in time, H(t) = sum_k f_k(t) H_k with constant
-jumps L_n at rates c_n(t), and is sampled once per run on all 2N + 1
-times the RK4 steps need. Both equations take the effective Hamiltonian
-H_eff = H - i sum_n c_n L_n^dag L_n and the scaled jumps sqrt(c_n) L_n;
-the adjoint one swaps each for its adjoint and the sandwich sign +2 for
--2, so the state and its invariants step as one stack through one
-right-hand side, its kernels formed by `integrate` for each step's three
-rows. That right-hand side is linear in the stack and in the sampled row,
-so for small d (d^2 <= MAP_MAX_D2) `integrate` takes it as d^2 x d^2
-superoperators and forms a block's re-Hermitizing RK4 step maps in one
-call. Either way each node is written from the one before it, so no
-value depends on where a block starts. `march`, the one stepping loop (of
-the classical mirror too), knows only nodes: each step writes them into
-the caller's block, whose rows go to stack-aware diagnostics.
+The generator is affine in time, H(t) = sum_k f_k(t) H_k with constant jumps
+L_n at rates c_n(t), and is sampled once per run on all 2N + 1 times the RK4
+steps need. Both equations take H_eff = H - i sum_n c_n L_n^dag L_n and the
+scaled jumps sqrt(c_n) L_n; the adjoint one swaps each for its adjoint and
+the sandwich sign +2 for -2, so the state and its invariants step as one
+stack through one right-hand side, its kernels formed by `integrate` for
+each step's three rows. It is linear in the stack and in the sampled row, so
+for d^2 <= MAP_MAX_D2 `integrate` forms a block's re-Hermitizing RK4 step
+maps in one call, one for the state and one all invariants share. Either way
+each node is written from the one before, so no value depends on where a
+block starts. `march`, the one stepping loop (of the classical mirror too),
+knows only nodes; its blocks go to stack-aware diagnostics, which fold the
+jump axis (and `integrate` the invariant axis) into one product per node.
 """
 
 from __future__ import annotations
@@ -185,10 +184,10 @@ BLOCK_NODES = 128
 BLOCK_BYTES = 480 * 1024
 
 # The largest d^2 that `integrate` steps with RK4 step maps, one (d^2, d^2)
-# matrix per member and step, rather than with four `lindblad_rhs` calls a
-# step. Forming maps costs O(d^6) a step: timed per `integrate` call (500
-# steps, state and one invariant), they take 0.12-0.13 of the other path's
-# time at d = 2, 0.25 at d = 3, 0.55-0.66 at d = 4 and 0.97-1.44 at d = 5.
+# matrix per kind (state, invariant) and step, rather than with four
+# `lindblad_rhs` calls a step. Maps cost O(d^6) a step: per `integrate` call
+# (500 steps, one or three invariants, 2 cores) they take 0.11-0.20 of the
+# other path's time at d = 2, 0.19-0.33 at 3, 0.67-0.93 at 4 and 1.0-1.6 at 5.
 MAP_MAX_D2 = 16
 
 
@@ -289,14 +288,15 @@ def growth_rate(jumps: np.ndarray, inv: np.ndarray, rho: np.ndarray):
     """2 sum_n tr([L~_n, I]^dag [L~_n, I] rho), the variance growth rate.
 
     `jumps` (..., n, d, d) are the scaled jumps sqrt(c_n) L_n at one node
-    or at stacked nodes; `inv` and `rho` are (..., d, d). Each
-    term is a commutator's second moment, nonnegative up to roundoff; a
-    value below -1e-12 means the inputs were inconsistent."""
-    inv = inv[..., None, :, :]
-    comm = jumps @ inv - inv @ jumps
-    moved = comm @ rho[..., None, :, :]
-    nodes = comm.shape[:-3] + (-1,)
-    rate = 2.0 * np.vecdot(comm.reshape(nodes), moved.reshape(nodes)).real
+    or stacked nodes, `inv` and `rho` (..., d, d); the jump axis folds into
+    one product a node for L~ I, I L~ and [L~, I] rho. Each term is a second
+    moment, nonnegative up to roundoff: below -1e-12 the inputs disagree."""
+    n, d = jumps.shape[-3:-1]
+    left = jumps.reshape(jumps.shape[:-3] + (n * d, d)) @ inv
+    right = inv @ np.swapaxes(jumps, -3, -2).reshape(jumps.shape[:-3] + (d, n * d))
+    comm = left - np.swapaxes(right.reshape(right.shape[:-1] + (n, d)), -3, -2).reshape(left.shape)
+    nodes = comm.shape[:-2] + (-1,)
+    rate = 2.0 * np.vecdot(comm.reshape(nodes), (comm @ rho).reshape(nodes)).real
     abort_at(rate < -1e-12, NumericalError,
              lambda at: f"growth rate {rate[at]:.3e} is negative; inputs inconsistent")
     return rate[()]
@@ -306,11 +306,13 @@ def entropy_bound(jumps: np.ndarray, weight: np.ndarray):
     """2 tr(sum_n [L~_n^dag, L~_n] weight), the entropy-rate lower bound
     averaged in `weight` (the state, or its escort for the Renyi family).
 
-    Stacks as in `growth_rate`; extra leading axes of `weight` broadcast.
-    Exactly 0, with no average formed, where every jump is normal (in
-    particular Hermitian), the self-adjoint-noise case."""
-    jumps_dag = dagger(jumps)
-    comm = (jumps_dag @ jumps - jumps @ jumps_dag).sum(axis=-3)
+    Stacks as in `growth_rate`; extra leading axes of `weight` broadcast. The
+    jump sum is S^dag S - T T^dag (S, T the jumps stacked and side by side):
+    exactly 0, no average formed, for Hermitian jumps, whose S^dag is T."""
+    n, d = jumps.shape[-3:-1]
+    stack = jumps.reshape(jumps.shape[:-3] + (n * d, d))
+    side = np.swapaxes(jumps, -3, -2).reshape(jumps.shape[:-3] + (d, n * d))
+    comm = dagger(stack) @ stack - side @ dagger(side)
     live = comm.any(axis=(-2, -1))
     val = np.zeros(np.broadcast_shapes(live.shape, np.shape(weight)[:-2]), dtype=complex)
     if live.any():
@@ -355,18 +357,18 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     write their nodes into `march`'s block. Classic RK4 advances rho and
     `i0`, one invariant or a (k, dim, dim) stack, as one stack, each node
     from the one before: for dim^2 <= MAP_MAX_D2 by its RK4 step map (a
-    block's maps formed in one call from `superoperators`, made real maps
-    on (Re, Im) vec that re-Hermitize), otherwise by `lindblad_rhs` on the
-    kernels of its three rows. Without `i0` the invariant is H(t) and only
-    rho is stepped; the conservation guard then checks that H(t) is a weak
-    invariant of `gen`.
+    block's maps formed in one call from `superoperators`, one for the state
+    and one all invariants share, made real maps on (Re, Im) vec that
+    re-Hermitize), otherwise by `lindblad_rhs` on its three rows' kernels.
+    Without `i0` the invariant is H(t) and only rho is stepped; the
+    conservation guard then checks that H(t) is a weak invariant of `gen`.
 
-    The state is re-Hermitized once per step (the correction is tracked
-    in notes); trace and positivity are monitored, never enforced. The
-    node diagnostics run on stacks, once per block. The run aborts with a
-    NumericalError at the earliest node where the state stops being
-    finite, an eigenvalue of rho falls below POSITIVITY_FLOOR or tr(I rho)
-    of any invariant drifts beyond CONSERVATION_TOL (relative to its
+    The state is re-Hermitized once per step (its correction noted); trace and
+    positivity are monitored, never enforced. The node diagnostics run on
+    stacks once per block, all invariants and squares in one product with rho.
+    The run aborts with a NumericalError at the earliest node where the state
+    stops being finite, an eigenvalue of rho falls below POSITIVITY_FLOOR or
+    tr(I rho) of any invariant drifts beyond CONSERVATION_TOL (relative to its
     initial size); a sampling error once the nodes before it are observed.
     """
     if alpha <= 0.0:
@@ -413,7 +415,8 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
                 note(nxt[0])
                 block[j + 1] = 0.5 * (nxt + dagger(nxt))
     else:
-        basis = superoperators(gen, adjoint)
+        basis = superoperators(gen, adjoint[:2])     # one map a kind: state, invariant
+        kind = adjoint.astype(int) if len(x) > 2 else slice(None)    # each member's kind
         flip = np.arange(d2).reshape(rho.shape).T.ravel()    # vec(m) to vec(m^T)
 
         # the block as interleaved (Re, Im) row-major vec(m), one column per member
@@ -429,7 +432,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
             even, odd = 0.5 * (maps + maps[..., flip, :]), 0.5 * (maps - maps[..., flip, :])
             real = np.stack([np.stack([even.real, -even.imag], -1),
                              np.stack([odd.imag, odd.real], -1)], -3).reshape(
-                maps.shape[:-2] + (2 * d2, 2 * d2))
+                maps.shape[:-2] + (2 * d2, 2 * d2))[:, kind]
             for j in range(k):
                 np.matmul(real[j], vecs[j], out=vecs[j + 1])
             note((maps[:, 0] @ block[:k, 0].reshape(k, d2, 1)).reshape((k,) + rho.shape))
@@ -437,10 +440,10 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     # The block's arrays outlive each call, as loop variables would: each is
     # freed only when the next block rebinds it, so its memory is reused
     # rather than trimmed from the heap and faulted in again at large d.
-    jumps = sym = w = v = ir = iir = weight = weights = None
+    jumps = sym = w = v = moments = weight = weights = None
 
     def observe(span, block):
-        nonlocal exp0, cons_scale, jumps, sym, w, v, ir, iir, weight, weights
+        nonlocal exp0, cons_scale, jumps, sym, w, v, moments, weight, weights
         t = times[span]
         node_rows = rows[2 * span.start:2 * span.stop:2]
         states[span] = block[:, 0]
@@ -455,10 +458,9 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
             f"state lost positivity at t = {t[k]:.6g}: min eigenvalue {min_eig[k]:.3e} "
             f"below floor {POSITIVITY_FLOOR:.1e}; reduce dt (positivity is monitored, "
             "not enforced)"))
-        ir = inv @ rho[:, None]
-        iir = inv @ inv @ rho[:, None]
-        e_val = np.trace(ir, axis1=-2, axis2=-1)
-        e2_val = np.trace(iir, axis1=-2, axis2=-1)
+        moments = np.concatenate([inv, inv @ inv], axis=1)
+        moments = (moments.reshape(len(rho), -1, rho.shape[-1]) @ rho).reshape(moments.shape)
+        e_val, e2_val = np.split(np.trace(moments, axis1=-2, axis2=-1), 2, axis=1)
         abort_at(np.abs(e_val.imag) > IMAG_TOL * np.maximum(np.hypot(e_val.real, e_val.imag), 1.0),
                  NumericalError,
                  lambda k: f"<I> at t = {t[k[0]]:.6g} has imaginary residue {e_val[k].imag:.3e}")

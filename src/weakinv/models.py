@@ -117,17 +117,20 @@ class OscillatorModel:
         return build_su11_ops(self.n_fock, self.omega_ref)
 
     def validate_schedule(self, t0: float, t1: float) -> None:
-        """Reject schedules that break the weak-invariant construction (a
-        pole of k, or a square that overflows, reads as infinite)."""
+        """Reject schedules that break the weak-invariant construction (a pole
+        of k, or a square that overflows, reads as infinite; a kdot of +-0 or
+        not finite where k falls is a rate double precision cannot represent)."""
         col = np.linspace(t0, t1, 65)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             kv, kd = (np.asarray(f(col), dtype=float) for f in (self.k, self.kdot))
+            lost = (np.gradient(kv) < 0.0) & ~((0.0 < abs(kd)) & (abs(kd) < np.inf))
         reject_first([
             (~((0.0 < kv) & (kv < np.inf)), lambda at: (
                 f"stiffness must stay positive and finite: k({col[at]:.6g}) = {kv[at]:.6g}")),
-            (~(kd < 0.0), lambda at: (
-                f"the dissipative construction needs k(t) strictly decreasing (rate c = "
-                f"-kdot/2 must be positive): kdot({col[at]:.6g}) = {kd[at]:.6g}")),
+            (lost | ~(kd < 0.0), lambda at: (
+                "double precision cannot represent the rate c = -kdot/2 at which k(t) falls"
+                if lost[at] else "the dissipative construction needs k(t) strictly decreasing "
+                "(rate c = -kdot/2 must be positive)") + f": kdot({col[at]:.6g}) = {kd[at]:.6g}"),
         ])
 
 

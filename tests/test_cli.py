@@ -178,8 +178,10 @@ def test_config_decided_failures_exit_2(tmp_path, capsys, name, doc):
 
 
 def test_config_refused_before_its_first_step_prints_one_line(tmp_path):
-    # the stiffness schedule's square overflows while the runner checks it;
-    # in a fresh interpreter no warning capture hides what reaches stderr
+    # the stiffness schedule's square overflows while the runner checks it,
+    # so kdot rounds to -0 where k still falls: the message names the rate
+    # as unrepresentable rather than blaming the schedule's shape; in a fresh
+    # interpreter no warning capture hides what reaches stderr
     out = tmp_path / "o"
     doc = {"scenario": "oscillator", "t1": 0.01, "params": {"decay": 1e300}}
     proc = subprocess.run(
@@ -189,8 +191,8 @@ def test_config_refused_before_its_first_step_prints_one_line(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == (
-        "config error: the dissipative construction needs k(t) strictly decreasing "
-        "(rate c = -kdot/2 must be positive): kdot(0.00015625) = -0\n")
+        "config error: double precision cannot represent the rate c = -kdot/2 at which "
+        "k(t) falls: kdot(0.00015625) = -0\n")
     assert not (out / "verdict.json").exists()
 
 

@@ -329,6 +329,36 @@ def test_stack_guards_report_the_first_breaching_node():
     assert str(stack.value) == str(one.value)
 
 
+@pytest.mark.parametrize("n_jumps", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_folded_diagnostics_equal_their_per_jump_sums(dim, n_jumps):
+    # the jump axis folds into one product a node; a loop over the jumps,
+    # one pair of matrix products each, is the reference (no jumps, a
+    # closed system, give exactly 0)
+    rng = np.random.default_rng(10 * dim + n_jumps)
+    jumps, inv, rho = _random_nodes(rng, 4, dim, n_jumps)
+
+    def dag(a):
+        return a.conj().T
+
+    for k in range(4):
+        growth = bound = 0.0
+        for l_op in jumps[k]:
+            comm = l_op @ inv[k] - inv[k] @ l_op
+            growth += 2.0 * np.trace(dag(comm) @ comm @ rho[k]).real
+            bound += 2.0 * np.trace((dag(l_op) @ l_op - l_op @ dag(l_op)) @ rho[k]).real
+        for got in (growth_rate(jumps[k], inv[k], rho[k]), growth_rate(jumps, inv, rho)[k]):
+            assert got == pytest.approx(growth, rel=1e-13)
+        for got in (entropy_bound(jumps[k], rho[k]), entropy_bound(jumps, rho)[k]):
+            assert got == pytest.approx(bound, rel=1e-13)
+
+    # Hermitian jumps: the vertical stack's adjoint is the horizontal stack
+    # entry for entry, so the bound is exactly zero, at one node and stacked
+    herm = jumps + jumps.conj().swapaxes(-1, -2)
+    assert np.all(entropy_bound(herm, rho) == 0.0)
+    assert all(entropy_bound(herm[k], rho[k]) == 0.0 for k in range(4))
+
+
 def _block_edge_runs(run, *edges):
     """Windows ending just before, on and after each edge (a node count)
     reproduce the first rows of a longer run bit for bit; growth_fd is a
@@ -673,6 +703,42 @@ def test_a_stack_of_invariants_rides_on_one_state_path():
                 assert np.array_equal(col, both.series[key]), key
     # an identity shift moves the mean, never the spread
     assert np.abs(both.variances[:, 1] - both.variances[:, 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_invariants_share_one_step_map(dim):
+    # d = 2 and 3 step by maps formed once per kind (state, adjoint) and
+    # indexed per member, d = 5 by kernels: three random invariants stepped
+    # together write the bytes each writes alone
+    rng = np.random.default_rng(dim)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def herm(a):
+        return a + a.conj().swapaxes(-1, -2)
+
+    gen = LindbladGenerator(
+        terms=herm(cplx(2, dim, dim)),
+        jumps=cplx(2, dim, dim) / dim,
+        coeffs=lambda t: np.column_stack([1.0 + t, np.sin(5.0 * t)]),
+        rates=lambda t: np.column_stack([0.4 + t, 0.2 + 0.1 * np.cos(3.0 * t)]),
+    )
+    r = cplx(dim, dim)
+    rho0 = r @ r.conj().T
+    rho0 /= np.trace(rho0).real
+    stack = herm(cplx(3, dim, dim))
+    window = dict(t0=0.0, t1=0.05, dt=1e-3)
+    assert (dim * dim <= MAP_MAX_D2) == (dim < 5)
+    both = integrate(gen, rho0, i0=stack, **window)
+    for k, inv in enumerate(stack):
+        one = integrate(gen, rho0, i0=inv, **window)
+        assert one.states.tobytes() == both.states.tobytes()
+        assert one.variances[:, 0].tobytes() == both.variances[:, k].tobytes()
+        if k == 0:
+            assert one.invariants.tobytes() == both.invariants.tobytes()
+            for key, col in one.series.items():
+                assert col.tobytes() == both.series[key].tobytes(), key
 
 
 def test_every_invariant_of_a_stack_is_held_to_conservation():

@@ -91,6 +91,22 @@ def test_schedule_validation_rejects_growing_stiffness():
         flat.validate_schedule(0.0, 0.5)
 
 
+@pytest.mark.parametrize("k0, decay, at, kdot", [
+    (1.0, 1e300, "0.00015625", "-0"),     # (1 + decay t)^2 overflows, kdot rounds to -0
+    (1e300, 1e300, "0", "-inf"),          # k0 decay overflows at t = 0
+])
+def test_schedule_validation_names_a_rate_double_precision_loses(k0, decay, at, kdot):
+    # k(t) does fall there; the schedule's shape is not what is wrong
+    with pytest.raises(ValidationError) as info:
+        rational_decay(k0, decay).validate_schedule(0.0, 0.01)
+    assert str(info.value) == ("double precision cannot represent the rate c = -kdot/2 at "
+                               f"which k(t) falls: kdot({at}) = {kdot}")
+    # a k that never falls keeps the strictly-decreasing message
+    flat = r"needs k\(t\) strictly decreasing .*kdot\(0\) = -0"
+    with pytest.raises(ValidationError, match=flat):
+        rational_decay(k0, 0.0).validate_schedule(0.0, 0.01)
+
+
 def test_rate_follows_schedule():
     model = rational_decay(1.0, 0.5)
     gen = oscillator_generator(model)
