@@ -19,20 +19,19 @@ leading batch axes, (..., n_kraus, dim, dim); `apply`, `adjoint_apply`
 and `kadison_gap` broadcast over those axes, so many small channels
 cost one numpy call each instead of one per channel.
 
-Random draws follow `default_rng(seed)`'s stream bit for bit, for many
-seeds at once. `pcg64_states` runs NumPy's SeedSequence (NEP 19) and
-PCG64's 128-bit seeding for all seeds on uint32 and uint64 limb arrays.
-`bounded_draws` makes `Generator.integers` draws for all seeds the same
-way, from PCG64's LCG step, its XSL-RR output and Lemire's bounded draw,
-replays on numpy only the rare lanes a rejection could touch, and
-returns the states the draws leave. `generators` sets such states one
-by one on a single reused generator for the normal draws, which stay
-numpy's own.
+`random_channel` builds channels from the complex Gaussians it is
+given. Random draws follow `default_rng(seed)`'s stream bit for bit, for
+many seeds at once. `pcg64_states` runs NumPy's SeedSequence (NEP 19)
+and PCG64's 128-bit seeding for all seeds on uint32 and uint64 limb
+arrays. `bounded_draws` makes `Generator.integers` draws for all seeds
+the same way, from PCG64's LCG step, its XSL-RR output and Lemire's
+bounded draw, replays on numpy only the rare lanes a rejection could
+touch, and returns the states the draws leave. `complex_normals` draws
+one complex Gaussian array per such state with numpy's own normals.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +91,7 @@ class QuantumChannel:
             )
         acc = (dagger(mats) @ mats).sum(axis=-3)
         defect = np.abs(acc - np.eye(mats.shape[-1])).max(axis=(-2, -1))
-        abort_at(defect > tp_tol, ValidationError, lambda at: (
+        abort_at(~(defect <= tp_tol), ValidationError, lambda at: (
             f"{_member(at)}Kraus completeness residual {defect[at]:.3e} "
             f"exceeds tol {tp_tol:.1e}"))
         return cls(kraus=mats, tp_defect=defect, tp_tol=float(tp_tol))
@@ -321,62 +320,51 @@ def bounded_draws(seed, bounds) -> tuple[np.ndarray, np.ndarray]:
     return draws, states
 
 
-def generators(states) -> Iterator[np.random.Generator]:
-    """A generator in each PCG64 state of `pcg64_states` rows, in order.
+def complex_normals(states, shape) -> np.ndarray:
+    """One complex standard-normal array of `shape` per stream, (len(states),) + shape.
 
-    The states are set one by one on a single reused Generator, so a
-    yielded generator is only valid until the next one.
+    states are `pcg64_states` rows. Each stream draws the real parts of
+    each trailing matrix, then its imaginary parts, with numpy's own
+    `standard_normal`: shape (n, m) as z[0] + 1j z[1] of one (2, n, m)
+    draw, shape (2, n, m) as two such draws in turn. The states are set
+    one by one on a single reused generator.
     """
+    shape = tuple(shape)
+    lead = len(shape) - 2
+    draw = shape[:lead] + (2,) + shape[lead:]
+    # (..., re/im, n, m) -> (..., n, m, re/im): the buffer is then the complex array itself
+    axes = tuple(range(lead)) + (lead + 1, lead + 2, lead)
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-
-    def streams():
-        for row in states:          # row by row: a whole-array tolist() holds every word at once
-            s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = row.tolist()
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
-                          "has_uint32": has_uint32, "uinteger": uinteger}
-            yield rng
-
-    return streams()
+    z = np.empty((len(states),) + shape + (2,))
+    for j, row in enumerate(states):    # row by row: a whole-array tolist() holds every word at once
+        s_hi, s_lo, i_hi, i_lo, has_uint32, uinteger = row.tolist()
+        bits.state = {"bit_generator": "PCG64",
+                      "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo},
+                      "has_uint32": has_uint32, "uinteger": uinteger}
+        z[j] = rng.standard_normal(draw).transpose(axes)
+    return z.view(complex)[..., 0]
 
 
-def seeded_generators(seed) -> Iterator[np.random.Generator]:
-    """A generator in the state of default_rng(s) for each seed s, in order.
+def random_channel(z) -> QuantumChannel:
+    """Haar-style random CPTP map built from complex Gaussians, or a stack of them.
 
-    seed is an integer or an array of them, each in [0, 2**64); it is
-    checked and every stream seeded (`pcg64_states`) before the first
-    yield. A yielded generator is only valid until the next one.
+    z has shape (..., n_kraus*dim, dim), with dim >= 1 read from its last
+    axis and n_kraus from the rows. Each matrix is QR-orthonormalised
+    into an isometry whose dim x dim row blocks are the Kraus operators,
+    so completeness holds to machine precision by construction; the R
+    phases are fixed to make the map a function of z. Member j of a stack
+    is the channel of z[j] alone. `complex_normals` draws z from
+    `default_rng(seed)`-equal streams.
     """
-    return generators(pcg64_states(seed))
-
-
-def random_channel(dim: int, n_kraus: int, seed) -> QuantumChannel:
-    """Seeded Haar-style random CPTP map, or a stack of them.
-
-    For each seed a complex Gaussian (n_kraus*dim, dim) matrix is drawn
-    from a stream equal to default_rng(seed)'s (see `seeded_generators`,
-    which seeds them all in one vectorised pass) and QR-orthonormalised
-    into an isometry; its dim x dim row blocks are the Kraus operators, so
-    completeness holds to machine precision by construction. The R
-    phases are fixed to make the draw unambiguous for a given seed. A
-    1-d array of seeds gives a stack whose member j equals the channel
-    drawn for seed[j] alone. Seeds must be integers in [0, 2**64).
-    """
-    if dim < 1 or n_kraus < 1:
-        raise ValidationError(f"need dim >= 1 and n_kraus >= 1, got {dim}, {n_kraus}")
-    seeds = _seed_array(seed)
-    if seeds.ndim > 1:
-        raise ValidationError(f"seed must be an integer or a 1-d array, got shape {seeds.shape}")
-    shape = (n_kraus * dim, dim)
-    # one draw per seed, real parts then imaginary, stored as (re, im) pairs
-    # so that the buffer is the complex stack itself
-    z = np.empty((seeds.size,) + shape + (2,))
-    for j, rng in enumerate(seeded_generators(seeds)):
-        z[j] = rng.normal(size=(2,) + shape).transpose(1, 2, 0)
-    q, r = np.linalg.qr(z.view(complex).reshape(seeds.shape + shape))
+    z = np.asarray(z, dtype=complex)
+    if not (z.ndim >= 2 and z.shape[-2] >= z.shape[-1] >= 1 and z.shape[-2] % z.shape[-1] == 0):
+        raise ValidationError(f"Gaussians must have shape (..., n_kraus*dim, dim) with "
+                              f"n_kraus, dim >= 1, got {z.shape}")
+    dim = z.shape[-1]
+    q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (d.conj() / np.abs(d))[..., None, :]
     return QuantumChannel.from_kraus(
-        q.reshape(seeds.shape + (n_kraus, dim, dim)), tp_tol=1e-12
+        q.reshape(z.shape[:-2] + (-1, dim, dim)), tp_tol=1e-12
     )

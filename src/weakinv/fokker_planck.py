@@ -93,7 +93,7 @@ def space_grid(x_min: float, x_max: float, h: float) -> np.ndarray:
         raise ValidationError(f"h {h} does not tile [{x_min}, {x_max}]")
     try:
         return x_min + h * np.arange(int(n_cells) + 1)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValidationError(f"h {h} makes {n_cells + 1:.6g} nodes of [{x_min}, {x_max}], "
                               "more than numpy can build") from exc
 

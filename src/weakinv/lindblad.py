@@ -203,7 +203,7 @@ def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
         raise ValidationError(f"dt {dt} does not tile [{t0}, {t1}] into at least two whole steps")
     try:
         return t0 + dt * np.arange(int(n) + 1)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValidationError(f"dt {dt} makes {n + 1:.6g} nodes of [{t0}, {t1}], "
                               "more than numpy can build") from exc
 

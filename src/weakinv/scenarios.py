@@ -23,11 +23,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channels import (
+    QuantumChannel,
     apply,
     bounded_draws,
-    generators,
+    complex_normals,
     kadison_gap,
     lindblad_step_channel,
+    pcg64_states,
     random_channel,
     sandwich,
 )
@@ -335,43 +337,36 @@ def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
 
 # -- channel fuzz ------------------------------------------------------------
 
-def _fuzz_observables(dim: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each case's normalised observable I and input state rho, from its observable stream.
-
-    states holds the `pcg64_states` row each stream is in after its case's
-    shape draws; the draw buffer is freed on return, before the channels act.
-    """
-    # one draw per case: real and imaginary parts of g, then of r, stored as
-    # (re, im) pairs so that the buffer is the complex stack itself
-    z = np.empty((len(states), 2, dim, dim, 2))
-    for j, rng in enumerate(generators(states)):
-        z[j] = rng.standard_normal((2, 2, dim, dim)).transpose(0, 2, 3, 1)
-    g, r = np.moveaxis(z.view(complex)[..., 0], 1, 0)
-    i_op = 0.5 * (g + dagger(g))
-    i_op /= np.maximum(np.abs(np.linalg.eigvalsh(i_op)).max(axis=-1), 1e-12)[:, None, None]
-    rho_m = r @ dagger(r)
-    rho_m /= np.trace(rho_m, axis1=-2, axis2=-1).real[:, None, None]
-    return i_op, rho_m
-
-
-def _fuzz_group(dim: int, n_kraus: int, channel_seeds: np.ndarray,
-                observable_states: np.ndarray) -> np.ndarray:
-    """Rows for the cases sharing (dim, n_kraus), one helper call per stack.
-
-    A row is the duality defect, the paired moment growth, the Kadison
-    gap's smallest eigenvalue, the completeness defect and the output
-    state's smallest eigenvalue, each computed from that case's own
-    draws: its channel from its channel seed, its observable and state
-    from its observable stream (`_fuzz_observables`).
-    """
-    ch = random_channel(dim, n_kraus, channel_seeds)
-    i_op, rho_m = _fuzz_observables(dim, observable_states)
+def _fuzz_rows(ch: QuantumChannel, i_op: np.ndarray, rho_m: np.ndarray) -> np.ndarray:
+    """One row per case of a stack: the duality defect, the paired moment
+    growth, the Kadison gap's smallest eigenvalue, the completeness defect
+    and the output state's smallest eigenvalue of channel ch, observable
+    I and state rho."""
     rho_out = apply(ch, rho_m)
     gap, pulled = kadison_gap(ch, i_op)
     gap_min = np.linalg.eigvalsh(gap).min(axis=-1)
     cons = np.abs(expectation(pulled, rho_m) - expectation(i_op, rho_out))
     pair_growth = variance(i_op, rho_out) - variance(pulled, rho_m)
     return np.column_stack([cons, pair_growth, gap_min, ch.tp_defect, rho_out.min_eig])
+
+
+def _fuzz_group(dim: int, n_kraus: int, channel_seeds: np.ndarray,
+                observable_states: np.ndarray) -> np.ndarray:
+    """`_fuzz_rows` for the cases sharing (dim, n_kraus), one helper call per stack.
+
+    Each case draws its channel's Gaussians from its channel seed, and
+    those of its observable I and state rho from its observable stream,
+    which `observable_states` holds as the `pcg64_states` row its shape
+    draws left.
+    """
+    ch = random_channel(complex_normals(pcg64_states(channel_seeds), (n_kraus * dim, dim)))
+    g, r = np.moveaxis(complex_normals(observable_states, (2, dim, dim)), 1, 0)
+    i_op = 0.5 * (g + dagger(g))
+    i_op /= np.maximum(np.abs(np.linalg.eigvalsh(i_op)).max(axis=-1), 1e-12)[:, None, None]
+    rho_m = r @ dagger(r)
+    rho_m /= np.trace(rho_m, axis1=-2, axis2=-1).real[:, None, None]
+    del g, r    # the views hold the whole draw buffer; free it before the channel acts
+    return _fuzz_rows(ch, i_op, rho_m)
 
 
 def run_channel_fuzz(cfg: ExperimentConfig) -> ScenarioResult:

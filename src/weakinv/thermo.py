@@ -37,7 +37,7 @@ def _hamiltonian(h) -> np.ndarray:
 
 def _temperatures(temperature) -> np.ndarray:
     temps = np.asarray(temperature)
-    abort_at(temps <= 0.0, ValidationError,
+    abort_at(~(temps > 0.0), ValidationError,
              lambda at: f"{_member(at)}temperature must be positive, got {temps[at]}")
     return temps
 

@@ -10,12 +10,12 @@ from weakinv.channels import (
     adjoint_apply,
     apply,
     bounded_draws,
+    complex_normals,
     kadison_gap,
     lindblad_step_channel,
     pcg64_states,
     random_channel,
     sandwich,
-    seeded_generators,
 )
 from weakinv.config import validate_config
 from weakinv.errors import ValidationError
@@ -37,9 +37,32 @@ def bit_flip(p):
         [np.sqrt(1.0 - p) * np.eye(2, dtype=complex), np.sqrt(p) * SIGMA_X])
 
 
+def _seeded_channel(dim, n_kraus, seed):
+    """random_channel on the Gaussians of default_rng(s)-equal streams: a
+    stack for an array of seeds, one channel for a single seed."""
+    z = complex_normals(pcg64_states(seed), (n_kraus * dim, dim))
+    return random_channel(z.reshape(np.shape(seed) + z.shape[1:]))
+
+
 def test_kraus_completeness_enforced():
     with pytest.raises(ValidationError):
         QuantumChannel.from_kraus([0.5 * np.eye(2, dtype=complex)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_kraus_operators_are_refused():
+    # a NaN residual fails the completeness certificate rather than passing it
+    for bad in (np.nan, np.inf):
+        kraus = _seeded_channel(2, 2, [1, 2, 3]).kraus.copy()
+        kraus[1, 0, 0, 1] = bad
+        with pytest.raises(ValidationError,
+                           match=r"^stack member 1: Kraus completeness residual (nan|inf) "):
+            QuantumChannel.from_kraus(kraus)
+    # QR returns NaN factors without complaint, so the channel is refused at its certificate
+    z = complex_normals(pcg64_states([4, 5, 6]), (4, 2))
+    z[2, 3, 1] = np.nan
+    with pytest.raises(ValidationError, match=r"^stack member 2: Kraus completeness residual nan "):
+        random_channel(z)
 
 
 def test_depolarizing_adjoint_contracts_observables():
@@ -63,7 +86,7 @@ def test_bit_flip_adjoint():
 
 
 def test_apply_preserves_trace_and_positivity():
-    ch = random_channel(4, 3, seed=7)
+    ch = _seeded_channel(4, 3, 7)
     rng = np.random.default_rng(8)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
@@ -76,7 +99,7 @@ def test_apply_preserves_trace_and_positivity():
 
 def test_adjoint_is_unital_for_random_channels():
     for seed in range(5):
-        ch = random_channel(5, 4, seed=seed)
+        ch = _seeded_channel(5, 4, seed)
         pulled = adjoint_apply(ch, np.eye(5, dtype=complex))
         assert np.abs(pulled - np.eye(5)).max() < 1e-12
 
@@ -98,12 +121,12 @@ SEED_STACKS = st.lists(st.integers(0, 10**6), min_size=1, max_size=4)
 @given(st.integers(2, 6), st.integers(1, 5), SEED_STACKS)
 @settings(max_examples=50, deadline=None)
 def test_random_channel_kadison_psd(dim, n_kraus, seeds):
-    stack = random_channel(dim, n_kraus, np.array(seeds))
+    stack = _seeded_channel(dim, n_kraus, np.array(seeds))
     i_ops = np.stack([_hermitian(np.random.default_rng(s + 13), dim) for s in seeds])
     gaps, _ = kadison_gap(stack, i_ops)
     assert stack.kraus.shape == (len(seeds), n_kraus, dim, dim)
     for j, seed in enumerate(seeds):
-        ch = random_channel(dim, n_kraus, seed)
+        ch = _seeded_channel(dim, n_kraus, seed)
         gap, _ = kadison_gap(ch, i_ops[j])
         assert np.linalg.eigvalsh(gap).min() >= -1e-9 * max(1.0, np.abs(i_ops[j]).max() ** 2)
         assert np.array_equal(stack.kraus[j], ch.kraus)
@@ -113,14 +136,14 @@ def test_random_channel_kadison_psd(dim, n_kraus, seeds):
 @given(st.integers(2, 6), st.integers(1, 5), SEED_STACKS)
 @settings(max_examples=50, deadline=None)
 def test_duality_of_expectations(dim, n_kraus, seeds):
-    stack = random_channel(dim, n_kraus, np.array(seeds))
+    stack = _seeded_channel(dim, n_kraus, np.array(seeds))
     rngs = [np.random.default_rng(s + 29) for s in seeds]
     i_ops = np.stack([_hermitian(rng, dim) for rng in rngs])
     rhos = np.stack([_density(rng, dim) for rng in rngs])
     lhs_stack = expectation(adjoint_apply(stack, i_ops), rhos)
     rhs_stack = expectation(i_ops, apply(stack, rhos))
     for j, seed in enumerate(seeds):
-        ch = random_channel(dim, n_kraus, seed)
+        ch = _seeded_channel(dim, n_kraus, seed)
         lhs = expectation(adjoint_apply(ch, i_ops[j]), rhos[j])
         rhs = expectation(i_ops[j], apply(ch, rhos[j]))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -131,21 +154,28 @@ def test_duality_of_expectations(dim, n_kraus, seeds):
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1]
 
 
-@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(2, 6))
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(2, 6), st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
-def test_seeded_generators_replay_default_rng(seeds, dim):
-    # each yielded stream is default_rng(seed)'s, bit for bit, through the
-    # draws channel fuzz makes: shape, observable and channel draws
+def test_complex_normals_replay_default_rng(seeds, dim, n_kraus):
+    # each row is default_rng(seed)'s draw, bit for bit, in both shapes
+    # channel fuzz draws: a channel's from a fresh stream, and an observable
+    # and state's from the state its shape draws leave (the high half of a
+    # word buffered when it draws one word, here from a range of 1 for n_kraus)
     seeds = seeds + EDGE_SEEDS
-    streams = seeded_generators(np.array(seeds, dtype=np.uint64))
-    for seed, rng in zip(seeds, streams, strict=True):
-        ref = np.random.default_rng(seed)
-        assert rng.integers(2, 7) == ref.integers(2, 7)
-        assert rng.integers(1, 5) == ref.integers(1, 5)
-        assert np.array_equal(rng.standard_normal((2, 2, dim, dim)),
-                              ref.standard_normal((2, 2, dim, dim)))
-        assert np.array_equal(rng.normal(size=(2, 3 * dim, dim)),
-                              ref.normal(size=(2, 3 * dim, dim)))
+    words = np.array(seeds, dtype=np.uint64)
+    channel = complex_normals(pcg64_states(words), (n_kraus * dim, dim))
+    assert channel.shape == (len(seeds), n_kraus * dim, dim) and channel.dtype == complex
+    for shape_bounds in ([(2, 7), (1, 5)], [(2, 7), (1, 2)]):
+        observed = complex_normals(bounded_draws(words, shape_bounds)[1], (2, dim, dim))
+        assert observed.shape == (len(seeds), 2, dim, dim)
+        for j, seed in enumerate(seeds):
+            ref = np.random.default_rng(seed)
+            z = ref.normal(size=(2, n_kraus * dim, dim))
+            assert np.array_equal(channel[j], z[0] + 1j * z[1])
+            ref = np.random.default_rng(seed)
+            [ref.integers(lo, hi) for lo, hi in shape_bounds]
+            z = ref.standard_normal((2, 2, dim, dim))
+            assert np.array_equal(observed[j], z[:, 0] + 1j * z[:, 1])
 
 
 def _state_row(rng):
@@ -217,7 +247,7 @@ def test_sandwich_equals_per_kraus_sum(left_batch, m_batch):
 
 
 def test_kadison_gap_returns_the_pulled_back_operator():
-    stack = random_channel(3, 2, np.array([4, 5, 6]))
+    stack = _seeded_channel(3, 2, np.array([4, 5, 6]))
     i_ops = np.stack([_hermitian(np.random.default_rng(s), 3) for s in (1, 2, 3)])
     gap, pulled = kadison_gap(stack, i_ops)
     assert np.array_equal(pulled, adjoint_apply(stack, i_ops))
@@ -244,7 +274,8 @@ def test_channel_fuzz_rows_equal_per_case_draws():
         i_op /= max(np.abs(np.linalg.eigvalsh(i_op)).max(), 1e-12)
         rho = r @ r.conj().T
         rho /= np.trace(rho).real
-        ch = random_channel(dim, n_kraus, channel_seed)
+        z = np.random.default_rng(channel_seed).normal(size=(2, n_kraus * dim, dim))
+        ch = random_channel(z[0] + 1j * z[1])
         gap, pulled = kadison_gap(ch, i_op)
         rho_out = apply(ch, rho)
         want = [abs(expectation(pulled, rho) - expectation(i_op, rho_out)),
@@ -267,9 +298,26 @@ def _per_seed_channel(dim, n_kraus, seed):
        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_random_channel_members_equal_per_seed_draws(dim, n_kraus, seeds):
-    stack = random_channel(dim, n_kraus, np.array(seeds, dtype=np.uint64))
+    stack = _seeded_channel(dim, n_kraus, np.array(seeds, dtype=np.uint64))
     for j, seed in enumerate(seeds):
         assert np.array_equal(stack.kraus[j], _per_seed_channel(dim, n_kraus, seed))
+
+
+@pytest.mark.parametrize("shape, kraus_shape", [((4, 1), (4, 1, 1)), ((6, 2), (3, 2, 2)),
+                                                ((2, 3, 9, 3), (2, 3, 3, 3, 3))])
+def test_random_channel_reads_dim_and_n_kraus_from_its_gaussians(shape, kraus_shape):
+    z = np.random.default_rng(3).standard_normal(shape + (2,)).view(complex)[..., 0]
+    ch = random_channel(z)
+    assert ch.kraus.shape == kraus_shape
+    members = ch.kraus.reshape((-1,) + kraus_shape[-3:])
+    for member, gaussians in zip(members, z.reshape((-1,) + shape[-2:]), strict=True):
+        assert np.array_equal(member, random_channel(gaussians).kraus)
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 2), (1, 2), (5, 2), (2, 0), (4, 3, 2)])
+def test_random_channel_refuses_other_shapes(shape):
+    with pytest.raises(ValidationError, match=r"shape \(\.\.\., n_kraus\*dim, dim\)"):
+        random_channel(np.ones(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("seed, message", [
@@ -282,7 +330,7 @@ def test_random_channel_members_equal_per_seed_draws(dim, n_kraus, seeds):
     ([2**64, "7"], "stack member 1: seed 7 is not an integer"),
 ])
 def test_seed_domain_is_guarded(seed, message):
-    for call in (lambda: random_channel(2, 1, seed), lambda: seeded_generators(seed)):
+    for call in (lambda: pcg64_states(seed), lambda: bounded_draws(seed, [(2, 7)])):
         with pytest.raises(ValidationError, match=message):
             call()
 

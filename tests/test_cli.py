@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -193,6 +194,36 @@ def test_config_refused_before_its_first_step_prints_one_line(tmp_path):
     assert proc.stderr == (
         "config error: double precision cannot represent the rate c = -kdot/2 at which "
         "k(t) falls: kdot(0.00015625) = -0\n")
+    assert not (out / "verdict.json").exists()
+
+
+# 4 GB of address space, as `ulimit -v 4000000`: the child can import numpy
+# and run, but no grid of terabytes can be allocated in it
+ADDRESS_SPACE_LIMIT = 4_000_000 * 1024
+
+
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_LIMIT, ADDRESS_SPACE_LIMIT))
+
+
+@pytest.mark.parametrize("name, doc, grid", [
+    ("alloc_dt", {"scenario": "spin", "dt": 1e-12}, "dt 1e-12 makes 5e+11 nodes of [0.0, 0.5]"),
+    ("alloc_h", {"scenario": "fp_ou", "params": {"h": 1e-14}},
+     "h 1e-14 makes 1.6e+15 nodes of [-8.0, 8.0]"),
+])
+def test_grids_too_large_to_allocate_exit_2(tmp_path, name, doc, grid):
+    # numpy accepts 3.64 TiB and 11.4 PiB of nodes but cannot allocate them:
+    # the MemoryError is the config's doing, like numpy's refusal of a larger
+    # grid. Run only under the address-space limit, in a child process.
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "weakinv.cli", "run",
+         "--config", _write(tmp_path, f"{name}.json", doc), "--output-dir", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+        preexec_fn=_address_space_limit,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"config error: {grid}, more than numpy can build\n"
     assert not (out / "verdict.json").exists()
 
 

@@ -196,3 +196,10 @@ def test_stack_guards_name_the_earliest_member():
         solve_isoenergetic_temperature(np.stack([z, gap]), np.array([-0.5, -1.0 + 1e-8]))
     with pytest.raises(ValidationError, match=r"^stack member 1: temperature must be positive"):
         canonical_state(np.stack([z, z]), np.array([1.0, -2.0]))
+    # NaN is no positive temperature either, as a scalar or a stack member
+    for call in (canonical_state, internal_energy):
+        with pytest.raises(ValidationError, match=r"^temperature must be positive, got nan$"):
+            call(z, np.nan)
+        with pytest.raises(ValidationError,
+                           match=r"^stack member 1: temperature must be positive, got nan$"):
+            call(np.stack([z, z]), np.array([1.0, np.nan]))
