@@ -329,7 +329,6 @@ def complex_normals(states, shape) -> np.ndarray:
     draw, shape (2, n, m) as two such draws in turn. The states are set
     one by one on a single reused generator.
     """
-    shape = tuple(shape)
     lead = len(shape) - 2
     draw = shape[:lead] + (2,) + shape[lead:]
     # (..., re/im, n, m) -> (..., n, m, re/im): the buffer is then the complex array itself
