@@ -2,14 +2,16 @@
 
 Configs are flat JSON objects. `scenario` picks the experiment, the
 common block (t0, t1, dt, alpha, seed) controls the integration, and
-`params` holds scenario-specific numbers. Unknown keys anywhere are an
+`params` holds scenario-specific numbers; both take one schema form, and
+t1 > t0 is the one rule across keys. Unknown keys anywhere are an
 error: silent typos in tolerance-sensitive runs are worse than a loud
 failure. All schema problems raise ConfigError, which the CLI maps to
 its own exit code, distinct from runtime numerical failures.
 
 This module is the schema alone: what the config decides only by the
-engine's rules (grids, fp_ou's step budget and start, the oscillator's
-schedule), each runner refuses as a ConfigError before it steps.
+engine's rules (grids by `lindblad.uniform_grid`, fp_ou's step budget and
+start, the oscillator's schedule), each runner refuses as a ConfigError
+before it steps.
 """
 
 from __future__ import annotations
@@ -28,12 +30,13 @@ class ConfigError(ValidationError):
 
 SCENARIOS = ("spin", "oscillator", "channel_fuzz", "thermo_spin", "fp_ou")
 
+# name -> (default, kind), kinds as in _PARAM_SCHEMA below.
 _COMMON_DEFAULTS = {
-    "t0": 0.0,
-    "t1": 0.5,
-    "dt": 1e-3,
-    "alpha": 2.0,
-    "seed": 1234,
+    "t0": (0.0, "float"),
+    "t1": (0.5, "float"),
+    "dt": (1e-3, "pos_float"),
+    "alpha": (2.0, "pos_float"),
+    "seed": (1234, "int:0"),
 }
 
 # Scenario-specific overrides of the common block. The classical run needs
@@ -168,20 +171,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError(f"output_dir: expected a nonempty string, got {output_dir!r}")
 
-    defaults = dict(_COMMON_DEFAULTS, **_SCENARIO_COMMON.get(scenario, {}))
-    common = {}
-    for key, default in defaults.items():
-        value = raw.get(key, default)
-        if key == "seed":
-            common[key] = _check_number(key, value, "int:0")
-        else:
-            common[key] = _check_number(key, value, "float")
+    overrides = _SCENARIO_COMMON.get(scenario, {})
+    common = {key: _check_number(key, raw.get(key, overrides.get(key, default)), kind)
+              for key, (default, kind) in _COMMON_DEFAULTS.items()}
     if common["t1"] <= common["t0"]:
         raise ConfigError(f"need t1 > t0, got [{common['t0']}, {common['t1']}]")
-    if common["dt"] <= 0.0:
-        raise ConfigError(f"dt must be positive, got {common['dt']}")
-    if common["alpha"] <= 0.0:
-        raise ConfigError(f"alpha must be positive, got {common['alpha']}")
 
     schema = _PARAM_SCHEMA[scenario]
     raw_params = raw.get("params", {})

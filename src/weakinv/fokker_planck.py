@@ -1,6 +1,6 @@
 """Classical drift-diffusion mirror of the quantum machinery.
 
-A probability density on a uniform grid evolves by
+A probability density on a `lindblad.uniform_grid` of space evolves by
 
     dP/dt = -d/dx (K P) + d^2/dx^2 (D P),
 
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .lindblad import block_for, march, rk4_step, time_grid
+from .lindblad import block_for, march, rk4_step, uniform_grid
 from .operators import abort_at
 
 BOUNDARY_DECAY_TOL = 1e-10
@@ -51,8 +51,9 @@ NEGATIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GridDistribution:
-    """A density on a uniform grid, or a stack (m, n) of them, with the grid's
-    trapezoid `weights` (numpy's rule: half of each cell's width at either end)."""
+    """A density on a grid uniform to 1e-9 of its step, or a stack (m, n) of
+    them, with the grid's trapezoid `weights` (numpy's rule: half of each
+    cell's width at either end)."""
 
     x: np.ndarray
     values: np.ndarray
@@ -67,7 +68,7 @@ class GridDistribution:
             raise ValidationError("grid and values must be matching 1-d arrays, >= 8 nodes")
         steps = np.diff(xv)
         h = float(steps[0])
-        if h <= 0.0 or np.abs(steps - h).max() > 1e-12 * abs(h):
+        if h <= 0.0 or np.abs(steps - h).max() > 1e-9 * h:
             raise ValidationError("grid must be uniform and increasing")
         peak = float(pv.max())
         if peak <= 0.0:
@@ -80,22 +81,6 @@ class GridDistribution:
     def mass(self):
         """The integral of each density: a float, or one per row of a stack."""
         return np.vecdot(self.values, self.weights)
-
-
-def space_grid(x_min: float, x_max: float, h: float) -> np.ndarray:
-    """Nodes x_min, x_min + h, ..., x_max; h must tile the domain in at least 8
-    cells, into no more nodes than numpy can build."""
-    width = x_max - x_min
-    if width <= 0.0:
-        raise ValidationError(f"need x_max > x_min, got [{x_min}, {x_max}]")
-    n_cells = np.rint(width / h)    # inf where the domain overflows or h underflows
-    if not 8 <= n_cells < np.inf or abs(x_min + n_cells * h - x_max) > 1e-9 * width:
-        raise ValidationError(f"h {h} does not tile [{x_min}, {x_max}]")
-    try:
-        return x_min + h * np.arange(int(n_cells) + 1)
-    except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"h {h} makes {n_cells + 1:.6g} nodes of [{x_min}, {x_max}], "
-                              "more than numpy can build") from exc
 
 
 def gaussian_profile(x, mean: float, var: float) -> GridDistribution:
@@ -273,7 +258,7 @@ def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
     reaches the boundary or goes negative, or (at a node that starts a
     step) dt breaks the CFL budget `explicit_step_limit`.
     """
-    times = time_grid(t0, t1, dt)
+    times = uniform_grid(t0, t1, dt, 2)
     h, x = dist.h, dist.x
     coeffs = tuple(_on_grid(x, drift, diffusion))
     limit = explicit_step_limit(h, coeffs[1])

@@ -44,6 +44,7 @@ each node is written from the one before, so no value depends on where a
 block starts. `march`, the one stepping loop (of the classical mirror too),
 knows only nodes; its blocks go to stack-aware diagnostics, which fold the
 jump axis (and `integrate` the invariant axis) into one product per node.
+`uniform_grid` builds every grid of nodes, the classical mirror's in space too.
 """
 
 from __future__ import annotations
@@ -191,20 +192,24 @@ BLOCK_BYTES = 480 * 1024
 MAP_MAX_D2 = 16
 
 
-def time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
-    """Nodes t0, t0 + dt, ..., t1; dt must tile [t0, t1] in at least two whole
+def uniform_grid(lo: float, hi: float, step: float, min_steps: int,
+                 names=("t0", "t1", "dt")) -> np.ndarray:
+    """Nodes lo, lo + step, ..., hi of a window whose ends and step are `names`;
+    step must tile [lo, hi] to 1e-9 of its width in at least min_steps whole
     steps, into no more nodes than numpy can build."""
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if t1 <= t0:
-        raise ValidationError(f"need t1 > t0, got [{t0}, {t1}]")
-    n = np.rint((t1 - t0) / dt)     # inf where the window overflows or dt underflows
-    if not 2 <= n < np.inf or abs(t0 + n * dt - t1) > 1e-9 * max(1.0, abs(t1)):
-        raise ValidationError(f"dt {dt} does not tile [{t0}, {t1}] into at least two whole steps")
+    a, b, s = names
+    if step <= 0.0:
+        raise ValidationError(f"{s} must be positive, got {step}")
+    if hi <= lo:
+        raise ValidationError(f"need {b} > {a}, got [{lo}, {hi}]")
+    n = np.rint((hi - lo) / step)    # inf where the window overflows or the step underflows
+    if not min_steps <= n < np.inf or abs(lo + n * step - hi) > 1e-9 * (hi - lo):
+        raise ValidationError(f"{s} {step} does not tile [{lo}, {hi}] "
+                              f"into at least {min_steps} whole steps")
     try:
-        return t0 + dt * np.arange(int(n) + 1)
+        return lo + step * np.arange(int(n) + 1)
     except (ValueError, MemoryError) as exc:
-        raise ValidationError(f"dt {dt} makes {n + 1:.6g} nodes of [{t0}, {t1}], "
+        raise ValidationError(f"{s} {step} makes {n + 1:.6g} nodes of [{lo}, {hi}], "
                               "more than numpy can build") from exc
 
 
@@ -348,8 +353,8 @@ class Trajectory:
     notes: dict[str, float] = field(default_factory=dict)
 
 
-def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float = 0.5,
-              dt: float = 1e-3, alpha: float = 2.0) -> Trajectory:
+def integrate(gen: LindbladGenerator, rho0, i0=None, *, t0: float, t1: float, dt: float,
+              alpha: float = 2.0) -> Trajectory:
     """Fixed-step joint integration of state and invariants on `march`.
 
     One `eval` samples the generator at the 2N + 1 distinct times of N
@@ -374,7 +379,7 @@ def integrate(gen: LindbladGenerator, rho0, i0=None, t0: float = 0.0, t1: float 
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
 
-    times = time_grid(t0, t1, dt)
+    times = uniform_grid(t0, t1, dt, 2)
     rho = DensityMatrix.from_matrix(rho0).mat
     inv0 = np.empty((0,) + rho.shape) if i0 is None else require_hermitian(i0, name="I(t0)")
     if inv0.shape[-2:] != rho.shape or inv0.ndim > 3:

@@ -42,7 +42,6 @@ from .fokker_planck import (
     gaussian_profile,
     interior_minimum,
     ou_invariant_coeffs,
-    space_grid,
 )
 from .lindblad import (
     BLOCK_BYTES,
@@ -53,7 +52,7 @@ from .lindblad import (
     lindblad_rhs,
     rhs_kernels,
     rk4_step,
-    time_grid,
+    uniform_grid,
 )
 from .models import (
     edge_occupation,
@@ -209,7 +208,7 @@ def _spin_initial_state(h0: np.ndarray, kind: str, t_init: float) -> DensityMatr
 def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     with _config_decided():
-        time_grid(cfg.t0, cfg.t1, cfg.dt)
+        uniform_grid(cfg.t0, cfg.t1, cfg.dt, 2)
     model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
     gen = spin_generator(model)
     h0 = spin_hamiltonian(model, cfg.t0)
@@ -282,7 +281,7 @@ def run_spin(cfg: ExperimentConfig) -> ScenarioResult:
 def run_oscillator(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     with _config_decided():
-        time_grid(cfg.t0, cfg.t1, cfg.dt)
+        uniform_grid(cfg.t0, cfg.t1, cfg.dt, 2)
         model = replace(rational_decay(p["k0"], p["decay"]), n_fock=p["n_fock"])
         model.validate_schedule(cfg.t0, cfg.t1)
     gen = oscillator_generator(model)
@@ -412,7 +411,7 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     step = (cfg.t1 - cfg.t0) / (p["n_times"] - 1)
     with _config_decided():
-        times = time_grid(cfg.t0, cfg.t1, step)
+        times = uniform_grid(cfg.t0, cfg.t1, step, 2)
     model = exponential_field(np.asarray(p["b0"]), p["rate_c"])
 
     hs = spin_hamiltonian(model, times)
@@ -469,8 +468,8 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
 def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     p = cfg.params
     with _config_decided():
-        times = time_grid(cfg.t0, cfg.t1, cfg.dt)
-        x = space_grid(p["x_min"], p["x_max"], p["h"])
+        times = uniform_grid(cfg.t0, cfg.t1, cfg.dt, 2)
+        x = uniform_grid(p["x_min"], p["x_max"], p["h"], 8, ("x_min", "x_max", "h"))
         # the spacing the engine steps on, which may sit a hair off h
         limit = explicit_step_limit(x[1] - x[0], p["diffusion"])
         if cfg.dt > limit:

@@ -153,6 +153,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("huge_decay", '{"scenario": "oscillator", "t1": 0.01, "params": {"decay": 1e300}}'),
     ("untiled_dt", '{"scenario": "spin", "t1": 0.0105, "dt": 1e-3}'),
     ("untiled_h", '{"scenario": "fp_ou", "params": {"h": 0.03}}'),
+    # three steps of 0.3334 overshoot the window's end by 2e-4
+    ("far_window", '{"scenario": "oscillator", "t0": 1e6, "t1": 1000001.0, "dt": 0.3334, '
+                   '"params": {"n_fock": 8}}'),
     ("cfl_dt", '{"scenario": "fp_ou", "dt": 1e-3}'),
     # an initial profile that vanishes on the grid, or already reaches its edges
     ("far_mean", '{"scenario": "fp_ou", "params": {"init_mean": 100.0}}'),

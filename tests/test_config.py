@@ -19,7 +19,8 @@ from weakinv.config import (
     validate_config,
 )
 from weakinv.errors import NumericalError
-from weakinv.fokker_planck import evolve, gaussian_profile, ou_invariant_coeffs, space_grid
+from weakinv.fokker_planck import evolve, gaussian_profile, ou_invariant_coeffs
+from weakinv.lindblad import uniform_grid
 from weakinv.scenarios import run_scenario
 
 
@@ -70,13 +71,14 @@ def test_unknown_keys_rejected_at_both_levels():
 
 
 def test_window_and_step_validation():
-    with pytest.raises(ConfigError):
+    # the common block takes the params' kinds and messages
+    with pytest.raises(ConfigError, match=r"^dt: must be positive, got -0.001$"):
         validate_config({"scenario": "spin", "dt": -1e-3})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^need t1 > t0, got \[1.0, 0.5\]$"):
         validate_config({"scenario": "spin", "t0": 1.0, "t1": 0.5})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^alpha: must be positive, got 0.0$"):
         validate_config({"scenario": "spin", "alpha": 0.0})
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^seed: "):
         validate_config({"scenario": "spin", "seed": True})
 
 
@@ -96,6 +98,9 @@ def test_grids_that_do_not_tile_are_config_errors():
     for scenario, params in (("channel_fuzz", {"n_channels": 4}), ("thermo_spin", {"n_times": 65})):
         cfg = validate_config({"scenario": scenario, "t1": 0.0105, "dt": 1e-3, "params": params})
         assert run_scenario(cfg).scenario == scenario
+    # a domain far from 0 tiles to within its nodes' roundoff, and runs
+    far = {"x_min": 992.0, "x_max": 1008.0, "init_mean": 1000.0, "gamma": 1e-9}
+    assert run_scenario(validate_config({"scenario": "fp_ou", "t1": 0.01, "params": far})).all_pass
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -120,7 +125,7 @@ def test_explicit_step_budget_is_a_config_error():
             {"scenario": "fp_ou", "t1": 0.01, "dt": dt})
     assert run_scenario(validate_config({"scenario": "fp_ou", "t1": 0.01, "dt": 1e-4})).all_pass
     # the engine's own guard, past the runner's refusal
-    x = space_grid(-8.0, 8.0, 0.02)
+    x = uniform_grid(-8.0, 8.0, 0.02, 8, ("x_min", "x_max", "h"))
     with pytest.raises(NumericalError, match="explicit-step budget violated at t = 0"):
         evolve(gaussian_profile(x, 0.5, 0.5), -x, np.ones_like(x),
                ou_invariant_coeffs(1.0, 1.0, 1.0, 0.0, 0.0), 0.0, 0.01, 2e-4)

@@ -21,9 +21,8 @@ from weakinv.fokker_planck import (
     invariant_moments,
     ou_invariant_coeffs,
     rk4_band,
-    space_grid,
 )
-from weakinv.lindblad import rk4_step
+from weakinv.lindblad import rk4_step, uniform_grid
 
 
 def _grid(x_min=-8.0, x_max=8.0, h=0.02):
@@ -83,7 +82,7 @@ def test_stacked_diagnostics_equal_per_row_calls():
 
 def test_integrals_match_numpy_trapezoid_on_an_asymmetric_grid():
     # one weight vector stands in for np.trapezoid in every integral
-    x = space_grid(-3.5, 6.25, 0.0625)
+    x = uniform_grid(-3.5, 6.25, 0.0625, 8, ("x_min", "x_max", "h"))
     # no symmetry, and unequal nonzero values at both ends
     p = np.exp(-0.1 * (x - 1.2) ** 2) * (1.0 + 0.3 * np.sin(x))
     dist = GridDistribution.from_samples(x, p)
@@ -143,7 +142,7 @@ def _band_step(band, p):
 
 def test_rk4_band_matches_the_stage_by_stage_step():
     # an asymmetric grid with position-dependent K and D, near the explicit budget
-    x = space_grid(-3.5, 6.25, 0.0625)
+    x = uniform_grid(-3.5, 6.25, 0.0625, 8, ("x_min", "x_max", "h"))
     drift, diff = np.sin(x), 0.5 + 0.1 * x * x
     h, dt = 0.0625, 0.8 * explicit_step_limit(0.0625, diff)
     stack = np.random.default_rng(11).random((5, x.size))
@@ -286,6 +285,9 @@ def test_profile_validation():
     bad_x = np.concatenate([x[:10], x[10:] + 0.05])
     with pytest.raises(ValidationError):
         GridDistribution.from_samples(bad_x, np.ones_like(bad_x))
+    # spacing holds to 1e-9 of the step: the nodes' roundoff far from 0 passes
+    far = uniform_grid(992.0, 1008.0, 0.02, 8, ("x_min", "x_max", "h"))
+    assert GridDistribution.from_samples(far, np.ones_like(far)).h == far[1] - far[0]
 
 
 @given(st.floats(0.1, 2.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))

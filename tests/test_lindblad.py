@@ -25,6 +25,7 @@ from weakinv.lindblad import (
     rhs_kernels,
     rk4_step,
     superoperators,
+    uniform_grid,
 )
 from weakinv.fokker_planck import (
     evolve,
@@ -208,11 +209,28 @@ def _fokker_planck_window(t0, t1, dt):
     (0.0, 0.1, 0.03),
     (0.0, 0.1, 1e-300),
     (0.0, 0.1, 1e-320),
+    (1e6, 1e6 + 1.0, 0.3334),
+    (0.0, 0.1, 0.1 * (1.0 + 2e-9) / 50),
 ], ids=["dt_zero", "dt_negative", "empty", "reversed", "single_step", "no_tiling",
-        "more_nodes_than_numpy_builds", "uncountable_steps"])
+        "more_nodes_than_numpy_builds", "uncountable_steps", "far_window_overshoots",
+        "misses_by_2e-9_of_the_width"])
 def test_both_integrators_reject_the_same_windows(run, t0, t1, dt):
     with pytest.raises(ValidationError):
         run(t0, t1, dt)
+
+
+def test_uniform_grid_holds_the_tiling_to_its_width():
+    # a step that misses hi by 2e-9 of the width is refused, near 0 and far
+    # from it, and one off by the nodes' roundoff only is accepted
+    for lo, hi, n in ((0.0, 0.1, 50), (1e6, 1e6 + 1.0, 10), (992.0, 1008.0, 800)):
+        with pytest.raises(ValidationError, match=r"^dt .* into at least 2 whole steps$"):
+            uniform_grid(lo, hi, (hi - lo) * (1.0 + 2e-9) / n, 2)
+        assert uniform_grid(lo, hi, (hi - lo) / n, 2).size == n + 1
+    # at least min_steps whole steps, the refusal naming the step and window
+    assert uniform_grid(992.0, 1008.0, 2.0, 8).size == 9
+    with pytest.raises(ValidationError, match=r"^h 2.0 does not tile \[992.0, 1008.0\] "
+                                              r"into at least 9 whole steps$"):
+        uniform_grid(992.0, 1008.0, 2.0, 9, ("x_min", "x_max", "h"))
 
 
 def test_spin_trajectory_conserves_invariant_mean():

@@ -7,7 +7,7 @@ from dataclasses import replace
 from hypothesis import given, settings, strategies as st
 
 from weakinv.errors import ValidationError
-from weakinv.lindblad import integrate, rk4_step, time_grid
+from weakinv.lindblad import integrate, rk4_step, uniform_grid
 from weakinv.models import (
     OscillatorModel,
     SpinModel,
@@ -136,7 +136,7 @@ def test_coefficient_ode_matches_closed_form_invariant():
                          k * kap[0] - kap[1]])
 
     dt = 1e-3
-    times = time_grid(0.0, 0.5, dt)
+    times = uniform_grid(0.0, 0.5, dt, 2)
     kap = np.array([1.0, model.k(0.0), 0.0])
     for idx, t in enumerate(times):
         if idx % 100 == 0:
