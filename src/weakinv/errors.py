@@ -18,10 +18,6 @@ class ValidationError(WeakInvError, ValueError):
 class SamplingError(ValidationError):
     """A sampled column fails a guard; `at` is the earliest bad row."""
 
-    def __init__(self, message: str, at: int):
-        super().__init__(message)
-        self.at = at
-
 
 class NumericalError(WeakInvError, RuntimeError):
     """A computation left its certified numerical envelope mid-run."""

@@ -51,9 +51,9 @@ NEGATIVITY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GridDistribution:
-    """A density on a grid uniform to 1e-9 of its step, or a stack (m, n) of
-    them, with the grid's trapezoid `weights` (numpy's rule: half of each
-    cell's width at either end)."""
+    """A density on a grid uniform to 1e-9 of its width (the tolerance
+    `uniform_grid` tiles to), or a stack (m, n) of them, with the grid's
+    trapezoid `weights` (numpy's rule: half of each cell's width at either end)."""
 
     x: np.ndarray
     values: np.ndarray
@@ -68,7 +68,7 @@ class GridDistribution:
             raise ValidationError("grid and values must be matching 1-d arrays, >= 8 nodes")
         steps = np.diff(xv)
         h = float(steps[0])
-        if h <= 0.0 or np.abs(steps - h).max() > 1e-9 * h:
+        if h <= 0.0 or np.abs(steps - h).max() > 1e-9 * (xv[-1] - xv[0]):
             raise ValidationError("grid must be uniform and increasing")
         peak = float(pv.max())
         if peak <= 0.0:
@@ -245,7 +245,7 @@ class ClassicalTrajectory:
     notes: dict[str, float] = field(default_factory=dict)
 
 
-def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant,
+def evolve(dist: GridDistribution, drift, diffusion, inv: PolyInvariant, *,
            t0: float, t1: float, dt: float) -> ClassicalTrajectory:
     """Fixed-step RK4 integration on `lindblad.march`, with safety monitors.
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import NumericalError, SamplingError, ValidationError
 from .operators import (IMAG_TOL, VARIANCE_CLIP, DensityMatrix, abort_at, dagger,
-                        hermiticity_defect, reject_first, require_hermitian)
+                        hermiticity_defect, require_hermitian)
 
 EVAL_FLOOR = 1e-15       # eigenvalues at or below this count as exact zeros in entropies
 C_TOL = 1e-12            # how negative a rate may be before it is an input error
@@ -107,13 +107,12 @@ class LindbladGenerator:
         if rates.shape != (stop, len(self.jumps)):
             raise ValidationError(f"{len(self.jumps)} jump operators but rates on "
                                   f"{stop} times have shape {rates.shape}")
-        reject_first([
-            (hot, lambda k: f"H({col[k[0]]}) has a non-finite entry"),
-            (~np.isfinite(rates).all(axis=1),
-             lambda k: f"rates({col[k[0]]}) = {rates[k[0]].tolist()} are not all finite"),
-            (rates < -C_TOL, lambda k: f"rate c_{k[1]}({col[k[0]]}) = {rates[k]:.6e} "
-                                       f"is negative beyond tolerance {C_TOL:.0e}"),
-        ])
+        abort_at(hot, SamplingError, lambda k: f"H({col[k[0]]}) has a non-finite entry",
+                 (~np.isfinite(rates).all(axis=1), SamplingError,
+                  lambda k: f"rates({col[k[0]]}) = {rates[k[0]].tolist()} are not all finite"),
+                 (rates < -C_TOL, SamplingError,
+                  lambda k: f"rate c_{k[1]}({col[k[0]]}) = {rates[k]:.6e} "
+                            f"is negative beyond tolerance {C_TOL:.0e}"))
         return coeffs, np.maximum(rates, 0.0)
 
     def hamiltonian(self, coeffs: np.ndarray) -> np.ndarray:
@@ -246,8 +245,8 @@ def march(times, block: np.ndarray, step, observe) -> None:
             for k in range(good):
                 observe(slice(at + k, at + k + 1), rows[k:k + 1])
             raise
-        if good < len(rows):
-            raise NumericalError(f"state is not finite at t = {times[at + good]:.6g}; reduce dt")
+        abort_at(hot, NumericalError,
+                 lambda k: f"state is not finite at t = {times[at + k[0]]:.6g}; reduce dt")
 
     while times.size:
         k = min(len(block) - 1, times.size - 1 - first)

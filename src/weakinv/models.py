@@ -50,9 +50,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SamplingError, ValidationError
 from .lindblad import LindbladGenerator, lindblad_rhs, rhs_kernels
-from .operators import PAULIS, _as_matrix, expectation, reject_first
+from .operators import PAULIS, _as_matrix, abort_at, expectation
 
 EDGE_OCCUPATION_TOL = 1e-8
 
@@ -124,14 +124,12 @@ class OscillatorModel:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             kv, kd = (np.asarray(f(col), dtype=float) for f in (self.k, self.kdot))
             lost = (np.gradient(kv) < 0.0) & ~((0.0 < abs(kd)) & (abs(kd) < np.inf))
-        reject_first([
-            (~((0.0 < kv) & (kv < np.inf)), lambda at: (
-                f"stiffness must stay positive and finite: k({col[at]:.6g}) = {kv[at]:.6g}")),
-            (lost | ~(kd < 0.0), lambda at: (
+        abort_at(~((0.0 < kv) & (kv < np.inf)), SamplingError, lambda at: (
+            f"stiffness must stay positive and finite: k({col[at]:.6g}) = {kv[at]:.6g}"),
+            (lost | ~(kd < 0.0), SamplingError, lambda at: (
                 "double precision cannot represent the rate c = -kdot/2 at which k(t) falls"
                 if lost[at] else "the dissipative construction needs k(t) strictly decreasing "
-                "(rate c = -kdot/2 must be positive)") + f": kdot({col[at]:.6g}) = {kd[at]:.6g}"),
-        ])
+                "(rate c = -kdot/2 must be positive)") + f": kdot({col[at]:.6g}) = {kd[at]:.6g}"))
 
 
 def rational_decay(k0: float = 1.0, decay: float = 0.5) -> OscillatorModel:
@@ -206,15 +204,13 @@ def spin_coefficients(model: SpinModel, t) -> np.ndarray:
         cs = (logd.sum(axis=1, keepdims=True) - 2.0 * logd) / 8.0
         fit = np.clip(cs, 0.0, None)
         defect = np.abs(4.0 * (fit[:, [1, 2, 0]] + fit[:, [2, 0, 1]]) * bv - bd).max(axis=1)
-    reject_first([
-        ((np.abs(bv) <= 1e-12).any(axis=1), lambda k: (
-            f"field component crosses zero at t = {col[k[0]]:.6g}: B = {bv[k[0]].tolist()}")),
-        ((cs < -1e-12).any(axis=1), lambda k: (
+    abort_at((np.abs(bv) <= 1e-12).any(axis=1), SamplingError, lambda k: (
+        f"field component crosses zero at t = {col[k[0]]:.6g}: B = {bv[k[0]].tolist()}"),
+        ((cs < -1e-12).any(axis=1), SamplingError, lambda k: (
             f"schedule gives a negative rate at t = {col[k[0]]:.6g}: c = {cs[k[0]].tolist()}")),
-        (defect > 1e-10 * np.maximum(np.abs(bd).max(axis=1), 1e-30), lambda k: (
+        (defect > 1e-10 * np.maximum(np.abs(bd).max(axis=1), 1e-30), SamplingError, lambda k: (
             f"rate reconstruction defect {defect[k]:.3e} exceeds 1e-10 relative at "
-            f"t = {col[k[0]]:.6g}")),
-    ])
+            f"t = {col[k[0]]:.6g}")))
     return fit.reshape(np.shape(t) + (3,))
 
 

@@ -5,8 +5,8 @@ properties the physics relies on (Hermiticity, unit trace, positivity) and
 report the measured residual instead of a bare pass/fail. Everything is
 dense and eigh-based on purpose: the target systems are small (dim <= 128)
 and a single well-tested Hermitian eigensolver is easier to trust than a
-zoo of specialised routines. The package's earliest-breach guards raise
-through `abort_at` or `reject_first`, at the first index their mask holds.
+zoo of specialised routines. Every guard of the package that names where
+it breached raises through `abort_at`, at the first index a mask holds.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SamplingError, ValidationError
+from .errors import NumericalError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -73,20 +73,23 @@ def _member(at: tuple) -> str:
     return f"stack member {at[0] if len(at) == 1 else at}: "
 
 
-def abort_at(bad, error, message) -> None:
-    """Raise error(message(at)) at the first index where mask `bad` holds."""
-    at = _breach(bad)
-    if at is not None:
-        raise error(message(at))
+def abort_at(bad, error, message, *more) -> None:
+    """Raise error(message(at)) at the first index `at` where mask `bad` holds.
 
-
-def reject_first(checks) -> None:
-    """Raise SamplingError at the earliest row (first axis) that a (mask,
-    message(index)) check flags; at one row the earlier check wins."""
-    found = [(at, message) for bad, message in checks if (at := _breach(bad)) is not None]
+    `more` holds further (mask, error, message) checks; the earliest index
+    of any check wins, compared as tuples (a row (r,) before its cells
+    (r, c)), and at one index the earlier check. The error carries the
+    index's first entry as `at`, None for a single matrix.
+    """
+    checks = ((bad, error, message), *more)
+    found = [(at, k) for k, (mask, _, _) in enumerate(checks)
+             if (at := _breach(mask)) is not None]
     if found:
-        at, message = min(found, key=lambda f: f[0][0])     # the first of equal rows
-        raise SamplingError(message(at), at[0])
+        at, k = min(found)
+        _, error, message = checks[k]
+        exc = error(message(at))
+        exc.at = at[0] if at else None
+        raise exc
 
 
 def hermiticity_defect(a):
@@ -125,11 +128,7 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, mat, trace_tol: float = TRACE_TOL) -> "DensityMatrix":
-        m = _require_square(_as_matrix(mat), "state")
-        herm = hermiticity_defect(m)
-        abort_at(~(herm <= HERM_TOL), ValidationError, lambda at: (
-            f"{_member(at)}state is not Hermitian: defect {herm[at]:.3e} "
-            f"exceeds tol {HERM_TOL:.1e}"))
+        m = require_hermitian(_require_square(_as_matrix(mat), "state"), name="state")
         tr = np.trace(m, axis1=-2, axis2=-1)
         trace_defect = abs(tr - 1.0)
         abort_at(trace_defect > trace_tol, ValidationError, lambda at: (

@@ -416,7 +416,7 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
 
     hs = spin_hamiltonian(model, times)
     u = internal_energy(hs[0], p["t_init"])
-    path = build_isoenergetic_path(hs, times, u)
+    path = build_isoenergetic_path(hs, step, u)
     rel = check_specific_heat_relation(path)
 
     # The canonical family is a local-equilibrium description, not the actual
@@ -448,7 +448,7 @@ def run_thermo_spin(cfg: ExperimentConfig) -> ScenarioResult:
     checks.append(_at_most("energy_residual", "energy pinned along the path",
                            float(resid.max()), 1e-9))
 
-    var_rate = np.gradient(path.var_h, float(times[1] - times[0]), edge_order=2)
+    var_rate = np.gradient(path.var_h, step, edge_order=2)
     rho = path.states.mat
     s_vn, s_renyi = entropies(np.linalg.eigvalsh(0.5 * (rho + dagger(rho))), cfg.alpha)
 
@@ -482,7 +482,7 @@ def run_fp_ou(cfg: ExperimentConfig) -> ScenarioResult:
     gamma, d_const = p["gamma"], p["diffusion"]
     inv = ou_invariant_coeffs(gamma, d_const, p["a0"], p["b0"], p["e0"])
     drift, diff = -gamma * x, np.full_like(x, d_const)
-    traj = evolve(dist, drift, diff, inv, cfg.t0, cfg.t1, cfg.dt)
+    traj = evolve(dist, drift, diff, inv, t0=cfg.t0, t1=cfg.t1, dt=cfg.dt)
 
     var = traj.series["var_I"]
     checks = [
@@ -563,8 +563,9 @@ def run_scenario(cfg: ExperimentConfig) -> ScenarioResult:
     abort_at(~np.isfinite(table), NumericalError, lambda at: (
         f"series column {CSV_HEADER[at[1]]} is not finite at row {at[0]} "
         f"(t = {table[at[0], 0]:.6g})"))
-    for c in result.checks:
-        if not np.isfinite([c.measured, c.bound_or_target, c.tolerance]).all():
-            raise NumericalError(f"check {c.name} is not finite: measured {c.measured:.6g}, "
-                                 f"target {c.bound_or_target:.6g}, tol {c.tolerance:.6g}")
+    nums = np.reshape([[c.measured, c.bound_or_target, c.tolerance] for c in result.checks],
+                      (-1, 3))
+    abort_at(~np.isfinite(nums).all(axis=1), NumericalError, lambda at: (
+        "check {0.name} is not finite: measured {0.measured:.6g}, target "
+        "{0.bound_or_target:.6g}, tol {0.tolerance:.6g}".format(result.checks[at[0]])))
     return result

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .operators import (DensityMatrix, _as_matrix, _breach, _member, _require_square, abort_at,
-                        dagger, require_hermitian, variance)
+from .operators import (DensityMatrix, _as_matrix, _member, _require_square, abort_at, dagger,
+                        require_hermitian, variance)
 
 ROOT_TOL_REL = 1e-10
 T_BRACKET = (1e-6, 1e6)   # relative to the spectral scale of H
@@ -115,28 +115,28 @@ def solve_isoenergetic_temperature(h, u):
         nxt = t - np.divide(r, deriv, out=np.full(k.size, np.inf), where=deriv > 0.0)
         temp[k] = np.where((lo[k] < nxt) & (nxt < hi[k]), nxt, 0.5 * (lo[k] + hi[k]))
 
-    guard = np.select([flat, outside, bracket, live], [1, 2, 3, 4]).reshape(shape)
-    at = _breach(guard > 0)
-    if at is not None:
-        n = np.ravel_multi_index(at, shape)
-        exc, text = (
-            (ValidationError, "Hamiltonian is a multiple of the identity; U(T) is flat"),
-            (ValidationError, f"target energy {u[n]:.12g} outside the reachable range "
-                              f"({e_min[n]:.12g}, {e_mean[n]:.12g})"),
-            (NumericalError, f"bracket failure: U({bottom[n]:.3e}) - u = {f_lo[n]:.3e}, "
-                             f"U({top[n]:.3e}) - u = {f_hi[n]:.3e}"),
-            (NumericalError, f"temperature solve stalled: residual {resid[n]:.3e} "
-                             f"exceeds {tol[n]:.3e}"),
-        )[guard[at] - 1]
-        raise exc(_member(at) + text)
+    def check(mask, error, text):   # an abort_at check whose text(n) names flat member n
+        return mask.reshape(shape), error, lambda at: (
+            _member(at) + text(np.ravel_multi_index(at, shape)))
+
+    abort_at(*check(flat, ValidationError,
+                    lambda n: "Hamiltonian is a multiple of the identity; U(T) is flat"),
+             check(outside, ValidationError, lambda n: (
+                 f"target energy {u[n]:.12g} outside the reachable range "
+                 f"({e_min[n]:.12g}, {e_mean[n]:.12g})")),
+             check(bracket, NumericalError, lambda n: (
+                 f"bracket failure: U({bottom[n]:.3e}) - u = {f_lo[n]:.3e}, "
+                 f"U({top[n]:.3e}) - u = {f_hi[n]:.3e}")),
+             check(live, NumericalError, lambda n: (
+                 f"temperature solve stalled: residual {resid[n]:.3e} exceeds {tol[n]:.3e}")))
     return temp.reshape(shape)[()]
 
 
 @dataclass
 class IsoenergeticPath:
-    """Per-node canonical description of a fixed-energy process."""
+    """Per-node canonical description of a fixed-energy process on nodes dt apart."""
 
-    times: np.ndarray
+    dt: float
     temperature: np.ndarray
     heat_capacity: np.ndarray
     var_h: np.ndarray
@@ -144,36 +144,31 @@ class IsoenergeticPath:
     heating: np.ndarray   # 2 C T' + T C' by central differences, second order at the ends
 
 
-def build_isoenergetic_path(h, times, u: float) -> IsoenergeticPath:
+def build_isoenergetic_path(h, dt: float, u: float) -> IsoenergeticPath:
     """Solve T(t) with U fixed at every node of a uniform time grid.
 
-    h is the (n, d, d) stack of the path's Hamiltonians, one per node.
+    h is the (n, d, d) stack of the path's Hamiltonians, one per node,
+    with n >= 3 nodes a step dt > 0 apart.
     """
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim != 1 or ts.size < 3:
-        raise ValidationError("need a 1-d grid with at least 3 nodes")
-    steps = np.diff(ts)
-    if np.abs(steps - steps[0]).max() > 1e-9 * abs(steps[0]):
-        raise ValidationError("time grid must be uniform for the difference checks")
     hs = _as_matrix(h)
-    if hs.shape[:-2] != ts.shape:
-        raise ValidationError(f"need one Hamiltonian per node, got {hs.shape} for {ts.size}")
+    if hs.ndim != 3 or len(hs) < 3 or not dt > 0.0:
+        raise ValidationError(f"need a stack of at least 3 Hamiltonians and a positive "
+                              f"step, got shape {hs.shape} and dt = {dt}")
     temps = solve_isoenergetic_temperature(hs, u)
     states = canonical_state(hs, temps)
     var_h = variance(hs, states)
-    heats, dt = var_h / temps**2, float(ts[1] - ts[0])
+    heats = var_h / temps**2
     heating = (2.0 * heats * np.gradient(temps, dt, edge_order=2)
                + temps * np.gradient(heats, dt, edge_order=2))
-    return IsoenergeticPath(times=ts, temperature=temps, heat_capacity=heats,
+    return IsoenergeticPath(dt=dt, temperature=temps, heat_capacity=heats,
                             var_h=var_h, states=states, heating=heating)
 
 
 def check_specific_heat_relation(path: IsoenergeticPath) -> dict:
     """Central-difference test of 2 C T' + T C' > 0 and of the identity
     T (2 C T' + T C') = d(T^2 C)/dt, reported at interior nodes."""
-    dt = float(path.times[1] - path.times[0])
     lhs = path.heating
-    var_rate = np.gradient(path.temperature**2 * path.heat_capacity, dt, edge_order=2)
+    var_rate = np.gradient(path.temperature**2 * path.heat_capacity, path.dt, edge_order=2)
     interior = slice(1, -1)
     prod = path.temperature[interior] * lhs[interior]
     ref = var_rate[interior]

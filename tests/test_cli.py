@@ -375,6 +375,22 @@ def test_failed_check_exits_1(tmp_path):
     assert 0.0 <= notes["canonical_gap_max"] < 1e-6
 
 
+@pytest.mark.parametrize("doc", [
+    {"scenario": "thermo_spin", "t0": 1e6, "t1": 1000000.5,
+     "params": {"rate_c": 1e-9, "n_times": 2000}},
+    {"scenario": "fp_ou", "t1": 0.01, "params": {"x_min": 999992.0, "x_max": 1000008.0,
+                                                 "init_mean": 1000000.0, "gamma": 1e-12}},
+], ids=["thermo_far_window", "fp_far_domain"])
+def test_grids_far_from_zero_reach_a_verdict(tmp_path, doc):
+    # nodes far from 0 tile their window only to roundoff; once the runner's
+    # grid rule accepts them no later layer refuses them, so the run ends in
+    # a verdict (the finite differences may lose the precision to pass)
+    out = tmp_path / "o"
+    code = main(["run", "--config", _write(tmp_path, "far.json", doc), "--output-dir", str(out)])
+    assert code in (0, 1)
+    assert (out / "verdict.json").exists()
+
+
 def test_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     def broken(cfg):
         raise RuntimeError("boom")

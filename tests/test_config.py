@@ -128,7 +128,7 @@ def test_explicit_step_budget_is_a_config_error():
     x = uniform_grid(-8.0, 8.0, 0.02, 8, ("x_min", "x_max", "h"))
     with pytest.raises(NumericalError, match="explicit-step budget violated at t = 0"):
         evolve(gaussian_profile(x, 0.5, 0.5), -x, np.ones_like(x),
-               ou_invariant_coeffs(1.0, 1.0, 1.0, 0.0, 0.0), 0.0, 0.01, 2e-4)
+               ou_invariant_coeffs(1.0, 1.0, 1.0, 0.0, 0.0), t0=0.0, t1=0.01, dt=2e-4)
 
 
 def test_param_kind_enforcement():

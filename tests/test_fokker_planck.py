@@ -285,9 +285,11 @@ def test_profile_validation():
     bad_x = np.concatenate([x[:10], x[10:] + 0.05])
     with pytest.raises(ValidationError):
         GridDistribution.from_samples(bad_x, np.ones_like(bad_x))
-    # spacing holds to 1e-9 of the step: the nodes' roundoff far from 0 passes
-    far = uniform_grid(992.0, 1008.0, 0.02, 8, ("x_min", "x_max", "h"))
-    assert GridDistribution.from_samples(far, np.ones_like(far)).h == far[1] - far[0]
+    # spacing holds to 1e-9 of the width, the tolerance uniform_grid tiles
+    # to: the nodes' roundoff far from 0 passes
+    for lo in (992.0, 999992.0):
+        far = uniform_grid(lo, lo + 16.0, 0.02, 8, ("x_min", "x_max", "h"))
+        assert GridDistribution.from_samples(far, np.ones_like(far)).h == far[1] - far[0]
 
 
 @given(st.floats(0.1, 2.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5))

@@ -1,9 +1,12 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weakinv
 from weakinv.channels import QuantumChannel
 from weakinv.errors import NumericalError, ValidationError
 from weakinv.fokker_planck import interior_minimum
@@ -14,6 +17,7 @@ from weakinv.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    abort_at,
     dagger,
     expectation,
     hermiticity_defect,
@@ -174,3 +178,36 @@ def test_variance_nonnegative(dim, seed):
 def test_dagger_matches_conjugate_transpose():
     a = np.array([[1.0, 2.0j], [0.5, -1.0]], dtype=complex)
     assert np.array_equal(dagger(a), a.conj().T)
+
+
+def test_abort_at_reports_the_earliest_index_of_any_check():
+    def raised(*checks):
+        with pytest.raises((NumericalError, ValidationError)) as info:
+            abort_at(*checks[0], *checks[1:])
+        return type(info.value), str(info.value), info.value.at
+
+    cells, row, first = np.zeros((3, 2), bool), np.zeros(3, bool), np.zeros((3, 2), bool)
+    cells[1, 0] = row[1] = first[0, 1] = True
+    cell = (cells, NumericalError, lambda at: f"cell {at}")
+    # a row (r,) comes before its cells (r, c), whichever check is listed first
+    assert raised(cell, (row, ValidationError, lambda at: f"row {at}")) == (
+        ValidationError, "row (1,)", 1)
+    assert raised(cell, (row, ValidationError, str), (first, ValidationError, str)) == (
+        ValidationError, "(0, 1)", 0)
+    # at one index the earlier check wins; a single matrix's index is ()
+    assert raised(cell, (cells, ValidationError, str))[0] is NumericalError
+    assert raised((np.bool_(True), NumericalError, str)) == (NumericalError, "()", None)
+    abort_at(np.bool_(False), NumericalError, str, (row & False, ValidationError, str))
+
+
+def test_breach_errors_are_raised_only_by_abort_at():
+    # abort_at makes every NumericalError and SamplingError from the class it
+    # is given, so each one names its earliest breach by one rule and carries `at`
+    made = []
+    for path in sorted(Path(weakinv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            target = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name in ("NumericalError", "SamplingError"):
+                made.append(f"{path.name}:{node.lineno}")
+    assert made == []

@@ -37,8 +37,7 @@ def test_canonical_state_commutes_with_hamiltonian():
 
 def _static_path_heat(h, temp):
     """Heat capacity the path builder reports for a constant H held at energy U(temp)."""
-    path = build_isoenergetic_path(np.stack([h] * 3), np.linspace(0.0, 1.0, 3),
-                                   internal_energy(h, temp))
+    path = build_isoenergetic_path(np.stack([h] * 3), 0.5, internal_energy(h, temp))
     assert path.temperature == pytest.approx(temp, rel=1e-9)
     return float(path.heat_capacity[1])
 
@@ -106,25 +105,25 @@ def test_isoenergetic_path_identity_on_smooth_window():
     model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
     times = 0.5 / 512 * np.arange(513)
     u = internal_energy(spin_hamiltonian(model, 0.0), 4.0)
-    path = build_isoenergetic_path(spin_hamiltonian(model, times), times, u)
+    path = build_isoenergetic_path(spin_hamiltonian(model, times), 0.5 / 512, u)
     rel = check_specific_heat_relation(path)
     assert rel["min_lhs"] > 0.0
     assert rel["max_identity_rel_err"] < 1e-5
     assert np.all(np.diff(path.temperature) > 0.0)
 
 
-def test_path_requires_uniform_grid():
-    model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
-    bad = np.array([0.0, 0.1, 0.3])
-    with pytest.raises(ValidationError):
-        build_isoenergetic_path(spin_hamiltonian(model, bad), bad, -1.0)
-
-
-def test_path_needs_one_hamiltonian_per_node():
-    model = exponential_field(np.array([1.0, 2.0, 3.0]), 0.1)
-    times = np.linspace(0.0, 0.1, 5)
-    with pytest.raises(ValidationError, match="one Hamiltonian per node"):
-        build_isoenergetic_path(spin_hamiltonian(model, times[:4]), times, -1.0)
+@pytest.mark.parametrize("h, dt", [
+    (np.stack([SIGMA_Z] * 2), 0.1),
+    (np.eye(3, dtype=complex), 0.1),
+    (np.stack([SIGMA_Z] * 3), 0.0),
+    (np.stack([SIGMA_Z] * 3), -0.1),
+    (np.stack([SIGMA_Z] * 3), np.nan),
+], ids=["two_nodes", "single_matrix", "zero_step", "negative_step", "nan_step"])
+def test_path_needs_three_hamiltonians_and_a_positive_step(h, dt):
+    # the input check refuses before any temperature is solved
+    with pytest.raises(ValidationError, match=r"^need a stack of at least 3 Hamiltonians "
+                                              r"and a positive step, got shape "):
+        build_isoenergetic_path(h, dt, -0.5)
 
 
 def test_trace_distance_basics():
@@ -194,6 +193,11 @@ def test_stack_guards_name_the_earliest_member():
     gap = np.diag([-1.0, -1.0 + 1e-7, 1.0]).astype(complex)
     with pytest.raises(NumericalError, match=r"^stack member 1: bracket failure: "):
         solve_isoenergetic_temperature(np.stack([z, gap]), np.array([-0.5, -1.0 + 1e-8]))
+    # the earliest member wins across exception classes: member 1's bracket
+    # failure (numerical) over member 2's unreachable energy (validation)
+    with pytest.raises(NumericalError, match=r"^stack member 1: bracket failure: "):
+        solve_isoenergetic_temperature(np.stack([z, gap, z]),
+                                       np.array([-0.5, -1.0 + 1e-8, -1.5]))
     with pytest.raises(ValidationError, match=r"^stack member 1: temperature must be positive"):
         canonical_state(np.stack([z, z]), np.array([1.0, -2.0]))
     # NaN is no positive temperature either, as a scalar or a stack member
